@@ -42,6 +42,14 @@ PALETTE = (
 )
 
 
+def _seed(text: str) -> int:
+    """argparse type of ``--seed``: the random streams need a seed >= 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {value}")
+    return value
+
+
 def _info(message: str) -> None:
     print(message, file=sys.stderr)
 
@@ -208,14 +216,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--deterministic",
         action="store_true",
-        help="force single-threaded, fixed-order reductions (reductions are "
-        "fixed-order regardless; this also caps --threads at 1)",
+        help="cap --threads at 1",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic labeled grid")
     p.add_argument("--recipe", choices=sorted(RECIPES), default="mini-street")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--res", type=int, nargs=3, metavar=("X", "Y", "Z"))
     p.add_argument("--min", type=float, nargs=3, metavar=("MINX", "MINY", "MINZ"))
     p.add_argument("--max", type=float, nargs=3, metavar=("MAXX", "MAXY", "MAXZ"))
@@ -228,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="key=value fit configuration file")
     p.add_argument("--model", choices=("probabilistic", "additive"))
     p.add_argument("--init", choices=("grid", "random"))
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_seed)
     p.add_argument("--iterations", type=int)
     p.add_argument("--gaussians", type=int)
     p.add_argument("--out", required=True)
@@ -239,7 +246,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pred-gaussians", required=True)
     p.add_argument("--gt", required=True)
     p.add_argument("--model", choices=("auto", "probabilistic", "additive"), default="auto")
-    p.add_argument("--neighbor-index", action="store_true")
+    p.add_argument(
+        "--neighbor-index",
+        action="store_true",
+        help="accepted for compatibility; the cutoff always runs on the sparse pair kernel",
+    )
     p.add_argument("--report", required=True)
     p.set_defaults(func=cmd_eval)
 
@@ -247,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gaussians", required=True)
     p.add_argument("--gt", required=True)
     p.add_argument("--mc-samples", type=int, default=1_000_000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--report", required=True)
     p.set_defaults(func=cmd_audit)
 

@@ -10,7 +10,8 @@ softmax over its raw accumulated logits instead.
 Gradients are fully analytic, including the quaternion-normalization
 chain (so the gradient of a free quaternion is its tangent-space
 projection scaled by 1/norm) and the covariance chain through rotation
-and log-scales. Optimization is plain gradient descent with first/second
+and log-scales. Loss and gradient run on the field's sparse pair kernel:
+only the (Gaussian, point) pairs within the cutoff are visited. Optimization is plain gradient descent with first/second
 moment accumulation, decoupled weight decay and a cosine step-size decay.
 """
 
@@ -23,7 +24,7 @@ import numpy as np
 from scipy.special import expit, softmax
 
 from .core import MIN_SCALE, GaussianSet, rotation_matrices
-from .field import EvalOptions, log1mexp
+from .field import EvalOptions, additive_logits, gmm_posterior, live_pairs, log1mexp, per_gaussian, scatter_sum
 from .grid import VoxelGrid, voxelize, voxelize_legacy
 from .io import read_key_values
 from .metrics import iou, miou
@@ -31,8 +32,6 @@ from .metrics import iou, miou
 _LOG_U_FLOOR = np.log(1e-15)  # floor on per-Gaussian log(1 - alpha_i) inside the loss
 _PRED_FLOOR = 1e-12  # floor on predicted class probability inside the log
 _LOG_PRED_FLOOR = np.log(_PRED_FLOOR)
-_LOG_GMM_FLOOR = np.log(1e-300)
-_LOG_2PI = np.log(2.0 * np.pi)
 
 _ADAM_B1 = 0.9
 _ADAM_B2 = 0.999
@@ -148,6 +147,8 @@ class FitConfig:
             raise ValueError(f"init must be one of {INIT_POLICIES}, got {self.init!r}")
         if self.weight_decay < 0:
             raise ValueError("weight_decay must be >= 0")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     @classmethod
     def from_dict(cls, raw: dict[str, str]) -> "FitConfig":
@@ -358,7 +359,6 @@ def _loss_and_grad(
     s_exp = np.exp(log_scales)
     s = np.maximum(s_exp, MIN_SCALE)
     s_active = (s_exp > MIN_SCALE).astype(np.float64)
-    inv_s2 = s**-2.0
     opac = softplus(opac_raw)
     sig = expit(opac_raw)
 
@@ -368,92 +368,60 @@ def _loss_and_grad(
     if labels.min() < 0 or labels.max() > max_label:
         raise ValueError(f"labels must lie in [0, {max_label}] for the {model} model")
 
-    # (p, n, ...) layout so the heavy contractions are batched matmuls.
-    diff = points[None, :, :] - means[:, None, :]  # (p, n, 3)
-    v = diff @ rot  # v[p, n, b] = sum_a diff[p, n, a] rot[p, a, b]
-    v2 = v * v
-    d2 = (v2 @ inv_s2[:, :, None])[..., 0]  # (p, n)
-    cut = d2 > cutoff if np.isfinite(cutoff) else np.zeros_like(d2, dtype=bool)
+    # Only the pairs within the cutoff contribute; every array below is per
+    # live pair, per point or per Gaussian.
+    pairs, local, d2 = live_pairs(points, means, rot, s, cutoff)
+    gauss, point = pairs.gauss, pairs.point
     alpha_i = np.exp(-0.5 * d2)
-
     loss_terms = np.empty(n)
-    grad_d2 = np.zeros((p, n)) if want_grad else None
-    grad_logits = np.zeros((p, ch)) if want_grad else None
-    grad_log_a = np.zeros(p) if want_grad else None
-    grad_ls_extra = np.zeros(p) if want_grad else None  # log-det chain, per axis
-    grad_a_direct = np.zeros(p) if want_grad else None  # additive path only
+    grad_logits = np.zeros((p, ch))
+    grad_log_a = np.zeros(p)
+    grad_a_direct = np.zeros(p)  # additive path only
 
     if model == "probabilistic":
-        u = -np.expm1(-0.5 * d2)  # 1 - alpha_i
         li_raw = log1mexp(0.5 * d2)
         li_floor = li_raw < _LOG_U_FLOOR
-        li = np.maximum(li_raw, _LOG_U_FLOOR)
-        li[cut] = 0.0
-        total = li.sum(axis=0)  # (n,)
-
+        total = scatter_sum(point, np.maximum(li_raw, _LOG_U_FLOOR), n)
         occ = labels > 0
         loss_terms[~occ] = -total[~occ]
 
-        n_occ = int(np.count_nonzero(occ))
-        if n_occ:
-            s_occ = total[occ]
-            log_alpha_raw = log1mexp(-s_occ)
-            alpha_floor = ~(log_alpha_raw >= _LOG_PRED_FLOOR)
-            log_alpha = np.where(alpha_floor, _LOG_PRED_FLOOR, log_alpha_raw)
-
-            sem = softmax(logits, axis=1)
-            log_det = 2.0 * np.sum(np.log(s), axis=1)
-            with np.errstate(divide="ignore"):
-                log_opac = np.log(opac)
-            w = log_opac[:, None] - 0.5 * log_det[:, None] - 0.5 * d2[:, occ]
-            w[cut[:, occ]] = -np.inf
-            wmax = w.max(axis=0)
-            finite = np.isfinite(wmax)
-            wmax_safe = np.where(finite, wmax, 0.0)
-            expw = np.exp(w - wmax_safe[None, :])
-            denom = expw.sum(axis=0)
-            with np.errstate(divide="ignore"):
-                log_norm = wmax_safe + np.log(denom)
-            fallback = ~finite | (log_norm - 1.5 * _LOG_2PI < _LOG_GMM_FLOOR)
-            rho = expw / np.where(denom > 0.0, denom, 1.0)[None, :]  # (p, n_occ)
-            rho[:, fallback] = 0.0
-            e = sem.T @ rho  # (ch, n_occ)
-            k_idx = labels[occ] - 1
-            e_y = e[k_idx, np.arange(n_occ)]
-            e_y = np.where(fallback, 1.0 / ch, e_y)
-            e_floor = e_y < _PRED_FLOOR
-            log_e = np.log(np.maximum(e_y, _PRED_FLOOR))
-            loss_terms[occ] = -log_alpha - log_e
+        log_alpha_raw = log1mexp(-total)
+        alpha_floor = ~(log_alpha_raw >= _LOG_PRED_FLOOR)
+        log_alpha = np.where(alpha_floor, _LOG_PRED_FLOOR, log_alpha_raw)
+        # Mixture posterior over the live pairs of occupied points.
+        sem = softmax(logits, axis=1)
+        log_det = 2.0 * np.sum(np.log(s), axis=1)
+        with np.errstate(divide="ignore"):
+            log_weight = np.log(opac) - 0.5 * log_det
+        occ_pairs = np.flatnonzero(occ[point])
+        g_occ, pt_occ = gauss[occ_pairs], point[occ_pairs]
+        rho, fallback = gmm_posterior(log_weight[g_occ] - 0.5 * d2[occ_pairs], pt_occ, n)
+        k_idx = labels - 1
+        gk_occ = g_occ * ch + k_idx[pt_occ]  # flat (Gaussian, label class) index
+        sem_y = np.take(sem, gk_occ)
+        e_y = np.where(fallback, 1.0 / ch, scatter_sum(pt_occ, rho * sem_y, n))
+        e_floor = e_y < _PRED_FLOOR
+        log_e = np.log(np.maximum(e_y, _PRED_FLOOR))
+        loss_terms[occ] = -log_alpha[occ] - log_e[occ]
 
         if want_grad:
-            g_li = np.full((p, n), -1.0)
-            if n_occ:
-                with np.errstate(over="ignore"):
-                    ratio = np.exp(s_occ - log_alpha_raw)  # (1 - alpha) / alpha
-                ratio = np.where(alpha_floor, 0.0, ratio)
-                g_li[:, occ] = ratio[None, :]
+            with np.errstate(over="ignore"):
+                ratio = np.exp(total - log_alpha_raw)  # (1 - alpha) / alpha
+            g_li = np.where(occ, np.where(alpha_floor, 0.0, ratio), -1.0)
             with np.errstate(divide="ignore", invalid="ignore"):
-                dli_dd2 = 0.5 * alpha_i / u
-            dli_dd2[li_floor | cut] = 0.0
-            grad_d2[:] = g_li * dli_dd2
-            if n_occ:
-                dead = fallback | e_floor
-                beta = rho * sem[:, k_idx]  # (p, n_occ)
-                beta /= np.where(e_y, e_y, 1.0)[None, :]
-                d_loss_dw = rho - beta
-                d_loss_dw[:, dead] = 0.0
-                grad_d2[:, occ] += -0.5 * d_loss_dw
-                row_sums = d_loss_dw.sum(axis=1)
-                grad_log_a += row_sums
-                grad_ls_extra += -row_sums
-                onehot = np.zeros((n_occ, ch))
-                onehot[np.arange(n_occ), k_idx] = 1.0
-                live_beta = np.where(dead[None, :], 0.0, beta)
-                grad_logits += sem * live_beta.sum(axis=1)[:, None] - live_beta @ onehot
+                dli_dd2 = 0.5 * alpha_i / -np.expm1(-0.5 * d2)
+            dli_dd2[li_floor] = 0.0
+            grad_d2 = g_li[point] * dli_dd2
+            dead = (fallback | e_floor)[pt_occ]
+            beta = rho * sem_y / np.where(e_y, e_y, 1.0)[pt_occ]
+            d_loss_dw = np.where(dead, 0.0, rho - beta)
+            live_beta = np.where(dead, 0.0, beta)
+            grad_d2[occ_pairs] -= 0.5 * d_loss_dw
+            grad_log_a = scatter_sum(g_occ, d_loss_dw, p)
+            grad_logits = sem * scatter_sum(g_occ, live_beta, p)[:, None]
+            grad_logits -= scatter_sum(gk_occ, live_beta, p * ch).reshape(p, ch)
     else:  # additive baseline
-        g_vals = opac[:, None] * alpha_i
-        g_vals[cut] = 0.0
-        z = np.tensordot(g_vals, logits, axes=(0, 0))  # (n, ch)
+        z = additive_logits(pairs, d2, opac, logits, n)
         zmax = z.max(axis=1)
         lse = zmax + np.log(np.exp(z - zmax[:, None]).sum(axis=1))
         log_p = z[np.arange(n), labels] - lse
@@ -461,29 +429,32 @@ def _loss_and_grad(
         loss_terms[:] = -np.maximum(log_p, _LOG_PRED_FLOOR)
 
         if want_grad:
-            prob = np.exp(z - lse[:, None])
-            d_loss_dz = prob.copy()
+            d_loss_dz = np.exp(z - lse[:, None])
             d_loss_dz[np.arange(n), labels] -= 1.0
             d_loss_dz[p_floor] = 0.0
-            g_gv = logits @ d_loss_dz.T  # (p, n)
-            grad_d2[:] = -0.5 * g_gv * g_vals
-            grad_logits += np.tensordot(g_vals, d_loss_dz, axes=(1, 0))
-            grad_a_direct += (g_gv * alpha_i * ~cut).sum(axis=1)
+            g_vals = opac[gauss] * alpha_i
+            dz = np.take(d_loss_dz, point, axis=0)  # (M, ch)
+            g_gv = np.einsum("mc,mc->m", np.take(logits, gauss, axis=0), dz)
+            grad_d2 = -0.5 * g_gv * g_vals
+            grad_logits = per_gaussian(pairs, g_vals[:, None] * dz)
+            grad_a_direct = scatter_sum(gauss, g_gv * alpha_i, p)
 
     loss = float(loss_terms.mean())
     if not want_grad:
         return loss, None
 
-    # Chain the shared d2 gradient into means, log-scales and quaternions;
-    # every contraction below is a (p,)-batched matrix product.
-    w_loc = v * inv_s2[:, None, :]  # (p, n, 3), local-frame gradient direction
-    g2_row = grad_d2[:, None, :]  # (p, 1, n)
-    rw = w_loc @ rot.transpose(0, 2, 1)  # (p, n, 3): rows are R @ (D v)
-    g_means = -2.0 * (g2_row @ rw)[:, 0, :]
-    g_ls = -2.0 * (g2_row @ (v2 * inv_s2[:, None, :]))[:, 0, :]
-    g_ls += grad_ls_extra[:, None]
+    # Chain the d2 gradient into means, log-scales and quaternions. With
+    # u = R^T (x - m) / s per pair, d2 = |u|^2 and the per-Gaussian sums
+    # t = sum g u and uu = sum g u u^T carry everything; the rotation is
+    # applied once per Gaussian, after the sum.
+    gu = grad_d2[:, None] * local
+    t = per_gaussian(pairs, gu)
+    uu = per_gaussian(pairs, gu[:, :, None] * local[:, None, :])  # (p, 3, 3)
+    g_means = -2.0 * np.einsum("pab,pb->pa", rot, t / s)
+    # Each log-scale also enters the mixture weight through -log(det)/2.
+    g_ls = -2.0 * np.diagonal(uu, axis1=1, axis2=2) - grad_log_a[:, None]
     g_ls *= s_active
-    grad_rot = 2.0 * ((diff * grad_d2[:, :, None]).transpose(0, 2, 1) @ w_loc)  # (p, 3, 3)
+    grad_rot = 2.0 * rot @ (s[:, :, None] * uu / s[:, None, :])
     jac = _rotation_quat_jacobian(qn)
     g_qn = np.einsum("pab,piab->pi", grad_rot, jac)
     g_quat = (g_qn - qn * np.sum(qn * g_qn, axis=1, keepdims=True)) / qnorm[:, None]
@@ -503,10 +474,6 @@ def _loss_and_grad(
     return loss, grad.reshape(-1) / n
 
 
-def _points_to_labels(gt: VoxelGrid, points: np.ndarray) -> np.ndarray:
-    return gt.labels_at_points(points)
-
-
 def fit_loss(
     params: ParamVector,
     gt: VoxelGrid,
@@ -522,7 +489,7 @@ def fit_loss(
         params.num_gaussians,
         params.num_channels,
         np.atleast_2d(np.asarray(sample_points, dtype=np.float64)),
-        _points_to_labels(gt, sample_points),
+        gt.labels_at_points(sample_points),
         model,
         opts.cutoff,
         want_grad=False,
@@ -544,7 +511,7 @@ def fit_grad(
         params.num_gaussians,
         params.num_channels,
         np.atleast_2d(np.asarray(sample_points, dtype=np.float64)),
-        _points_to_labels(gt, sample_points),
+        gt.labels_at_points(sample_points),
         model,
         opts.cutoff,
         want_grad=True,
@@ -574,11 +541,35 @@ class _SamplePools:
         return self.centers[idx], self.labels[idx]
 
 
-def sample_training_points(
-    gt: VoxelGrid, batch: int, occupied_ratio: float, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Draw voxel centers with the requested occupied/empty balance."""
-    return _SamplePools(gt).draw(batch, occupied_ratio, rng)
+_PARAM_GROUPS = (
+    ("means", slice(0, 3)),
+    ("scales", slice(3, 6)),
+    ("quaternions", slice(6, 10)),
+    ("opacities", slice(10, 11)),
+    ("logits", slice(11, None)),
+)
+
+
+def _constrained(blk: np.ndarray) -> np.ndarray:
+    """The (P, stride) parameter blocks mapped to the values a decoded set
+    holds: scales and opacities overflow long before their raw values."""
+    out = blk.copy()
+    with np.errstate(over="ignore"):
+        out[:, 3:6] = np.exp(blk[:, 3:6])
+        out[:, 10] = softplus(blk[:, 10])
+    return out
+
+
+def _require_finite(blk: np.ndarray, what: str, iteration: int) -> None:
+    """Fail fast, naming the parameter group, on a non-finite entry of a
+    (P, stride) block of gradients or parameters."""
+    for name, cols in _PARAM_GROUPS:
+        bad = ~np.isfinite(blk[:, cols])
+        if bad.any():
+            raise ValueError(
+                f"fit diverged at iteration {iteration}: non-finite {what} in {name} "
+                f"(Gaussian {int(np.flatnonzero(bad.any(axis=1))[0])}); lower the learning rate"
+            )
 
 
 def _evaluate(gs: GaussianSet, gt: VoxelGrid, model: str, opts: EvalOptions) -> tuple[float, float]:
@@ -634,6 +625,9 @@ def fit(gt: VoxelGrid, cfg: FitConfig) -> FitResult:
     for t in range(cfg.iterations):
         points, labels = pools.draw(cfg.batch_points, cfg.occupied_ratio, rng)
         loss, grad = _loss_and_grad(theta, p, ch, points, labels, cfg.model, opts.cutoff)
+        if not np.isfinite(loss):
+            raise ValueError(f"fit diverged at iteration {t}: the loss is {loss}")
+        _require_finite(grad.reshape(p, stride), "gradient", t)
         losses[t] = loss
         lr = cfg.lr_min + 0.5 * (cfg.learning_rate - cfg.lr_min) * (1.0 + np.cos(np.pi * t / span))
         m = _ADAM_B1 * m + (1.0 - _ADAM_B1) * grad
@@ -644,6 +638,7 @@ def fit(gt: VoxelGrid, cfg: FitConfig) -> FitResult:
         if cfg.weight_decay:
             theta[decay_mask] -= lr * cfg.weight_decay * theta[decay_mask]
         renormalize_quats(theta)
+        _require_finite(_constrained(theta.reshape(p, stride)), "parameters", t)
         if (t + 1) % cfg.eval_every == 0 and t + 1 < cfg.iterations:
             record(t + 1)
 

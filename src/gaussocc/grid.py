@@ -159,22 +159,7 @@ def voxelize(
             f"set has {gs.num_classes} semantic classes, grid expects "
             f"{spec.num_classes_total - 1}"
         )
-    ev = FieldEvaluator(gs, opts)
-    centers = spec.all_centers()
-    labels = np.empty(spec.num_voxels, dtype=np.uint16)
-
-    def work(start: int, stop: int):
-        labels[start:stop] = np.argmax(ev.compose(centers[start:stop]), axis=1)
-
-    chunk = 16384
-    spans = [(s, min(s + chunk, spec.num_voxels)) for s in range(0, spec.num_voxels, chunk)]
-    if threads > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(lambda span: work(*span), spans))
-    else:
-        for span in spans:
-            work(*span)
-    return VoxelGrid(spec=spec, labels=labels.reshape(tuple(spec.resolution)))
+    return _label_voxels(FieldEvaluator(gs, opts).compose, spec, threads)
 
 
 def voxelize_legacy(
@@ -195,12 +180,17 @@ def voxelize_legacy(
             f"additive set needs {spec.num_classes_total} channels (empty first), "
             f"got {gs_with_empty.num_classes}"
         )
-    ev = FieldEvaluator(gs_with_empty, opts)
+    return _label_voxels(FieldEvaluator(gs_with_empty, opts).legacy, spec, threads)
+
+
+def _label_voxels(predict, spec: GridSpec, threads: int) -> VoxelGrid:
+    """Argmax labels of ``predict`` at every voxel center, in spans of
+    voxels shared among up to ``threads`` workers."""
     centers = spec.all_centers()
     labels = np.empty(spec.num_voxels, dtype=np.uint16)
 
     def work(start: int, stop: int):
-        labels[start:stop] = np.argmax(ev.legacy(centers[start:stop]), axis=1)
+        labels[start:stop] = np.argmax(predict(centers[start:stop]), axis=1)
 
     chunk = 16384
     spans = [(s, min(s + chunk, spec.num_voxels)) for s in range(0, spec.num_voxels, chunk)]

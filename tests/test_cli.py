@@ -49,6 +49,20 @@ class TestSynth:
         assert exc.value.code == 2
         assert "metropolis" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("synth", "--out", "x.ogrid"),
+            ("fit", "--gt", "x.ogrid", "--out", "x.gsocc"),
+            ("audit", "--gaussians", "x.gsocc", "--gt", "x.ogrid", "--report", "x.txt"),
+        ],
+    )
+    def test_negative_seed_is_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(*argv, "--seed", -1)
+        assert exc.value.code == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
+
     def test_binary_flag(self, tmp_path):
         out = tmp_path / "scene.ogrid"
         assert run("synth", "--binary", "--out", out) == 0

@@ -402,6 +402,12 @@ class TestFitLoop:
         assert end[1] > start[1]  # IoU strictly improves
         assert end[2] > start[2]  # mIoU strictly improves
 
+    def test_divergence_fails_fast(self, mini_street):
+        grid, _ = mini_street
+        cfg = FitConfig(num_gaussians=16, iterations=50, batch_points=128, learning_rate=1e4)
+        with pytest.raises(ValueError, match="diverged at iteration 0: non-finite parameters in scales"):
+            fit(grid, cfg)
+
     def test_random_init_policy(self, mini_street):
         grid, _ = mini_street
         cfg = FitConfig(num_gaussians=32, iterations=1, init="random", seed=7)
@@ -419,6 +425,8 @@ class TestFitLoop:
             FitConfig(init="fps")
         with pytest.raises(ValueError):
             FitConfig(iterations=0)
+        with pytest.raises(ValueError, match="seed"):
+            FitConfig(seed=-1)
 
     def test_config_file_round_trip(self, tmp_path):
         from gaussocc.io import write_key_values

@@ -1,0 +1,225 @@
+"""The sparse (Gaussian, point) pair kernel against brute-force and
+per-primitive loop oracles."""
+
+import numpy as np
+import pytest
+from scipy.special import logsumexp, softmax
+
+from gaussocc.core import MIN_SCALE, GaussianSet, mahalanobis_sq, rotation_matrices
+from gaussocc.field import (
+    EvalOptions,
+    FieldEvaluator,
+    _CellIndex,
+    _cov_diag,
+    _local_coords,
+    live_pairs,
+)
+from gaussocc.fit import ParamVector, _loss_and_grad
+
+from conftest import random_gaussian_set
+from test_fit import fd_gradient, grad_errors
+
+CUTOFF = 25.0
+
+
+def brute_force_d2(gs: GaussianSet, points: np.ndarray) -> np.ndarray:
+    """(P, N) squared Mahalanobis distances, one primitive at a time."""
+    return np.array([[mahalanobis_sq(x, gs.primitive(g)) for x in points] for g in range(len(gs))])
+
+
+def mixed_set(rng, p=24, c=3) -> GaussianSet:
+    """Rotated anisotropic Gaussians plus MIN_SCALE Gaussians, a needle
+    (one MIN_SCALE axis) and one Gaussian whose box covers every point."""
+    base = random_gaussian_set(rng, p, c, spread=6.0)
+    scales = base.scales * np.exp(rng.uniform(-1.0, 1.0, size=(p, 3)))
+    scales[:3] = MIN_SCALE
+    scales[3] = [2.0, 1.0, MIN_SCALE / 10.0]
+    scales[4] = 40.0
+    return GaussianSet(
+        means=base.means,
+        scales=scales,
+        rotations=base.rotations,
+        opacities=base.opacities,
+        logits=base.logits,
+    )
+
+
+def query_points(rng, gs: GaussianSet, n=300) -> np.ndarray:
+    """Uniform points, points within a few thousandths of the tiny
+    Gaussians' means, and points outside every cutoff box."""
+    near_tiny = gs.means[:4].repeat(3, axis=0) + rng.normal(0.0, 2e-3, size=(12, 3))
+    far = rng.uniform(900.0, 1000.0, size=(5, 3))
+    return np.concatenate([rng.uniform(-9.0, 9.0, size=(n, 3)), near_tiny, gs.means[:2], far])
+
+
+def pair_set(pairs) -> set:
+    return set(zip(pairs.gauss.tolist(), pairs.point.tolist()))
+
+
+class TestCellJoin:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_live_pairs_equal_brute_force(self, seed):
+        rng = np.random.default_rng(300 + seed)
+        gs = mixed_set(rng)
+        points = query_points(rng, gs)
+        d2 = brute_force_d2(gs, points)
+        # No pair so close to the cutoff that the two distance formulas
+        # could round to opposite sides of it.
+        assert np.min(np.abs(d2 / CUTOFF - 1.0)) > 1e-9
+        rot = rotation_matrices(gs.rotations)
+        pairs, local, kept_d2 = live_pairs(points, gs.means, rot, gs.scales, CUTOFF)
+        assert pair_set(pairs) == set(zip(*np.nonzero(d2 <= CUTOFF)))
+        assert len(pair_set(pairs)) == pairs.gauss.size  # no pair listed twice
+        assert all(np.any(pairs.gauss == g) for g in range(4))  # the tiny Gaussians see points
+        np.testing.assert_allclose(kept_d2, d2[pairs.gauss, pairs.point], rtol=1e-9, atol=1e-12)
+        np.testing.assert_array_equal(kept_d2, np.sum(local**2, axis=1))
+        # The wide Gaussian sees every point but the far ones; nothing sees those.
+        assert set(pairs.point[pairs.gauss == 4].tolist()) == set(range(points.shape[0] - 5))
+        assert not np.any(pairs.point >= points.shape[0] - 5)
+
+    def test_candidates_are_grouped_by_gaussian(self):
+        rng = np.random.default_rng(310)
+        gs = mixed_set(rng)
+        points = query_points(rng, gs)
+        rot = rotation_matrices(gs.rotations)
+        pairs = _CellIndex(gs.means, _cov_diag(rot, gs.scales), CUTOFF).pairs(points)
+        assert np.all(np.diff(pairs.gauss) >= 0)
+        for g in range(len(gs)):
+            np.testing.assert_array_equal(pairs.gauss[pairs.bounds[g] : pairs.bounds[g + 1]], g)
+        assert pairs.bounds[-1] == pairs.gauss.size
+        # Candidates may exceed the live pairs, never miss one.
+        d2 = np.sum(_local_coords(points, pairs, gs.means, rot, gs.scales) ** 2, axis=1)
+        live, _, _ = live_pairs(points, gs.means, rot, gs.scales, CUTOFF)
+        assert pair_set(live) <= pair_set(pairs)
+        assert np.count_nonzero(d2 <= CUTOFF) == live.gauss.size
+
+    def test_many_wide_gaussians_grow_the_cells(self):
+        # Every box spans the whole cloud, so cells at half the median
+        # half-width would need far more columns than the budget.
+        rng = np.random.default_rng(311)
+        base = random_gaussian_set(rng, 40, 2, spread=1.0)
+        gs = GaussianSet(means=base.means, scales=np.full((40, 3), 30.0), rotations=base.rotations,
+                         opacities=base.opacities, logits=base.logits)
+        points = rng.uniform(-50.0, 50.0, size=(200, 3))
+        d2 = brute_force_d2(gs, points)
+        rot = rotation_matrices(gs.rotations)
+        pairs, _, _ = live_pairs(points, gs.means, rot, gs.scales, CUTOFF)
+        assert pair_set(pairs) == set(zip(*np.nonzero(d2 <= CUTOFF)))
+
+    def test_non_finite_box_rejected(self):
+        means = np.zeros((2, 3))
+        cov_diag = np.array([[1.0, 1.0, 1.0], [np.inf, 1.0, 1.0]])
+        with pytest.raises(ValueError, match="Gaussian 1 has a non-finite cutoff box"):
+            _CellIndex(means, cov_diag, CUTOFF)
+        # A finite set whose covariance overflows cannot reach the join either.
+        gs = GaussianSet(means=np.zeros((1, 3)), scales=np.full((1, 3), 1e200),
+                         rotations=np.array([[1.0, 0, 0, 0]]), opacities=np.ones(1), logits=np.zeros((1, 2)))
+        with pytest.raises(ValueError, match="non-finite cutoff box"):
+            FieldEvaluator(gs)
+
+
+def oracle_field(gs: GaussianSet, points: np.ndarray, cutoff=CUTOFF):
+    """Composed and additive predictions, one point and one primitive at a time."""
+    c = gs.num_classes
+    sem = softmax(gs.logits, axis=1)
+    compose, legacy = [], []
+    for x in points:
+        alpha_terms, logw, classes, additive = [], [], [], np.zeros(c)
+        for g in range(len(gs)):
+            prim = gs.primitive(g)
+            d2 = mahalanobis_sq(x, prim)
+            if d2 > cutoff:
+                continue
+            alpha_terms.append(np.exp(-0.5 * d2))
+            logw.append(np.log(prim.opacity) - np.sum(np.log(prim.scale)) - 0.5 * d2)
+            classes.append(sem[g])
+            additive += prim.opacity * np.exp(-0.5 * d2) * prim.semantics
+        alpha = 1.0 - np.prod(1.0 - np.array(alpha_terms))
+        if logw and logsumexp(logw) - 1.5 * np.log(2 * np.pi) >= np.log(1e-300):
+            e = softmax(np.array(logw)) @ np.array(classes)
+        else:
+            e = np.full(c, 1.0 / c)
+        compose.append(np.concatenate([[1.0 - alpha], alpha * e]))
+        legacy.append(additive)
+    return np.array(compose), np.array(legacy)
+
+
+class TestFieldAgainstLoopOracle:
+    def test_compose_and_legacy_at_cutoff(self):
+        rng = np.random.default_rng(320)
+        gs = mixed_set(rng, p=12, c=3)
+        points = query_points(rng, gs, n=150)
+        want_compose, want_legacy = oracle_field(gs, points)
+        ev = FieldEvaluator(gs, EvalOptions())
+        np.testing.assert_allclose(ev.compose(points), want_compose, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(ev.legacy(points), want_legacy, rtol=1e-12, atol=1e-12)
+        # Far points see no Gaussian: pure empty, zero additive output.
+        np.testing.assert_array_equal(ev.compose(points[-5:]), np.tile([1.0, 0.0, 0.0, 0.0], (5, 1)))
+        np.testing.assert_array_equal(ev.legacy(points[-5:]), 0.0)
+
+    @pytest.mark.parametrize("cutoff", [CUTOFF, None])
+    def test_chunking_does_not_change_results(self, cutoff):
+        rng = np.random.default_rng(321)
+        gs = mixed_set(rng, p=10, c=2)
+        points = query_points(rng, gs, n=100)
+        opts = EvalOptions(cutoff_mahalanobis_sq=cutoff)
+        whole, pieces = FieldEvaluator(gs, opts), FieldEvaluator(gs, opts, chunk=7)
+        np.testing.assert_array_equal(pieces.compose(points), whole.compose(points))
+        np.testing.assert_array_equal(pieces.legacy(points), whole.legacy(points))
+
+
+def oracle_loss(pv: ParamVector, points, labels, model, cutoff=CUTOFF) -> float:
+    """The fitting loss, one point and one primitive at a time, floors
+    included."""
+    gs = pv.decode()
+    sem = softmax(gs.logits, axis=1)
+    terms = []
+    for x, y in zip(points, labels):
+        d2 = np.array([mahalanobis_sq(x, gs.primitive(g)) for g in range(len(gs))])
+        live = d2 <= cutoff
+        if model == "additive":
+            z = (gs.opacities[live] * np.exp(-0.5 * d2[live])) @ gs.logits[live]
+            terms.append(-max(z[y] - logsumexp(z), np.log(1e-12)))
+            continue
+        total = np.sum(np.maximum(np.log(-np.expm1(-0.5 * d2[live])), np.log(1e-15)))
+        if y == 0:
+            terms.append(-total)
+            continue
+        with np.errstate(divide="ignore"):
+            log_alpha = max(np.log(-np.expm1(total)), np.log(1e-12))
+        logw = np.log(gs.opacities[live]) - np.sum(np.log(gs.scales[live]), axis=1) - 0.5 * d2[live]
+        if live.any() and logsumexp(logw) - 1.5 * np.log(2 * np.pi) >= np.log(1e-300):
+            e_y = softmax(logw) @ sem[live, y - 1]
+        else:
+            e_y = 1.0 / gs.num_classes
+        terms.append(-log_alpha - np.log(max(e_y, 1e-12)))
+    return float(np.mean(terms))
+
+
+class TestLossAgainstLoopOracle:
+    @pytest.mark.parametrize("model,ch", [("probabilistic", 3), ("additive", 4)])
+    def test_loss_and_gradient_at_cutoff(self, model, ch):
+        rng = np.random.default_rng(330)
+        p = 6
+        gs = random_gaussian_set(rng, p, ch, spread=2.0)
+        means = gs.means.copy()
+        means[-1] = [60.0, 60.0, 60.0]  # no point within its cutoff
+        gs = GaussianSet(means=means, scales=gs.scales, rotations=gs.rotations,
+                         opacities=gs.opacities, logits=gs.logits)
+        pv = ParamVector.encode(gs)
+        theta = pv.values.copy()
+        top = ch if model == "probabilistic" else ch - 1
+        points = np.concatenate([rng.uniform(-6.0, 6.0, size=(24, 3)), [[-40.0, 0.0, 0.0], [0.0, -40.0, 0.0]]])
+        labels = np.concatenate([rng.integers(0, top + 1, 24), [1, 0]])  # an occupied point nothing reaches
+        d2 = brute_force_d2(pv.decode(), points)
+        assert np.min(np.abs(d2 - CUTOFF)) > 1e-3  # finite differences never cross the cutoff
+        assert np.all(d2[:, -2:] > CUTOFF) and np.all(d2[-1] > CUTOFF)
+        assert np.count_nonzero(d2[:-1] <= CUTOFF) > 20  # the cutoff keeps some pairs ...
+        assert np.count_nonzero(d2[:-1] > CUTOFF) > 20  # ... and drops others
+
+        loss, grad = _loss_and_grad(theta, p, ch, points, labels, model, CUTOFF)
+        assert loss == pytest.approx(oracle_loss(pv, points, labels, model), rel=1e-10)
+        np.testing.assert_array_equal(grad.reshape(p, -1)[-1], 0.0)
+        fd = fd_gradient(theta, p, ch, points, labels, model, CUTOFF)
+        abs_err, rel_err = grad_errors(grad, fd)
+        assert np.all((rel_err <= 1e-4) | (abs_err <= 1e-7))
