@@ -50,6 +50,14 @@ def _seed(text: str) -> int:
     return value
 
 
+def _positive(text: str) -> int:
+    """argparse type of the sample, iteration and Gaussian counts."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _info(message: str) -> None:
     print(message, file=sys.stderr)
 
@@ -236,8 +244,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", choices=("probabilistic", "additive"))
     p.add_argument("--init", choices=("grid", "random"))
     p.add_argument("--seed", type=_seed)
-    p.add_argument("--iterations", type=int)
-    p.add_argument("--gaussians", type=int)
+    p.add_argument("--iterations", type=_positive)
+    p.add_argument("--gaussians", type=_positive)
     p.add_argument("--out", required=True)
     p.add_argument("--trace", help="CSV loss/metric trace destination")
     p.set_defaults(func=cmd_fit)
@@ -257,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("audit", help="utilization report for a Gaussian set")
     p.add_argument("--gaussians", required=True)
     p.add_argument("--gt", required=True)
-    p.add_argument("--mc-samples", type=int, default=1_000_000)
+    p.add_argument("--mc-samples", type=_positive, default=1_000_000)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--report", required=True)
     p.set_defaults(func=cmd_audit)

@@ -248,13 +248,6 @@ def covariance_matrices(gs: GaussianSet) -> np.ndarray:
     return np.einsum("pab,pb,pcb->pac", rot, s2, rot)
 
 
-def inverse_covariance_matrices(gs: GaussianSet) -> np.ndarray:
-    """Stacked (P, 3, 3) inverse covariances, from the factorization."""
-    rot = rotation_matrices(gs.rotations)
-    inv_s2 = gs.scales**-2.0
-    return np.einsum("pab,pb,pcb->pac", rot, inv_s2, rot)
-
-
 def log_determinants(gs: GaussianSet) -> np.ndarray:
     """(P,) log-determinants of the covariances, ``2 * sum(log s)``."""
     return 2.0 * np.sum(np.log(gs.scales), axis=1)

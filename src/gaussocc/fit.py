@@ -474,6 +474,20 @@ def _loss_and_grad(
     return loss, grad.reshape(-1) / n
 
 
+def _params_loss_and_grad(params, gt, sample_points, model, opts, want_grad):
+    """:func:`_loss_and_grad` of a ParamVector at grid-labelled points."""
+    return _loss_and_grad(
+        np.asarray(params.values, dtype=np.float64),
+        params.num_gaussians,
+        params.num_channels,
+        np.atleast_2d(np.asarray(sample_points, dtype=np.float64)),
+        gt.labels_at_points(sample_points),
+        model,
+        (opts or EvalOptions()).cutoff,
+        want_grad=want_grad,
+    )
+
+
 def fit_loss(
     params: ParamVector,
     gt: VoxelGrid,
@@ -483,18 +497,7 @@ def fit_loss(
 ) -> float:
     """Mean cross entropy of the model prediction against grid labels at
     the given sample points."""
-    opts = opts or EvalOptions()
-    loss, _ = _loss_and_grad(
-        np.asarray(params.values, dtype=np.float64),
-        params.num_gaussians,
-        params.num_channels,
-        np.atleast_2d(np.asarray(sample_points, dtype=np.float64)),
-        gt.labels_at_points(sample_points),
-        model,
-        opts.cutoff,
-        want_grad=False,
-    )
-    return loss
+    return _params_loss_and_grad(params, gt, sample_points, model, opts, want_grad=False)[0]
 
 
 def fit_grad(
@@ -505,18 +508,7 @@ def fit_grad(
     opts: EvalOptions | None = None,
 ) -> np.ndarray:
     """Analytic gradient of :func:`fit_loss` w.r.t. every parameter."""
-    opts = opts or EvalOptions()
-    _, grad = _loss_and_grad(
-        np.asarray(params.values, dtype=np.float64),
-        params.num_gaussians,
-        params.num_channels,
-        np.atleast_2d(np.asarray(sample_points, dtype=np.float64)),
-        gt.labels_at_points(sample_points),
-        model,
-        opts.cutoff,
-        want_grad=True,
-    )
-    return grad
+    return _params_loss_and_grad(params, gt, sample_points, model, opts, want_grad=True)[1]
 
 
 class _SamplePools:

@@ -8,33 +8,36 @@ Utilization metrics for a Gaussian set against a reference grid:
 * percentage of Gaussians whose mean sits in an occupied voxel;
 * mean L1 distance from each mean to its nearest occupied voxel center;
 * overall overlap: summed 90%-confidence ellipsoid volumes over the
-  Monte Carlo estimate of the union coverage volume;
+  Monte Carlo estimate of the union coverage volume, whose hit test is
+  the field's cutoff test at :data:`CHI2_3DOF_90`;
 * individual overlap: mean summed pairwise Bhattacharyya coefficient.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .core import (
-    GaussianPrimitive,
-    GaussianSet,
-    build_covariance,
-    covariance_matrices,
-    inverse_covariance_matrices,
-)
+from .core import GaussianPrimitive, GaussianSet, build_covariance, covariance_matrices
+from .field import EvalOptions, FieldEvaluator
 from .grid import VoxelGrid
 
 # Chi-square critical value at 90% for three degrees of freedom; the
 # Mahalanobis ball d2 <= CHI2 is the 90% confidence ellipsoid.
 CHI2_3DOF_90 = 6.251
 
+# 90% ellipsoid volume per unit product of the scales.
+_VOLUME_90 = (4.0 / 3.0) * np.pi * CHI2_3DOF_90**1.5
+
 # Samples per Monte Carlo chunk; fixed so the per-chunk random streams,
 # and therefore the estimate, do not depend on execution schedule.
 _MC_CHUNK = 1 << 17
+
+# Gaussian pairs per block of individual overlap, which bounds its memory.
+_INDIV_PAIR_BLOCK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -117,7 +120,7 @@ def mean_nearest_dist(gs: GaussianSet, gt: VoxelGrid) -> float:
 def ellipsoid_volume_90(g: GaussianPrimitive) -> float:
     """Volume of the 90% confidence ellipsoid,
     ``(4/3) pi chi2^{3/2} sqrt(det Sigma)``."""
-    return (4.0 / 3.0) * np.pi * CHI2_3DOF_90**1.5 * float(np.prod(g.scale))
+    return _VOLUME_90 * float(np.prod(g.scale))
 
 
 def _bbox_arrays(scene_bbox) -> tuple[np.ndarray, np.ndarray]:
@@ -138,33 +141,20 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
 def mc_coverage_volume(gs: GaussianSet, scene_bbox, mc_samples: int, seed: int) -> float:
     """Monte Carlo volume of the union of 90% ellipsoids.
 
-    Uniform samples in the scene bounding box are tested against every
-    Gaussian's ellipsoid; the union volume is the box volume times the hit
-    fraction. Raises when not a single sample lands inside.
+    Uniform samples in the scene bounding box hit when the field, cut off
+    at :data:`CHI2_3DOF_90`, gives them a nonzero occupancy: it is exactly
+    0 beyond every 90% ellipsoid and at least ``exp(-CHI2_3DOF_90 / 2)``
+    inside any. The union volume is the box volume times the hit fraction.
+    Raises when not a single sample lands inside.
     """
     lo, hi = _bbox_arrays(scene_bbox)
     if mc_samples < 1:
         raise ValueError("mc_samples must be >= 1")
-    inv_cov = inverse_covariance_matrices(gs)
-    means = gs.means
+    ev = FieldEvaluator(gs, EvalOptions(cutoff_mahalanobis_sq=CHI2_3DOF_90))
     n_in = 0
-    done = 0
-    chunk_index = 0
-    while done < mc_samples:
-        m = min(_MC_CHUNK, mc_samples - done)
-        rng = _chunk_rng(seed, chunk_index)
-        pts = rng.uniform(lo, hi, size=(m, 3))
-        inside = np.zeros(m, dtype=bool)
-        for p in range(len(gs)):
-            todo = ~inside
-            if not np.any(todo):
-                break
-            d = pts[todo] - means[p]
-            d2 = np.einsum("na,ab,nb->n", d, inv_cov[p], d)
-            inside[todo] = d2 <= CHI2_3DOF_90
-        n_in += int(np.count_nonzero(inside))
-        done += m
-        chunk_index += 1
+    for chunk_index, done in enumerate(range(0, mc_samples, _MC_CHUNK)):
+        pts = _chunk_rng(seed, chunk_index).uniform(lo, hi, size=(min(_MC_CHUNK, mc_samples - done), 3))
+        n_in += int(np.count_nonzero(ev.alpha(pts) > 0.0))
     if n_in == 0:
         raise ValueError("no coverage detected: no Monte Carlo sample hit any ellipsoid")
     box_volume = float(np.prod(hi - lo))
@@ -175,10 +165,15 @@ def overall_overlap(gs: GaussianSet, scene_bbox, mc_samples: int, seed: int) -> 
     """Summed 90% ellipsoid volumes over the Monte Carlo coverage volume.
 
     1.0 means the ellipsoids tile their union without overlap; higher
-    values mean redundant coverage.
+    values mean redundant coverage. ``math.fsum`` rounds the summed volumes
+    once, so the result does not depend on the order of the Gaussians.
     """
-    total = sum(ellipsoid_volume_90(gs.primitive(i)) for i in range(len(gs)))
-    return total / mc_coverage_volume(gs, scene_bbox, mc_samples, seed)
+    coverage = mc_coverage_volume(gs, scene_bbox, mc_samples, seed)
+    try:
+        total = math.fsum(_VOLUME_90 * np.prod(gs.scales, axis=1))
+    except OverflowError:  # finite volumes whose sum exceeds the float range
+        total = math.inf
+    return total / coverage
 
 
 def bhattacharyya_coef(gi: GaussianPrimitive, gj: GaussianPrimitive) -> float:
@@ -203,19 +198,25 @@ def bhattacharyya_coef(gi: GaussianPrimitive, gj: GaussianPrimitive) -> float:
 
 def indiv_overlap(gs: GaussianSet) -> float:
     """Mean over Gaussians of the summed Bhattacharyya coefficients to all
-    other Gaussians; 0 for a single Gaussian."""
+    other Gaussians; 0 for a single Gaussian. The pairs ``i < j`` are
+    visited in blocks of whole rows ``i`` of at most
+    :data:`_INDIV_PAIR_BLOCK` pairs, or of one row."""
     p = len(gs)
     if p == 1:
         return 0.0
     covs = covariance_matrices(gs)
     log_dets = np.linalg.slogdet(covs)[1]
-    ii, jj = np.triu_indices(p, k=1)
-    avg = 0.5 * (covs[ii] + covs[jj])
-    log_det_avg = np.linalg.slogdet(avg)[1]
-    diff = gs.means[ii] - gs.means[jj]
-    quad = np.einsum("na,na->n", diff, np.linalg.solve(avg, diff[..., None])[..., 0])
-    bc = np.exp(0.25 * (log_dets[ii] + log_dets[jj]) - 0.5 * log_det_avg - 0.125 * quad)
-    per_gaussian = np.bincount(ii, weights=bc, minlength=p) + np.bincount(jj, weights=bc, minlength=p)
+    per_gaussian = np.zeros(p)
+    rows = max(1, _INDIV_PAIR_BLOCK // (p - 1))
+    for first in range(0, p - 1, rows):
+        ii, jj = np.nonzero(np.triu(np.ones((min(rows, p - 1 - first), p), dtype=bool), k=first + 1))
+        ii += first
+        avg = 0.5 * (covs[ii] + covs[jj])
+        log_det_avg = np.linalg.slogdet(avg)[1]
+        diff = gs.means[ii] - gs.means[jj]
+        quad = np.einsum("na,na->n", diff, np.linalg.solve(avg, diff[..., None])[..., 0])
+        bc = np.exp(0.25 * (log_dets[ii] + log_dets[jj]) - 0.5 * log_det_avg - 0.125 * quad)
+        per_gaussian += np.bincount(ii, weights=bc, minlength=p) + np.bincount(jj, weights=bc, minlength=p)
     return float(per_gaussian.mean())
 
 

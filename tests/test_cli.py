@@ -63,6 +63,20 @@ class TestSynth:
         assert exc.value.code == 2
         assert "seed must be >= 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("fit", "--gt", "x.ogrid", "--out", "x.gsocc", "--iterations", 0),
+            ("fit", "--gt", "x.ogrid", "--out", "x.gsocc", "--gaussians", -2),
+            ("audit", "--gaussians", "x.gsocc", "--gt", "x.ogrid", "--report", "x.txt", "--mc-samples", 0),
+        ],
+    )
+    def test_non_positive_count_is_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(*argv)
+        assert exc.value.code == 2
+        assert "must be >= 1" in capsys.readouterr().err
+
     def test_binary_flag(self, tmp_path):
         out = tmp_path / "scene.ogrid"
         assert run("synth", "--binary", "--out", out) == 0
@@ -221,6 +235,20 @@ class TestAudit:
                 == 0
             )
         assert a.read_bytes() == b.read_bytes()
+
+    def test_overflowing_scale_is_runtime_error(self, scene_file, tmp_path, capsys):
+        g = GaussianPrimitive(
+            mean=(0, 0, 1), scale=(1e160, 1, 1), rotation=(1, 0, 0, 0), opacity=1.0,
+            semantics=(5.0, 0.0, 0.0, 0.0),
+        )
+        set_path = tmp_path / "huge.gsocc"
+        save_gaussian_set(set_path, GaussianSet.from_primitives([g]))
+        code = run(
+            "audit", "--gaussians", set_path, "--gt", scene_file,
+            "--mc-samples", 1000, "--report", tmp_path / "audit.txt",
+        )
+        assert code == 1
+        assert "non-finite cutoff box" in capsys.readouterr().err
 
 
 class TestRays:

@@ -1,9 +1,12 @@
 """Grid metrics and the utilization audit against independent oracles."""
 
+import warnings
+
 import numpy as np
 import pytest
 
-from gaussocc.core import GaussianPrimitive, GaussianSet
+from gaussocc import metrics
+from gaussocc.core import MIN_SCALE, GaussianPrimitive, GaussianSet, build_covariance
 from gaussocc.grid import GridSpec, VoxelGrid
 from gaussocc.metrics import (
     CHI2_3DOF_90,
@@ -57,6 +60,23 @@ def miou_oracle(pred, gt, classes):
         if union:
             vals.append(len(p & g) / len(union))
     return sum(vals) / len(vals) if vals else 1.0
+
+
+def coverage_hits_oracle(gs, scene_bbox, mc_samples, seed):
+    """Monte Carlo hits by a loop over Gaussians with explicit inverse
+    covariances. Chunk k of 2^17 samples draws from the Philox stream keyed
+    ``(seed << 64) | k``."""
+    hits = 0
+    for k, start in enumerate(range(0, mc_samples, 1 << 17)):
+        rng = np.random.Generator(np.random.Philox(key=(seed << 64) | k))
+        pts = rng.uniform(*scene_bbox, size=(min(1 << 17, mc_samples - start), 3))
+        inside = np.zeros(pts.shape[0], dtype=bool)
+        for i in range(len(gs)):
+            d = pts - gs.means[i]
+            inv = build_covariance(gs.primitive(i)).inverse
+            inside |= np.einsum("na,ab,nb->n", d, inv, d) <= CHI2_3DOF_90
+        hits += int(np.count_nonzero(inside))
+    return hits
 
 
 def isotropic(mean, scale=1.0, logits=(0.0, 0.0)):
@@ -272,6 +292,30 @@ class TestOverallOverlap:
         assert 1.5 < stds[0] / stds[1] < 6.5
         assert 1.5 < stds[1] / stds[2] < 6.5
 
+    @pytest.mark.parametrize("covering", [False, True])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_hits_match_per_gaussian_loop_oracle(self, covering, seed):
+        rng = np.random.default_rng(54)
+        gs = random_gaussian_set(rng, 12, 2, spread=5.5)
+        scales = gs.scales.copy()
+        scales[0] = MIN_SCALE
+        scales[1] = (MIN_SCALE, 3.0, 3.0)  # a rotated disc
+        means = gs.means
+        if covering:
+            # Its ellipsoid holds the whole box: every sample hits.
+            means = np.vstack([means, np.zeros(3)])
+            scales = np.vstack([scales, np.full(3, 4.0)])
+        gs = GaussianSet(means=means, scales=scales, rotations=rng.normal(size=(len(means), 4)),
+                         opacities=np.ones(len(means)), logits=np.zeros((len(means), 2)))
+        n = 2**17 + 5  # two Monte Carlo chunks
+        hits = coverage_hits_oracle(gs, self.BBOX, n, seed)
+        assert 0 < hits <= n and (hits == n) == covering
+        assert mc_coverage_volume(gs, self.BBOX, n, seed) == 1000.0 * hits / n
+
+    def test_volume_sum_overflow_is_infinite(self):
+        gs = GaussianSet.from_primitives([isotropic((0, 0, 0), scale=1e102)] * 3)
+        assert overall_overlap(gs, self.BBOX, 1000, seed=0) == np.inf
+
 
 class TestBhattacharyya:
     def test_identical_is_exactly_one(self):
@@ -319,6 +363,12 @@ class TestIndivOverlap:
                     total += bhattacharyya_coef(gs.primitive(i), gs.primitive(j))
         assert indiv_overlap(gs) == pytest.approx(total / 50, rel=1e-10)
 
+    @pytest.mark.parametrize("block", [1, 100, 500])
+    def test_streamed_blocks_match_double_loop_oracle(self, block, monkeypatch):
+        # Blocks of one row, two rows and ten rows of the 50 x 50 pairs.
+        monkeypatch.setattr(metrics, "_INDIV_PAIR_BLOCK", block)
+        self.test_matches_double_loop_oracle()
+
     def test_permutation_invariance_of_utilization_metrics(self):
         rng = np.random.default_rng(52)
         gs = random_gaussian_set(rng, 12, 3, spread=3.0)
@@ -347,3 +397,11 @@ class TestIndivOverlap:
         assert rep.overall_overlap > 0.0
         assert rep.indiv_overlap >= 0.0
         assert rep.mc_samples == 50_000
+
+    def test_overflowing_cutoff_box_rejected(self):
+        gt = grid_of(np.ones((4, 4, 4)))
+        gs = GaussianSet.from_primitives([isotropic((1, 1, 1)), isotropic((2, 2, 2), scale=1e160)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite cutoff box"):
+                utilization_report(gs, gt, mc_samples=1000, seed=0)
