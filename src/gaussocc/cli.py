@@ -175,6 +175,7 @@ def cmd_audit(args) -> int:
             "indiv_overlap": rep.indiv_overlap,
             "mc_samples": rep.mc_samples,
             "seed": args.seed,
+            "mc_stderr": rep.mc_stderr,
         },
     )
     _info(f"audit: perc {rep.perc_correct:.2f}%, dist {rep.mean_dist:.3f} m -> {args.report}")
@@ -187,14 +188,17 @@ def cmd_rays(args) -> int:
     sampling = RaySampling(depth_min=args.depth_min, depth_max=args.depth_max, num_refs=args.num_refs)
     origin, dirs = camera_rays(cam)
     depths = sampling.depths
-    with open(args.out, "w", encoding="ascii") as fh:
+    with open(args.out, "wb") as fh:
         chunk = 4096
         for start in range(0, dirs.shape[0], chunk):
             block = dirs[start : start + chunk]
             pts = origin[None, None, :] + depths[None, :, None] * block[:, None, :]
             labels = occupancy_labels(pts.reshape(-1, 3), gt).reshape(block.shape[0], -1)
-            for row in labels:
-                fh.write(" ".join(str(int(v)) for v in row) + "\n")
+            # One text row per ray: each 0/1 digit followed by a space, the last by a newline.
+            text = np.full((labels.shape[0], 2 * labels.shape[1]), ord(" "), dtype=np.uint8)
+            text[:, 0::2] = labels + ord("0")
+            text[:, -1] = ord("\n")
+            fh.write(text.tobytes())
     _info(f"rays: wrote {dirs.shape[0]} rays x {sampling.num_refs} labels to {args.out}")
     return 0
 

@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
-from scipy.special import softmax
 
 from .core import (
     GaussianPrimitive,
@@ -58,6 +57,13 @@ _BOX_PAD = 1e-9
 # Cell-join columns per Gaussian, on average, before the cells grow.
 _COLUMNS_PER_GAUSSIAN = 64
 _LN2 = np.log(2.0)
+
+
+def softmax(x: np.ndarray) -> np.ndarray:
+    """Row-wise softmax of a 2-D array: shift by the row max, exponentiate,
+    divide by the row sum (the operations of ``scipy.special.softmax``)."""
+    e = np.exp(x - np.max(x, axis=1, keepdims=True))
+    return e / np.sum(e, axis=1, keepdims=True)
 
 
 def log1mexp(a: np.ndarray) -> np.ndarray:
@@ -315,7 +321,7 @@ class FieldEvaluator:
         self._scales = gs.scales
         with np.errstate(divide="ignore"):
             self._log_weight = np.log(gs.opacities) - 0.5 * log_determinants(gs)
-        self._sem_t = np.ascontiguousarray(softmax(gs.logits, axis=1).T)
+        self._sem_t = np.ascontiguousarray(softmax(gs.logits).T)
         self._cutoff = self.opts.cutoff
         if np.isfinite(self._cutoff):
             self._index = _CellIndex(self._means, _cov_diag(self._rot, self._scales), self._cutoff)

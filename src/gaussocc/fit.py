@@ -21,10 +21,18 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import expit, softmax
 
 from .core import MIN_SCALE, GaussianSet, rotation_matrices
-from .field import EvalOptions, additive_logits, gmm_posterior, live_pairs, log1mexp, per_gaussian, scatter_sum
+from .field import (
+    EvalOptions,
+    additive_logits,
+    gmm_posterior,
+    live_pairs,
+    log1mexp,
+    per_gaussian,
+    scatter_sum,
+    softmax,
+)
 from .grid import VoxelGrid, voxelize, voxelize_legacy
 from .io import read_key_values
 from .metrics import iou, miou
@@ -360,7 +368,8 @@ def _loss_and_grad(
     s = np.maximum(s_exp, MIN_SCALE)
     s_active = (s_exp > MIN_SCALE).astype(np.float64)
     opac = softplus(opac_raw)
-    sig = expit(opac_raw)
+    with np.errstate(over="ignore"):  # exp overflow gives sig = 0, as the logistic should
+        sig = 1.0 / (1.0 + np.exp(-opac_raw))
 
     n = points.shape[0]
     labels = np.asarray(labels, dtype=np.int64)
@@ -389,7 +398,7 @@ def _loss_and_grad(
         alpha_floor = ~(log_alpha_raw >= _LOG_PRED_FLOOR)
         log_alpha = np.where(alpha_floor, _LOG_PRED_FLOOR, log_alpha_raw)
         # Mixture posterior over the live pairs of occupied points.
-        sem = softmax(logits, axis=1)
+        sem = softmax(logits)
         log_det = 2.0 * np.sum(np.log(s), axis=1)
         with np.errstate(divide="ignore"):
             log_weight = np.log(opac) - 0.5 * log_det

@@ -231,14 +231,19 @@ def save_grid(path, grid: VoxelGrid, binary: bool = False) -> None:
 def load_grid(path) -> VoxelGrid:
     """Read an OGRID v1 file, auto-detecting the text/binary variant."""
     with open(path, "rb") as fh:
-        header = fh.readline().decode("ascii").split()
+        header = fh.readline().split()
         body = fh.read()
-    if len(header) != 12 or header[0] != "OGRID" or header[1] != "1":
+    if len(header) != 12 or header[0] != b"OGRID" or header[1] != b"1":
         raise ValueError(f"{path}: not an OGRID v1 file")
-    x, y, z, classes = (int(v) for v in header[2:6])
-    lo = np.array([float(v) for v in header[6:9]])
-    hi = np.array([float(v) for v in header[9:12]])
-    spec = GridSpec(min_corner=lo, max_corner=hi, resolution=np.array([x, y, z]), num_classes_total=classes)
+    try:
+        spec = GridSpec(
+            min_corner=np.array([float(v) for v in header[6:9]]),
+            max_corner=np.array([float(v) for v in header[9:12]]),
+            resolution=np.array([int(v) for v in header[2:5]]),
+            num_classes_total=int(header[5]),
+        )
+    except (ValueError, OverflowError) as exc:  # OverflowError: a resolution beyond int64
+        raise ValueError(f"{path}: bad OGRID header: {exc}") from None
     count = spec.num_voxels
     # The text variant is digits and whitespace only; binary uint16 labels
     # always contain a non-digit byte (the high byte of any label below
@@ -247,7 +252,10 @@ def load_grid(path) -> VoxelGrid:
         tokens = body.decode("ascii").split()
         if len(tokens) != count:
             raise ValueError(f"{path}: expected {count} labels, found {len(tokens)}")
-        labels = np.array([int(t) for t in tokens], dtype=np.uint16)
+        try:
+            labels = np.array([int(t) for t in tokens], dtype=np.uint16)
+        except OverflowError:
+            raise ValueError(f"{path}: a label exceeds the uint16 range") from None
     elif len(body) == 2 * count:
         labels = np.frombuffer(body, dtype="<u2").astype(np.uint16)
     else:

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .core import GaussianPrimitive, GaussianSet, build_covariance, covariance_matrices
 from .field import EvalOptions, FieldEvaluator
@@ -113,6 +112,8 @@ def mean_nearest_dist(gs: GaussianSet, gt: VoxelGrid) -> float:
     centers = gt.occupied_centers()
     if centers.shape[0] == 0:
         raise ValueError("ground truth has no occupied voxels; distance undefined")
+    from scipy.spatial import cKDTree  # imported here so only the audit loads scipy
+
     dists, _ = cKDTree(centers).query(gs.means, k=1, p=1)
     return float(np.mean(dists))
 
@@ -168,12 +169,14 @@ def overall_overlap(gs: GaussianSet, scene_bbox, mc_samples: int, seed: int) -> 
     values mean redundant coverage. ``math.fsum`` rounds the summed volumes
     once, so the result does not depend on the order of the Gaussians.
     """
-    coverage = mc_coverage_volume(gs, scene_bbox, mc_samples, seed)
+    return _summed_volume_90(gs) / mc_coverage_volume(gs, scene_bbox, mc_samples, seed)
+
+
+def _summed_volume_90(gs: GaussianSet) -> float:
     try:
-        total = math.fsum(_VOLUME_90 * np.prod(gs.scales, axis=1))
+        return math.fsum(_VOLUME_90 * np.prod(gs.scales, axis=1))
     except OverflowError:  # finite volumes whose sum exceeds the float range
-        total = math.inf
-    return total / coverage
+        return math.inf
 
 
 def bhattacharyya_coef(gi: GaussianPrimitive, gj: GaussianPrimitive) -> float:
@@ -200,11 +203,16 @@ def indiv_overlap(gs: GaussianSet) -> float:
     """Mean over Gaussians of the summed Bhattacharyya coefficients to all
     other Gaussians; 0 for a single Gaussian. The pairs ``i < j`` are
     visited in blocks of whole rows ``i`` of at most
-    :data:`_INDIV_PAIR_BLOCK` pairs, or of one row."""
+    :data:`_INDIV_PAIR_BLOCK` pairs, or of one row. Raises when a
+    covariance overflows the float range."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        covs = covariance_matrices(gs)
+    finite = np.all(np.isfinite(covs), axis=(1, 2))
+    if not np.all(finite):
+        raise ValueError(f"Gaussian {int(np.argmin(finite))} has a non-finite covariance")
     p = len(gs)
     if p == 1:
         return 0.0
-    covs = covariance_matrices(gs)
     log_dets = np.linalg.slogdet(covs)[1]
     per_gaussian = np.zeros(p)
     rows = max(1, _INDIV_PAIR_BLOCK // (p - 1))
@@ -229,6 +237,7 @@ class UtilizationReport:
     overall_overlap: float
     indiv_overlap: float
     mc_samples: int
+    mc_stderr: float  # binomial standard error of the Monte Carlo hit fraction
 
 
 def utilization_report(
@@ -237,12 +246,24 @@ def utilization_report(
     mc_samples: int = 1_000_000,
     seed: int = 0,
 ) -> UtilizationReport:
-    """Run the full audit; the scene bounding box is the grid extent."""
+    """Run the full audit; the scene bounding box is the grid extent.
+
+    ``mc_stderr`` is the binomial standard error ``sqrt(f (1 - f) / n)`` of
+    the coverage estimate's hit fraction ``f`` over ``n = mc_samples``.
+    """
     bbox = (gt.spec.min_corner, gt.spec.max_corner)
+    pc = perc_correct(gs, gt)
+    dist = mean_nearest_dist(gs, gt)
+    coverage = mc_coverage_volume(gs, bbox, mc_samples, seed)
+    # The coverage is box_volume * hits / mc_samples with two roundings, so
+    # rounding recovers the integer hit count (below about 1e15 samples).
+    box_volume = float(np.prod(gt.spec.max_corner - gt.spec.min_corner))
+    hit_frac = round(coverage * mc_samples / box_volume) / mc_samples
     return UtilizationReport(
-        perc_correct=perc_correct(gs, gt),
-        mean_dist=mean_nearest_dist(gs, gt),
-        overall_overlap=overall_overlap(gs, bbox, mc_samples, seed),
+        perc_correct=pc,
+        mean_dist=dist,
+        overall_overlap=_summed_volume_90(gs) / coverage,
         indiv_overlap=indiv_overlap(gs),
         mc_samples=int(mc_samples),
+        mc_stderr=math.sqrt(hit_frac * (1.0 - hit_frac) / mc_samples),
     )

@@ -34,6 +34,8 @@ class CameraModel:
             raise ValueError("intrinsics must be 3x3")
         if pose.shape != (4, 4):
             raise ValueError("pose must be a 4x4 rigid transform")
+        if not (np.all(np.isfinite(k)) and np.all(np.isfinite(pose))):
+            raise ValueError("intrinsics and pose must be finite")
         if k[0, 0] <= 0 or k[1, 1] <= 0:
             raise ValueError("focal lengths must be positive")
         rot = pose[:3, :3]

@@ -1,5 +1,7 @@
 """End-to-end command-line behavior."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -13,8 +15,8 @@ from gaussocc.io import (
     save_gaussian_set,
     write_key_values,
 )
-from gaussocc.metrics import iou, miou
-from gaussocc.rays import CameraModel
+from gaussocc.metrics import iou, miou, utilization_report
+from gaussocc.rays import CameraModel, RaySampling, camera_rays, occupancy_labels
 from gaussocc.grid import voxelize
 from gaussocc.fit import FitConfig, init_from_grid
 from gaussocc.scenes import synth_scene
@@ -236,6 +238,32 @@ class TestAudit:
             )
         assert a.read_bytes() == b.read_bytes()
 
+    def test_json_report_keys_and_library_agreement(self, scene_file, tmp_path):
+        gt = load_grid(scene_file)
+        gs = init_from_grid(gt, FitConfig(num_gaussians=16, iterations=1, seed=8))
+        set_path = tmp_path / "set.gsocc"
+        save_gaussian_set(set_path, gs)
+        report = tmp_path / "audit.json"
+        assert (
+            run(
+                "audit", "--gaussians", set_path, "--gt", scene_file,
+                "--mc-samples", 30_000, "--seed", 9, "--report", report,
+            )
+            == 0
+        )
+        values = json.loads(report.read_text())
+        rep = utilization_report(gs, gt, mc_samples=30_000, seed=9)
+        assert values == {
+            "perc_correct": rep.perc_correct,
+            "mean_dist": rep.mean_dist,
+            "overall_overlap": rep.overall_overlap,
+            "indiv_overlap": rep.indiv_overlap,
+            "mc_samples": 30_000,
+            "seed": 9,
+            "mc_stderr": rep.mc_stderr,
+        }
+        assert 0.0 < rep.mc_stderr < 0.01
+
     def test_overflowing_scale_is_runtime_error(self, scene_file, tmp_path, capsys):
         g = GaussianPrimitive(
             mean=(0, 0, 1), scale=(1e160, 1, 1), rotation=(1, 0, 0, 0), opacity=1.0,
@@ -300,6 +328,40 @@ class TestRays:
         rows = [r.split() for r in out.read_text().splitlines()]
         assert len(rows) == 16 * 12
         assert all(len(r) == 24 and set(r) <= {"0", "1"} for r in rows)
+
+    @pytest.mark.parametrize("num_refs", [64, 2])
+    def test_bytes_match_per_row_formatting(self, scene_file, tmp_path, num_refs):
+        # 80 x 60 = 4800 rays, so two 4096-ray blocks; the camera stands inside
+        # the grid and looks along +x with a wide view, so rays partly leave it.
+        pose = np.eye(4)
+        pose[:3, 0] = [0.0, -1.0, 0.0]
+        pose[:3, 1] = [0.0, 0.0, -1.0]
+        pose[:3, 2] = [1.0, 0.0, 0.0]
+        pose[:3, 3] = [-9.0, 0.5, 1.7]
+        cam = CameraModel(
+            intrinsics=np.array([[30.0, 0, 40.0], [0, 30.0, 30.0], [0, 0, 1]]),
+            pose=pose,
+            image_size=(80, 60),
+        )
+        cam_path = tmp_path / "cam.txt"
+        save_camera(cam_path, cam)
+        out = tmp_path / "labels.txt"
+        assert (
+            run(
+                "rays", "--camera", cam_path, "--gt", scene_file, "--out", out,
+                "--depth-min", 1.0, "--depth-max", 12.0, "--num-refs", num_refs,
+            )
+            == 0
+        )
+        origin, dirs = camera_rays(cam)
+        depths = RaySampling(depth_min=1.0, depth_max=12.0, num_refs=num_refs).depths
+        pts = (origin[None, None, :] + depths[None, :, None] * dirs[:, None, :]).reshape(-1, 3)
+        gt = load_grid(scene_file)
+        assert 0.5 < gt.spec.point_to_voxel(pts)[1].mean() < 0.9
+        labels = occupancy_labels(pts, gt).reshape(80 * 60, num_refs)
+        assert labels[:4096].any() and labels[4096:].any()
+        want = "".join(" ".join(str(int(v)) for v in row) + "\n" for row in labels)
+        assert out.read_bytes() == want.encode("ascii")
 
 
 class TestSlice:

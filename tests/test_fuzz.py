@@ -1,0 +1,128 @@
+"""Mutation fuzzing of the files ``gaussocc rays`` reads: a damaged grid or
+camera file must fail with a ValueError, never another exception or a
+warning."""
+
+import re
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from gaussocc.grid import GridSpec, VoxelGrid, load_grid, save_grid
+from gaussocc.io import load_camera, save_camera
+from gaussocc.rays import CameraModel
+
+# Tokens that probe the number parsers: out-of-range labels and sizes,
+# non-finite and malformed numbers, non-ASCII bytes.
+_TOKENS = (
+    b"0", b"1", b"-1", b"2", b"70000", b"65535", b"99999999999999999999999", b"1e999",
+    b"-1e999", b"nan", b"inf", b"0.5", b"1_0", b"0x10", b"x", b"\xff", b"\xd9\xa1", b"",
+)
+
+
+@st.composite
+def _mutations(draw, base: bytes) -> bytes:
+    data = base
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(("token", "byte", "insert", "delete", "truncate", "line")))
+        if kind == "token":
+            parts = re.split(rb"(\s+)", data)
+            words = [i for i, part in enumerate(parts) if part and not part.isspace()]
+            if words:
+                parts[draw(st.sampled_from(words))] = draw(st.sampled_from(_TOKENS))
+                data = b"".join(parts)
+        elif kind == "line":
+            lines = data.split(b"\n")
+            i = draw(st.integers(0, len(lines) - 1))
+            lines.insert(draw(st.integers(0, len(lines))), lines[i])
+            data = b"\n".join(lines)
+        elif not data:
+            data = draw(st.binary(max_size=8))
+        else:
+            pos = draw(st.integers(0, len(data) - 1))
+            if kind == "byte":
+                data = data[:pos] + bytes([draw(st.integers(0, 255))]) + data[pos + 1 :]
+            elif kind == "insert":
+                data = data[:pos] + draw(st.binary(min_size=1, max_size=8)) + data[pos:]
+            elif kind == "delete":
+                data = data[:pos] + data[pos + draw(st.integers(1, 16)) :]
+            else:
+                data = data[:pos]
+    return data
+
+
+def _grid_bytes(tmp_path, binary: bool) -> bytes:
+    spec = GridSpec(
+        min_corner=np.array([-1.0, 0.0, 0.0]),
+        max_corner=np.array([1.0, 2.0, 0.5]),
+        resolution=np.array([3, 2, 2]),
+        num_classes_total=3,
+    )
+    labels = np.array([0, 1, 2, 0, 0, 1, 2, 2, 0, 1, 0, 0], dtype=np.uint16)
+    path = tmp_path / "valid.ogrid"
+    save_grid(path, VoxelGrid(spec=spec, labels=labels), binary=binary)
+    return path.read_bytes()
+
+
+def _camera_bytes(tmp_path) -> bytes:
+    pose = np.eye(4)
+    pose[:3, 3] = [1.5, -2.0, 0.25]
+    cam = CameraModel(
+        intrinsics=np.array([[20.0, 0, 8.0], [0, 20.0, 6.0], [0, 0, 1]]), pose=pose, image_size=(16, 12)
+    )
+    path = tmp_path / "valid.cam"
+    save_camera(path, cam)
+    return path.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("fuzz")
+    return tmp, {
+        "text-grid": _grid_bytes(tmp, binary=False),
+        "binary-grid": _grid_bytes(tmp, binary=True),
+        "camera": _camera_bytes(tmp),
+    }
+
+
+_LOADERS = {"text-grid": load_grid, "binary-grid": load_grid, "camera": load_camera}
+
+
+@pytest.mark.parametrize("kind", sorted(_LOADERS))
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_file_raises_only_value_error(files, kind, data):
+    tmp, valid = files
+    path = tmp / f"mutated-{kind}"
+    path.write_bytes(data.draw(_mutations(valid[kind]), label="file"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            _LOADERS[kind](path)
+        except ValueError:
+            pass
+
+
+@pytest.mark.parametrize("kind", sorted(_LOADERS))
+def test_unmutated_file_loads(files, kind):
+    tmp, valid = files
+    path = tmp / f"valid-{kind}"
+    path.write_bytes(valid[kind])
+    _LOADERS[kind](path)
+
+
+@pytest.mark.parametrize(
+    "name, content, message",
+    [
+        ("wide.ogrid", b"OGRID 1 2 1 1 70001 0 0 0 2 1 1\n0 70000\n", r"wide\.ogrid: a label exceeds the uint16 range"),
+        ("huge.ogrid", b"OGRID 1 99999999999999999999999 1 1 3 0 0 0 2 1 1\n0\n", r"huge\.ogrid: bad OGRID header"),
+        ("nan.cam", b"nan 20 8 6\n16 12\n1 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n", "intrinsics and pose must be finite"),
+    ],
+)
+def test_out_of_range_values_are_named(tmp_path, name, content, message):
+    path = tmp_path / name
+    path.write_bytes(content)
+    with pytest.raises(ValueError, match=message):
+        (load_camera if name.endswith(".cam") else load_grid)(path)

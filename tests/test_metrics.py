@@ -363,6 +363,15 @@ class TestIndivOverlap:
                     total += bhattacharyya_coef(gs.primitive(i), gs.primitive(j))
         assert indiv_overlap(gs) == pytest.approx(total / 50, rel=1e-10)
 
+    def test_non_finite_covariance_rejected(self):
+        gs = GaussianSet.from_primitives(
+            [isotropic((0, 0, 0)), isotropic((1, 1, 1), scale=1e160), isotropic((2, 2, 2), scale=1e160)]
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="Gaussian 1 has a non-finite covariance"):
+                indiv_overlap(gs)
+
     @pytest.mark.parametrize("block", [1, 100, 500])
     def test_streamed_blocks_match_double_loop_oracle(self, block, monkeypatch):
         # Blocks of one row, two rows and ten rows of the 50 x 50 pairs.
@@ -397,6 +406,17 @@ class TestIndivOverlap:
         assert rep.overall_overlap > 0.0
         assert rep.indiv_overlap >= 0.0
         assert rep.mc_samples == 50_000
+
+    @pytest.mark.parametrize("scale", [1.0, 20.0])
+    def test_mc_stderr_matches_hand_computation(self, scale):
+        # Scale 20 covers the whole grid: f = 1 and the error is 0.
+        gt = grid_of(np.ones((8, 8, 8)))
+        gs = GaussianSet.from_primitives([isotropic((2, 2, 2), scale=scale), isotropic((5, 6, 4))])
+        n = 30_001
+        rep = utilization_report(gs, gt, mc_samples=n, seed=3)
+        hits = coverage_hits_oracle(gs, (gt.spec.min_corner, gt.spec.max_corner), n, 3)
+        assert (hits == n) == (scale == 20.0)
+        assert rep.mc_stderr == np.sqrt(hits / n * (1 - hits / n) / n)
 
     def test_overflowing_cutoff_box_rejected(self):
         gt = grid_of(np.ones((4, 4, 4)))
