@@ -43,10 +43,10 @@ PALETTE = (
 
 
 def _seed(text: str) -> int:
-    """argparse type of ``--seed``: the random streams need a seed >= 0."""
+    """argparse type of ``--seed``: the random streams key on a uint64."""
     value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {value}")
+    if not 0 <= value < 2**64:
+        raise argparse.ArgumentTypeError(f"seed must be >= 0 and < 2**64, got {value}")
     return value
 
 

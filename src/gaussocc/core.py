@@ -107,9 +107,12 @@ class GaussianPrimitive:
         if not np.isfinite(opacity) or opacity < 0.0:
             raise ValueError(f"opacity must be >= 0, got {opacity}")
 
-        norm = float(np.linalg.norm(rotation))
+        with np.errstate(over="ignore"):
+            norm = float(np.linalg.norm(rotation))
         if norm == 0.0:
             raise ValueError("zero-norm quaternion has no orientation")
+        if not np.isfinite(norm):
+            raise ValueError("quaternion norm overflows the float range")
         object.__setattr__(self, "mean", _frozen(mean))
         object.__setattr__(self, "scale", _frozen(np.maximum(scale, MIN_SCALE)))
         object.__setattr__(self, "rotation", _frozen(rotation / norm))
@@ -151,9 +154,12 @@ class GaussianSet:
             raise ValueError("means and logits must be finite")
         if np.any(opacities < 0.0):
             raise ValueError("opacities must be >= 0")
-        norms = np.linalg.norm(rotations, axis=1, keepdims=True)
+        with np.errstate(over="ignore"):
+            norms = np.linalg.norm(rotations, axis=1, keepdims=True)
         if np.any(norms == 0.0):
             raise ValueError("zero-norm quaternion has no orientation")
+        if not np.all(np.isfinite(norms)):
+            raise ValueError("quaternion norm overflows the float range")
 
         object.__setattr__(self, "means", _frozen(means))
         object.__setattr__(self, "scales", _frozen(np.maximum(scales, MIN_SCALE)))

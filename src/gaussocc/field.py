@@ -219,18 +219,21 @@ def _cov_diag(rot: np.ndarray, scales: np.ndarray) -> np.ndarray:
 
 def _local_coords(points, pairs: _Pairs, means, rot, scales) -> np.ndarray:
     """(M, 3) pair offsets in the scaled local frame, ``R^T (x - m) / s``;
-    a row's squared norm is the pair's d2. Each Gaussian's segment is
-    shifted, rotated and scaled in place, so only the points are gathered
-    per pair. (``np.take`` and ``np.compress`` gather several times faster
-    than indexing.)"""
+    a row's squared norm is the pair's d2. The shift and the scaling run
+    one column at a time against the per-pair repeat of that column, and
+    each Gaussian's segment is rotated by one matmul, so only the points
+    are gathered per pair. (``np.take`` and ``np.compress`` gather several
+    times faster than indexing.)"""
     diff = np.take(points, pairs.point, axis=0)
+    counts = np.diff(pairs.bounds)
+    for a in range(3):
+        np.subtract(diff[:, a], np.repeat(means[:, a], counts), out=diff[:, a])
     local = np.empty_like(diff)
     b = pairs.bounds.tolist()
-    for g in np.flatnonzero(pairs.bounds[1:] > pairs.bounds[:-1]).tolist():
-        seg, out = diff[b[g] : b[g + 1]], local[b[g] : b[g + 1]]
-        np.subtract(seg, means[g], out=seg)
-        np.matmul(seg, rot[g], out=out)
-        np.divide(out, scales[g], out=out)
+    for g in np.flatnonzero(counts).tolist():
+        np.matmul(diff[b[g] : b[g + 1]], rot[g], out=local[b[g] : b[g + 1]])
+    for a in range(3):
+        np.divide(local[:, a], np.repeat(scales[:, a], counts), out=local[:, a])
     return local
 
 

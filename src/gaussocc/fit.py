@@ -11,8 +11,9 @@ Gradients are fully analytic, including the quaternion-normalization
 chain (so the gradient of a free quaternion is its tangent-space
 projection scaled by 1/norm) and the covariance chain through rotation
 and log-scales. Loss and gradient run on the field's sparse pair kernel:
-only the (Gaussian, point) pairs within the cutoff are visited. Optimization is plain gradient descent with first/second
-moment accumulation, decoupled weight decay and a cosine step-size decay.
+only the (Gaussian, point) pairs within the cutoff are visited.
+Optimization is plain gradient descent with first/second moment
+accumulation, decoupled weight decay and a cosine step-size decay.
 """
 
 from __future__ import annotations
@@ -143,6 +144,12 @@ class FitConfig:
     cutoff_mahalanobis_sq: Optional[float] = 25.0
 
     def __post_init__(self):
+        for name in ("learning_rate", "lr_min", "weight_decay", "init_logit_scale"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        c = self.cutoff_mahalanobis_sq
+        if c is not None and not c > 0.0:
+            raise ValueError(f"cutoff_mahalanobis_sq must be > 0, got {c}")
         if self.num_gaussians < 1 or self.iterations < 1 or self.batch_points < 1:
             raise ValueError("num_gaussians, iterations and batch_points must be positive")
         if self.learning_rate <= 0 or self.lr_min < 0 or self.eval_every < 1:
@@ -155,8 +162,8 @@ class FitConfig:
             raise ValueError(f"init must be one of {INIT_POLICIES}, got {self.init!r}")
         if self.weight_decay < 0:
             raise ValueError("weight_decay must be >= 0")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must be >= 0 and < 2**64, got {self.seed}")
 
     @classmethod
     def from_dict(cls, raw: dict[str, str]) -> "FitConfig":

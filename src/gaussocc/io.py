@@ -50,7 +50,13 @@ def load_gaussian_set(path) -> GaussianSet:
         if len(header) != 4 or header[0] != "GSOCC" or header[1] != "1":
             raise ValueError(f"{path}: not a GSOCC v1 file")
         p, c = int(header[2]), int(header[3])
-        rows = np.loadtxt(fh, dtype=np.float64, ndmin=2)
+        if p < 1 or c < 1:
+            raise ValueError(f"{path}: GSOCC header needs P >= 1 and C >= 1, got P={p}, C={c}")
+        # loadtxt's own rule for data lines; it warns when it finds none.
+        lines = [line for line in fh if line.split("#", 1)[0].strip()]
+    if not lines:
+        raise ValueError(f"{path}: expected {p} rows of {11 + c} numbers, got none")
+    rows = np.loadtxt(lines, dtype=np.float64, ndmin=2)
     if rows.shape != (p, 11 + c):
         raise ValueError(f"{path}: expected {p} rows of {11 + c} numbers, got {rows.shape}")
     return GaussianSet(

@@ -36,7 +36,9 @@ _VOLUME_90 = (4.0 / 3.0) * np.pi * CHI2_3DOF_90**1.5
 _MC_CHUNK = 1 << 17
 
 # Gaussian pairs per block of individual overlap, which bounds its memory.
-_INDIV_PAIR_BLOCK = 1 << 18
+# One 512 KB column of a block fits a core's L2 cache; 2^16 pairs ran
+# faster than 2^17 or 2^18 at 2048 Gaussians.
+_INDIV_PAIR_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -105,6 +107,7 @@ def perc_correct(gs: GaussianSet, gt: VoxelGrid) -> float:
     idx, inside = gt.spec.point_to_voxel(gs.means)
     occupied = gt.labels[idx[:, 0], idx[:, 1], idx[:, 2]] != 0
     return 100.0 * float(np.count_nonzero(inside & occupied)) / len(gs)
+
 
 def mean_nearest_dist(gs: GaussianSet, gt: VoxelGrid) -> float:
     """Mean L1 distance from each Gaussian mean to the nearest occupied
@@ -199,11 +202,33 @@ def bhattacharyya_coef(gi: GaussianPrimitive, gj: GaussianPrimitive) -> float:
     return float(np.exp(log_bc))
 
 
+def _spd3_cholesky(a, b, c, d, e, f, x=None):
+    """Closed-form Cholesky of symmetric positive-definite 3x3 matrices
+    ``[[a, b, c], [b, d, e], [c, e, f]]``, each entry a 1-D array over the
+    matrices. Returns ``log det``; given offsets ``x`` (3, n), also the
+    quadratic forms ``x^T S^-1 x``, by forward substitution."""
+    l11 = np.sqrt(a)
+    l21 = b / l11
+    l31 = c / l11
+    p2 = d - l21 * l21
+    l22 = np.sqrt(p2)
+    l32 = (e - l21 * l31) / l22
+    p3 = f - l31 * l31 - l32 * l32
+    log_det = np.log(a) + np.log(p2) + np.log(p3)
+    if x is None:
+        return log_det
+    y1 = x[0] / l11
+    y2 = (x[1] - l21 * y1) / l22
+    y3 = (x[2] - l31 * y1 - l32 * y2) / np.sqrt(p3)
+    return log_det, y1 * y1 + y2 * y2 + y3 * y3
+
+
 def indiv_overlap(gs: GaussianSet) -> float:
     """Mean over Gaussians of the summed Bhattacharyya coefficients to all
     other Gaussians; 0 for a single Gaussian. The pairs ``i < j`` are
     visited in blocks of whole rows ``i`` of at most
-    :data:`_INDIV_PAIR_BLOCK` pairs, or of one row. Raises when a
+    :data:`_INDIV_PAIR_BLOCK` pairs, or of one row, and each pair's 3x3
+    algebra runs in closed form (:func:`_spd3_cholesky`). Raises when a
     covariance overflows the float range."""
     with np.errstate(over="ignore", invalid="ignore"):
         covs = covariance_matrices(gs)
@@ -213,16 +238,22 @@ def indiv_overlap(gs: GaussianSet) -> float:
     p = len(gs)
     if p == 1:
         return 0.0
-    log_dets = np.linalg.slogdet(covs)[1]
+    # Upper-triangle components (6, P); one routine for the per-Gaussian and
+    # the pair-average determinants, so identical Gaussians give BC = 1.
+    comp = np.ascontiguousarray(covs.reshape(p, 9)[:, [0, 1, 2, 4, 5, 8]].T)
+    means = np.ascontiguousarray(gs.means.T)
+    log_dets = _spd3_cholesky(*comp)
     per_gaussian = np.zeros(p)
     rows = max(1, _INDIV_PAIR_BLOCK // (p - 1))
     for first in range(0, p - 1, rows):
         ii, jj = np.nonzero(np.triu(np.ones((min(rows, p - 1 - first), p), dtype=bool), k=first + 1))
         ii += first
-        avg = 0.5 * (covs[ii] + covs[jj])
-        log_det_avg = np.linalg.slogdet(avg)[1]
-        diff = gs.means[ii] - gs.means[jj]
-        quad = np.einsum("na,na->n", diff, np.linalg.solve(avg, diff[..., None])[..., 0])
+        avg = np.take(comp, ii, axis=1)
+        avg += np.take(comp, jj, axis=1)
+        avg *= 0.5
+        diff = np.take(means, ii, axis=1)
+        diff -= np.take(means, jj, axis=1)
+        log_det_avg, quad = _spd3_cholesky(*avg, x=diff)
         bc = np.exp(0.25 * (log_dets[ii] + log_dets[jj]) - 0.5 * log_det_avg - 0.125 * quad)
         per_gaussian += np.bincount(ii, weights=bc, minlength=p) + np.bincount(jj, weights=bc, minlength=p)
     return float(per_gaussian.mean())

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -64,6 +65,20 @@ class TestSynth:
             run(*argv, "--seed", -1)
         assert exc.value.code == 2
         assert "seed must be >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("synth", "--out", "x.ogrid"),
+            ("fit", "--gt", "x.ogrid", "--out", "x.gsocc"),
+            ("audit", "--gaussians", "x.gsocc", "--gt", "x.ogrid", "--report", "x.txt"),
+        ],
+    )
+    def test_seed_beyond_uint64_is_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(*argv, "--seed", 2**64)
+        assert exc.value.code == 2
+        assert "seed must be >= 0 and < 2**64" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv",
@@ -149,6 +164,16 @@ class TestFit:
     def test_unreadable_gt_is_runtime_error(self, tmp_path, capsys):
         assert run("fit", "--gt", tmp_path / "missing.ogrid", "--out", tmp_path / "x.gsocc") == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["learning_rate", "weight_decay", "cutoff_mahalanobis_sq"])
+    def test_nan_config_value_is_runtime_error(self, scene_file, tmp_path, capsys, key):
+        cfg_path = tmp_path / "fit.cfg"
+        cfg_path.write_text(f"iterations=2\n{key}=nan\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("fit", "--gt", scene_file, "--config", cfg_path, "--out", tmp_path / "x.gsocc") == 1
+        assert f"error: {key} must be" in capsys.readouterr().err
+        assert not (tmp_path / "x.gsocc").exists()
 
 
 class TestEval:

@@ -428,6 +428,29 @@ class TestFitLoop:
         with pytest.raises(ValueError, match="seed"):
             FitConfig(seed=-1)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("learning_rate", np.nan),
+            ("learning_rate", np.inf),
+            ("lr_min", np.inf),
+            ("weight_decay", np.nan),
+            ("init_logit_scale", -np.inf),
+            ("cutoff_mahalanobis_sq", np.nan),
+        ],
+    )
+    def test_non_finite_config_value_rejected(self, key, value):
+        with pytest.raises(ValueError, match=f"^{key} must be"):
+            FitConfig(**{key: value})
+
+    def test_seed_beyond_uint64_rejected(self):
+        FitConfig(seed=2**64 - 1)
+        with pytest.raises(ValueError, match=r"seed must be >= 0 and < 2\*\*64"):
+            FitConfig(seed=2**64)
+
+    def test_infinite_cutoff_accepted(self):
+        assert FitConfig(cutoff_mahalanobis_sq=np.inf).cutoff_mahalanobis_sq == np.inf
+
     def test_config_file_round_trip(self, tmp_path):
         from gaussocc.io import write_key_values
 

@@ -1,6 +1,6 @@
-"""Mutation fuzzing of the files ``gaussocc rays`` reads: a damaged grid or
-camera file must fail with a ValueError, never another exception or a
-warning."""
+"""Mutation fuzzing of the files the CLI reads: a damaged grid, camera,
+Gaussian set or fit-config file must fail with a ValueError, never another
+exception or a warning."""
 
 import re
 import warnings
@@ -10,8 +10,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from gaussocc.core import GaussianSet
+from gaussocc.fit import FitConfig
 from gaussocc.grid import GridSpec, VoxelGrid, load_grid, save_grid
-from gaussocc.io import load_camera, save_camera
+from gaussocc.io import load_camera, load_gaussian_set, save_camera, save_gaussian_set, write_key_values
 from gaussocc.rays import CameraModel
 
 # Tokens that probe the number parsers: out-of-range labels and sizes,
@@ -77,6 +79,26 @@ def _camera_bytes(tmp_path) -> bytes:
     return path.read_bytes()
 
 
+def _gaussians_bytes(tmp_path) -> bytes:
+    gs = GaussianSet(
+        means=[[0.5, -1.0, 2.0], [1.0, 1.0, 0.25]],
+        scales=[[0.5, 0.25, 1.0], [2.0, 2.0, 0.125]],
+        rotations=[[1.0, 0.0, 0.0, 0.0], [0.5, 0.5, -0.5, 0.5]],
+        opacities=[0.75, 1.0],
+        logits=[[1.5, -2.0], [0.0, 3.0]],
+    )
+    path = tmp_path / "valid.gsocc"
+    save_gaussian_set(path, gs)
+    return path.read_bytes()
+
+
+def _fit_config_bytes(tmp_path) -> bytes:
+    path = tmp_path / "valid.cfg"
+    write_key_values(path, FitConfig(num_gaussians=12, iterations=30, lr_min=0.001, model="additive").to_dict())
+    # Spaces around '=' make each value a token of its own for the mutations.
+    return path.read_bytes().replace(b"=", b" = ")
+
+
 @pytest.fixture(scope="module")
 def files(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("fuzz")
@@ -84,10 +106,27 @@ def files(tmp_path_factory):
         "text-grid": _grid_bytes(tmp, binary=False),
         "binary-grid": _grid_bytes(tmp, binary=True),
         "camera": _camera_bytes(tmp),
+        "gaussians": _gaussians_bytes(tmp),
+        "fit-config": _fit_config_bytes(tmp),
     }
 
 
-_LOADERS = {"text-grid": load_grid, "binary-grid": load_grid, "camera": load_camera}
+def _load_fit_config(path) -> FitConfig:
+    """Read a fit config; one that is accepted holds only usable numbers."""
+    cfg = FitConfig.from_file(path)
+    numbers = [cfg.learning_rate, cfg.lr_min, cfg.weight_decay, cfg.init_logit_scale, cfg.occupied_ratio]
+    assert np.all(np.isfinite(numbers)), cfg
+    assert cfg.cutoff_mahalanobis_sq is None or cfg.cutoff_mahalanobis_sq > 0.0, cfg
+    return cfg
+
+
+_LOADERS = {
+    "text-grid": load_grid,
+    "binary-grid": load_grid,
+    "camera": load_camera,
+    "gaussians": load_gaussian_set,
+    "fit-config": _load_fit_config,
+}
 
 
 @pytest.mark.parametrize("kind", sorted(_LOADERS))
@@ -126,3 +165,26 @@ def test_out_of_range_values_are_named(tmp_path, name, content, message):
     path.write_bytes(content)
     with pytest.raises(ValueError, match=message):
         (load_camera if name.endswith(".cam") else load_grid)(path)
+
+
+@pytest.mark.parametrize(
+    "name, content, message",
+    [
+        ("empty.gsocc", b"GSOCC 1 0 4\n", r"empty\.gsocc: GSOCC header needs P >= 1 and C >= 1, got P=0, C=4"),
+        ("negative.gsocc", b"GSOCC 1 -2 4\n1 2\n", r"negative\.gsocc: GSOCC header needs P >= 1"),
+        ("classless.gsocc", b"GSOCC 1 1 0\n0 0 0 1 1 1 1 0 0 0 1\n", r"classless\.gsocc: GSOCC header needs"),
+        ("bodiless.gsocc", b"GSOCC 1 2 1\n# no rows\n\n", r"bodiless\.gsocc: expected 2 rows of 12 numbers, got none"),
+        ("spin.gsocc", b"GSOCC 1 1 1\n0 0 0 1 1 1 1e200 0 0 0 1 0\n", "quaternion norm overflows"),
+        ("rate.cfg", b"learning_rate = nan\n", "learning_rate must be finite"),
+        ("decay.cfg", b"weight_decay = nan\n", "weight_decay must be finite"),
+        ("cutoff.cfg", b"cutoff_mahalanobis_sq = nan\n", "cutoff_mahalanobis_sq must be > 0"),
+        ("seed.cfg", b"seed = 18446744073709551616\n", r"seed must be >= 0 and < 2\*\*64"),
+    ],
+)
+def test_gaussian_set_and_config_faults_are_named(tmp_path, name, content, message):
+    path = tmp_path / name
+    path.write_bytes(content)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            (FitConfig.from_file if name.endswith(".cfg") else load_gaussian_set)(path)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gaussocc import metrics
-from gaussocc.core import MIN_SCALE, GaussianPrimitive, GaussianSet, build_covariance
+from gaussocc.core import MIN_SCALE, GaussianPrimitive, GaussianSet, build_covariance, covariance_matrices
 from gaussocc.grid import GridSpec, VoxelGrid
 from gaussocc.metrics import (
     CHI2_3DOF_90,
@@ -77,6 +77,25 @@ def coverage_hits_oracle(gs, scene_bbox, mc_samples, seed):
             inside |= np.einsum("na,ab,nb->n", d, inv, d) <= CHI2_3DOF_90
         hits += int(np.count_nonzero(inside))
     return hits
+
+
+def ill_conditioned_set(rng, p, spread=3.0) -> GaussianSet:
+    """Random rotations with log-uniform scales from MIN_SCALE to 100, so
+    covariance condition numbers reach about 1e10."""
+    base = random_gaussian_set(rng, p, 2, spread=spread)
+    return GaussianSet(
+        means=base.means,
+        scales=np.exp(rng.uniform(np.log(MIN_SCALE), np.log(100.0), size=(p, 3))),
+        rotations=base.rotations,
+        opacities=base.opacities,
+        logits=base.logits,
+    )
+
+
+def components(covs):
+    """The six upper-triangle component arrays ``a b c d e f`` of (n, 3, 3)
+    symmetric matrices."""
+    return [covs[:, i, j] for i, j in ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))]
 
 
 def isotropic(mean, scale=1.0, logits=(0.0, 0.0)):
@@ -344,6 +363,37 @@ class TestBhattacharyya:
             prev = val
 
 
+class TestClosedFormCholesky:
+    def test_matches_lapack_on_ill_conditioned_matrices(self):
+        rng = np.random.default_rng(54)
+        gs = ill_conditioned_set(rng, 4000)
+        covs = covariance_matrices(gs)
+        x = rng.normal(size=(4000, 3)) * rng.uniform(0.01, 100.0, size=(4000, 1))
+        log_det, quad = metrics._spd3_cholesky(*components(covs), x=x.T)
+        # Both sides are backward stable: they may differ by a few
+        # condition numbers times the rounding unit.
+        cond = (gs.scales.max(axis=1) / gs.scales.min(axis=1)) ** 2
+        tol = 32.0 * np.finfo(float).eps * cond
+        assert cond.max() > 1e9
+        assert np.all(np.abs(log_det - np.linalg.slogdet(covs)[1]) <= tol)
+        solve_quad = np.einsum("na,na->n", x, np.linalg.solve(covs, x[..., None])[..., 0])
+        assert np.all(np.abs(quad - solve_quad) <= tol * solve_quad)
+        np.testing.assert_array_equal(metrics._spd3_cholesky(*components(covs)), log_det)
+
+    def test_average_of_a_matrix_with_itself_has_its_log_det(self):
+        covs = covariance_matrices(ill_conditioned_set(np.random.default_rng(55), 1000))
+        np.testing.assert_array_equal(
+            metrics._spd3_cholesky(*components(0.5 * (covs + covs))), metrics._spd3_cholesky(*components(covs))
+        )
+
+    def test_diagonal_closed_form(self):
+        log_det, quad = metrics._spd3_cholesky(
+            *(np.array([v]) for v in (4.0, 0.0, 0.0, 9.0, 0.0, 0.25)), x=np.array([[2.0], [3.0], [0.5]])
+        )
+        assert log_det[0] == pytest.approx(np.log(9.0))
+        assert quad[0] == pytest.approx(3.0)
+
+
 class TestIndivOverlap:
     def test_singleton_is_zero(self):
         gs = GaussianSet.from_primitives([isotropic((0, 0, 0))])
@@ -362,6 +412,16 @@ class TestIndivOverlap:
                 if i != j:
                     total += bhattacharyya_coef(gs.primitive(i), gs.primitive(j))
         assert indiv_overlap(gs) == pytest.approx(total / 50, rel=1e-10)
+
+    def test_ill_conditioned_set_matches_double_loop_oracle(self):
+        gs = ill_conditioned_set(np.random.default_rng(56), 40)
+        total = 0.0
+        for i in range(40):
+            for j in range(40):
+                if i != j:
+                    total += bhattacharyya_coef(gs.primitive(i), gs.primitive(j))
+        assert total > 1.0
+        assert indiv_overlap(gs) == pytest.approx(total / 40, rel=1e-10)
 
     def test_non_finite_covariance_rejected(self):
         gs = GaussianSet.from_primitives(

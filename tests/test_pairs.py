@@ -77,6 +77,20 @@ class TestCellJoin:
         assert set(pairs.point[pairs.gauss == 4].tolist()) == set(range(points.shape[0] - 5))
         assert not np.any(pairs.point >= points.shape[0] - 5)
 
+    @pytest.mark.parametrize("cutoff", [CUTOFF, np.inf])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_d2_equals_mahalanobis_sq_exactly(self, seed, cutoff):
+        # The kernel computes each pair's d2 with the operations of the
+        # primitive-level formula, so the two agree bit for bit.
+        rng = np.random.default_rng(320 + seed)
+        gs = mixed_set(rng)
+        points = query_points(rng, gs)
+        pairs, _, d2 = live_pairs(points, gs.means, rotation_matrices(gs.rotations), gs.scales, cutoff)
+        prims = [gs.primitive(g) for g in range(len(gs))]
+        expected = [mahalanobis_sq(points[j], prims[g]) for g, j in zip(pairs.gauss.tolist(), pairs.point.tolist())]
+        assert pairs.gauss.size >= (500 if np.isfinite(cutoff) else len(gs) * points.shape[0])
+        np.testing.assert_array_equal(d2, expected)
+
     def test_candidates_are_grouped_by_gaussian(self):
         rng = np.random.default_rng(310)
         gs = mixed_set(rng)
