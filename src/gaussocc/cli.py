@@ -19,7 +19,6 @@ import sys
 import numpy as np
 
 from . import io
-from .field import EvalOptions
 from .fit import FitConfig, fit
 from .grid import GridSpec, load_grid, save_grid, voxelize, voxelize_legacy
 from .metrics import ConfusionMatrix, iou, miou, utilization_report
@@ -129,7 +128,7 @@ def _write_trace(path, result) -> None:
             )
 
 
-def _voxelize_auto(gs, spec, opts, threads, model):
+def _voxelize_auto(gs, spec, model):
     if model == "auto":
         if gs.num_classes == spec.num_classes_total - 1:
             model = "probabilistic"
@@ -141,15 +140,14 @@ def _voxelize_auto(gs, spec, opts, threads, model):
                 "classes accepts C (probabilistic) or C+1 (additive)"
             )
     if model == "probabilistic":
-        return voxelize(gs, spec, opts, threads=threads)
-    return voxelize_legacy(gs, spec, opts, threads=threads)
+        return voxelize(gs, spec)
+    return voxelize_legacy(gs, spec)
 
 
 def cmd_eval(args) -> int:
     gt = load_grid(args.gt)
     gs = io.load_gaussian_set(args.pred_gaussians)
-    opts = EvalOptions(neighbor_index=args.neighbor_index)
-    pred = _voxelize_auto(gs, gt.spec, opts, args.threads, args.model)
+    pred = _voxelize_auto(gs, gt.spec, args.model)
     report: dict[str, object] = {
         "iou": iou(pred, gt),
         "miou": miou(pred, gt),
@@ -224,12 +222,6 @@ def cmd_slice(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="gaussocc", description=__doc__)
-    parser.add_argument("--threads", type=int, default=1, help="worker cap for parallel sections")
-    parser.add_argument(
-        "--deterministic",
-        action="store_true",
-        help="cap --threads at 1",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic labeled grid")
@@ -258,11 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pred-gaussians", required=True)
     p.add_argument("--gt", required=True)
     p.add_argument("--model", choices=("auto", "probabilistic", "additive"), default="auto")
-    p.add_argument(
-        "--neighbor-index",
-        action="store_true",
-        help="accepted for compatibility; the cutoff always runs on the sparse pair kernel",
-    )
     p.add_argument("--report", required=True)
     p.set_defaults(func=cmd_eval)
 
@@ -294,8 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.deterministic:
-        args.threads = 1
     try:
         return args.func(args)
     except Exception as exc:  # runtime failure -> 1; argparse already exits 2

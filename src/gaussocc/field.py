@@ -355,6 +355,15 @@ class FieldEvaluator:
                 pairs, d2 = candidates.select(keep), np.compress(keep, d2)
             yield slice(start, start + chunk.shape[0]), pairs, d2
 
+    def _fill(self, points, row_shape: tuple, rows_of) -> np.ndarray:
+        """(N, *row_shape) array of ``rows_of(pairs, d2, n)`` over the chunks
+        of ``points``: the one chunk loop of the public methods."""
+        points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+        out = np.empty((points.shape[0],) + row_shape)
+        for rows, pairs, d2 in self._chunks(points):
+            out[rows] = rows_of(pairs, d2, rows.stop - rows.start)
+        return out
+
     def _alpha(self, pairs: _Pairs, d2: np.ndarray, n: int) -> np.ndarray:
         alpha = -np.expm1(scatter_sum(pairs.point, log1mexp(0.5 * d2), n))
         # The aggregate can never fall below the largest single term; guard
@@ -369,6 +378,13 @@ class FieldEvaluator:
         e[undefined] = 1.0 / self.gs.num_classes
         return e
 
+    def _compose(self, pairs: _Pairs, d2: np.ndarray, n: int) -> np.ndarray:
+        a = self._alpha(pairs, d2, n)
+        return np.column_stack([1.0 - a, a[:, None] * self._semantics(pairs, d2, n)])
+
+    def _legacy(self, pairs: _Pairs, d2: np.ndarray, n: int) -> np.ndarray:
+        return additive_logits(pairs, d2, self.gs.opacities, self.gs.logits, n)
+
     def _require_opacity(self):
         if not np.any(self.gs.opacities > 0.0):
             raise ValueError("invalid set: all opacities are zero, mixture prior is undefined")
@@ -377,40 +393,21 @@ class FieldEvaluator:
 
     def alpha(self, points: np.ndarray) -> np.ndarray:
         """(N,) aggregate occupancy probabilities."""
-        points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        out = np.empty(points.shape[0])
-        for rows, pairs, d2 in self._chunks(points):
-            out[rows] = self._alpha(pairs, d2, rows.stop - rows.start)
-        return out
+        return self._fill(points, (), self._alpha)
 
     def semantics(self, points: np.ndarray) -> np.ndarray:
         """(N, C) mixture-expected class distributions."""
         self._require_opacity()
-        points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        out = np.empty((points.shape[0], self.gs.num_classes))
-        for rows, pairs, d2 in self._chunks(points):
-            out[rows] = self._semantics(pairs, d2, rows.stop - rows.start)
-        return out
+        return self._fill(points, (self.gs.num_classes,), self._semantics)
 
     def compose(self, points: np.ndarray) -> np.ndarray:
         """(N, C + 1) composed predictions, empty class first."""
         self._require_opacity()
-        points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        out = np.empty((points.shape[0], self.gs.num_classes + 1))
-        for rows, pairs, d2 in self._chunks(points):
-            n = rows.stop - rows.start
-            a = self._alpha(pairs, d2, n)
-            out[rows, 0] = 1.0 - a
-            out[rows, 1:] = a[:, None] * self._semantics(pairs, d2, n)
-        return out
+        return self._fill(points, (self.gs.num_classes + 1,), self._compose)
 
     def legacy(self, points: np.ndarray) -> np.ndarray:
         """(N, channels) additive-model outputs; raw, unnormalized."""
-        points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        out = np.empty((points.shape[0], self.gs.num_classes))
-        for rows, pairs, d2 in self._chunks(points):
-            out[rows] = additive_logits(pairs, d2, self.gs.opacities, self.gs.logits, rows.stop - rows.start)
-        return out
+        return self._fill(points, (self.gs.num_classes,), self._legacy)
 
 
 # -- single-point operations ----------------------------------------------

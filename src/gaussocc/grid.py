@@ -15,7 +15,6 @@ variant). Reads auto-detect the variant.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,8 +40,14 @@ class GridSpec:
         res = np.asarray(self.resolution, dtype=np.int64)
         if lo.shape != (3,) or hi.shape != (3,) or res.shape != (3,):
             raise ValueError("min_corner, max_corner and resolution must be 3-vectors")
+        for name, arr in (("min_corner", lo), ("max_corner", hi)):
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"{name} must be finite, got {arr.tolist()}")
         if not np.all(hi > lo):
             raise ValueError("max_corner must exceed min_corner on every axis")
+        with np.errstate(over="ignore"):
+            if not np.all(np.isfinite(hi - lo)):
+                raise ValueError("max_corner - min_corner must be finite on every axis")
         if not np.all(res > 0):
             raise ValueError("resolution must be positive")
         if self.num_classes_total < 2:
@@ -72,14 +77,17 @@ class GridSpec:
     def point_to_voxel(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Map points to integer voxel indices.
 
-        Returns (indices (N, 3), inside (N,)); indices of outside points
-        are clipped into range and must be masked by ``inside``.
+        Returns (indices (N, 3), inside (N,)); indices of outside points,
+        including far and non-finite ones, are clipped into range and must
+        be masked by ``inside``.
         """
         points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        rel = (points - self.min_corner) / self.voxel_size
-        idx = np.floor(rel).astype(np.int64)
-        inside = np.all((idx >= 0) & (idx < self.resolution), axis=1)
-        return np.clip(idx, 0, self.resolution - 1), inside
+        with np.errstate(over="ignore", invalid="ignore"):
+            rel = (points - self.min_corner) / self.voxel_size
+        # floor(r) lies in [0, n) exactly when r does; fmax/fmin send NaN to 0.
+        inside = np.all((rel >= 0) & (rel < self.resolution), axis=1)
+        idx = np.floor(np.fmin(np.fmax(rel, 0), self.resolution - 1)).astype(np.int64)
+        return idx, inside
 
     def describes_same_grid(self, other: "GridSpec") -> bool:
         return (
@@ -153,13 +161,14 @@ def voxelize(
     threads: int = 1,
 ) -> VoxelGrid:
     """Label every voxel with the argmax of the composed prediction at its
-    center; ties resolve to the lowest class index."""
+    center; ties resolve to the lowest class index. ``threads`` is accepted
+    but ignored: voxelization runs on the calling thread."""
     if gs.num_classes != spec.num_classes_total - 1:
         raise ValueError(
             f"set has {gs.num_classes} semantic classes, grid expects "
             f"{spec.num_classes_total - 1}"
         )
-    return _label_voxels(FieldEvaluator(gs, opts).compose, spec, threads)
+    return _label_voxels(FieldEvaluator(gs, opts).compose, spec)
 
 
 def voxelize_legacy(
@@ -174,32 +183,24 @@ def voxelize_legacy(
     the argmax of the raw additive output (the softmax a trained baseline
     applies is monotone, so the argmax is identical); a voxel beyond every
     Gaussian's reach accumulates all zeros, which ties to class 0, empty.
+    ``threads`` is accepted but ignored, as in :func:`voxelize`.
     """
     if gs_with_empty.num_classes != spec.num_classes_total:
         raise ValueError(
             f"additive set needs {spec.num_classes_total} channels (empty first), "
             f"got {gs_with_empty.num_classes}"
         )
-    return _label_voxels(FieldEvaluator(gs_with_empty, opts).legacy, spec, threads)
+    return _label_voxels(FieldEvaluator(gs_with_empty, opts).legacy, spec)
 
 
-def _label_voxels(predict, spec: GridSpec, threads: int) -> VoxelGrid:
-    """Argmax labels of ``predict`` at every voxel center, in spans of
-    voxels shared among up to ``threads`` workers."""
+def _label_voxels(predict, spec: GridSpec) -> VoxelGrid:
+    """Argmax labels of ``predict`` at every voxel center, one span of
+    voxels at a time."""
     centers = spec.all_centers()
     labels = np.empty(spec.num_voxels, dtype=np.uint16)
-
-    def work(start: int, stop: int):
-        labels[start:stop] = np.argmax(predict(centers[start:stop]), axis=1)
-
     chunk = 16384
-    spans = [(s, min(s + chunk, spec.num_voxels)) for s in range(0, spec.num_voxels, chunk)]
-    if threads > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(lambda span: work(*span), spans))
-    else:
-        for span in spans:
-            work(*span)
+    for start in range(0, spec.num_voxels, chunk):
+        labels[start : start + chunk] = np.argmax(predict(centers[start : start + chunk]), axis=1)
     return VoxelGrid(spec=spec, labels=labels.reshape(tuple(spec.resolution)))
 
 

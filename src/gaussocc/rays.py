@@ -70,6 +70,8 @@ class RaySampling:
     num_refs: int = 64
 
     def __post_init__(self):
+        if not (np.isfinite(self.depth_min) and np.isfinite(self.depth_max)):
+            raise ValueError(f"depths must be finite, got {self.depth_min} and {self.depth_max}")
         if not 0.0 < self.depth_min < self.depth_max:
             raise ValueError("need 0 < depth_min < depth_max")
         if self.num_refs < 2:

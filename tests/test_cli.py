@@ -100,6 +100,51 @@ class TestSynth:
         grid = load_grid(out)
         assert grid.spec.num_voxels == 40 * 40 * 16
 
+    @pytest.mark.parametrize(
+        "bounds, message",
+        [
+            (("--max", "inf", 10, 10), "max_corner must be finite"),
+            # -(10**308) prints as digits only, which argparse reads as a number.
+            (("--min", *[-(10**308)] * 3, "--max", 1e308, 1e308, 1e308),
+             "max_corner - min_corner must be finite"),
+        ],
+    )
+    def test_non_finite_extent_is_runtime_error(self, bounds, message, tmp_path, capsys):
+        out = tmp_path / "x.ogrid"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("synth", *bounds, "--res", 4, 4, 4, "--out", out) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestRemovedOptions:
+    @pytest.mark.parametrize("flags", [("--threads", 2), ("--deterministic",)])
+    def test_global_option_is_usage_error(self, flags, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(*flags, "synth", "--out", tmp_path / "x.ogrid")
+        assert exc.value.code == 2
+        assert "gaussocc: error:" in capsys.readouterr().err
+        assert not (tmp_path / "x.ogrid").exists()
+
+    def test_eval_neighbor_index_is_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(
+                "eval", "--pred-gaussians", tmp_path / "x.gsocc", "--gt", tmp_path / "x.ogrid",
+                "--report", tmp_path / "x.txt", "--neighbor-index",
+            )
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --neighbor-index" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [(), ("eval",)])
+    def test_help_lists_none(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(*argv, "--help")
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        for flag in ("--threads", "--deterministic", "--neighbor-index"):
+            assert flag not in out
+
 
 class TestFit:
     def test_smoke_run_and_round_trip(self, scene_file, tmp_path):
@@ -387,6 +432,20 @@ class TestRays:
         assert labels[:4096].any() and labels[4096:].any()
         want = "".join(" ".join(str(int(v)) for v in row) + "\n" for row in labels)
         assert out.read_bytes() == want.encode("ascii")
+
+
+    def test_non_finite_depth_is_runtime_error(self, scene_file, tmp_path, capsys):
+        cam_path = tmp_path / "cam.txt"
+        self._camera(cam_path)
+        out = tmp_path / "labels.txt"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(
+                "rays", "--camera", cam_path, "--gt", scene_file, "--out", out,
+                "--depth-max", "inf",
+            )
+        assert code == 1
+        assert "depths must be finite" in capsys.readouterr().err
 
 
 class TestSlice:

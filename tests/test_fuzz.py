@@ -158,6 +158,7 @@ def test_unmutated_file_loads(files, kind):
         ("wide.ogrid", b"OGRID 1 2 1 1 70001 0 0 0 2 1 1\n0 70000\n", r"wide\.ogrid: a label exceeds the uint16 range"),
         ("huge.ogrid", b"OGRID 1 99999999999999999999999 1 1 3 0 0 0 2 1 1\n0\n", r"huge\.ogrid: bad OGRID header"),
         ("nan.cam", b"nan 20 8 6\n16 12\n1 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n", "intrinsics and pose must be finite"),
+        ("inf.ogrid", b"OGRID 1 2 1 1 3 0 0 0 inf 1 1\n0 1\n", r"inf\.ogrid: bad OGRID header: max_corner must be finite"),
     ],
 )
 def test_out_of_range_values_are_named(tmp_path, name, content, message):

@@ -1,5 +1,7 @@
 """Voxel grid model, voxelization and OGRID file round trips."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -234,3 +236,55 @@ class TestSpecValidation:
         grid = VoxelGrid(spec=spec, labels=labels)
         assert grid.labels_at_points(np.array([[-1.0, 0.0, 0.0]]))[0] == 0
         assert grid.labels_at_points(np.array([[0.5, 0.5, 0.5]]))[0] == 1
+
+    @pytest.mark.parametrize(
+        "lo, hi, field",
+        [
+            ([-10.0, -10.0, 0.0], [np.inf, 10.0, 10.0], "max_corner must be finite"),
+            ([np.nan, 0.0, 0.0], [1.0, 1.0, 1.0], "min_corner must be finite"),
+            ([-np.inf, 0.0, 0.0], [1.0, 1.0, 1.0], "min_corner must be finite"),
+            ([-1e308] * 3, [1e308] * 3, r"max_corner - min_corner must be finite"),
+        ],
+    )
+    def test_non_finite_corners_and_extent_rejected(self, lo, hi, field):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=field):
+                GridSpec(
+                    min_corner=np.array(lo),
+                    max_corner=np.array(hi),
+                    resolution=np.array([4, 4, 4]),
+                    num_classes_total=5,
+                )
+
+    def test_far_and_non_finite_points_read_as_empty_without_warning(self):
+        spec = small_spec()
+        grid = VoxelGrid(spec=spec, labels=np.ones(spec.num_voxels, dtype=np.uint16))
+        far = np.array(
+            [
+                [1e308, 0.0, 0.0],
+                [-1e308, 0.0, 0.0],
+                [0.0, 1.7e308, 0.0],
+                [np.nan, 0.0, 0.0],
+                [0.0, np.inf, 0.0],
+                [0.0, 0.0, -np.inf],
+                [8.0, 0.0, 0.0],
+                [-1e-300, 0.0, 0.0],
+            ]
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            idx, inside = spec.point_to_voxel(far)
+            np.testing.assert_array_equal(grid.labels_at_points(far), np.zeros(len(far)))
+        assert not inside.any()
+        assert np.all((idx >= 0) & (idx < spec.resolution))
+
+    def test_point_to_voxel_in_grid_indices_are_the_floor(self):
+        spec = nuscenes_grid_spec()
+        rng = np.random.default_rng(7)
+        points = rng.uniform(spec.min_corner, spec.max_corner, size=(5000, 3))
+        points[:3] = spec.min_corner  # the lower faces are inside
+        idx, inside = spec.point_to_voxel(points)
+        assert inside.all()
+        expected = np.floor((points - spec.min_corner) / spec.voxel_size).astype(np.int64)
+        np.testing.assert_array_equal(idx, expected)

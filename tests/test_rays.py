@@ -144,6 +144,11 @@ class TestReferencePoints:
         with pytest.raises(ValueError):
             RaySampling(num_refs=1)
 
+    @pytest.mark.parametrize("depths", [(1.0, np.inf), (np.nan, 2.0), (-np.inf, 2.0)])
+    def test_non_finite_depths_rejected(self, depths):
+        with pytest.raises(ValueError, match="depths must be finite"):
+            RaySampling(depth_min=depths[0], depth_max=depths[1])
+
 
 class TestOccupancyLabels:
     def test_fully_occupied_grid(self):
