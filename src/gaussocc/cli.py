@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
+import re
 import sys
 
 import numpy as np
@@ -39,6 +41,15 @@ PALETTE = (
     (188, 189, 34),
     (23, 190, 207),
 )
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reads negative numbers such as ``-1e1`` as values, not options (the
+    argparse pattern has no exponent); subparsers are built from it too."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 
 def _seed(text: str) -> int:
@@ -88,19 +99,9 @@ def cmd_synth(args) -> int:
 def cmd_fit(args) -> int:
     gt = load_grid(args.gt)
     cfg = FitConfig.from_file(args.config) if args.config else FitConfig()
-    overrides = {}
-    if args.model is not None:
-        overrides["model"] = args.model
-    if args.init is not None:
-        overrides["init"] = args.init
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.iterations is not None:
-        overrides["iterations"] = args.iterations
-    if args.gaussians is not None:
-        overrides["num_gaussians"] = args.gaussians
-    if overrides:
-        cfg = FitConfig(**{**{k: getattr(cfg, k) for k in cfg.__dataclass_fields__}, **overrides})
+    flags = dict(model=args.model, init=args.init, seed=args.seed, iterations=args.iterations,
+                 num_gaussians=args.gaussians)
+    cfg = dataclasses.replace(cfg, **{k: v for k, v in flags.items() if v is not None})
     result = fit(gt, cfg)
     io.save_gaussian_set(args.out, result.gaussians)
     if args.trace:
@@ -112,20 +113,12 @@ def cmd_fit(args) -> int:
 
 
 def _write_trace(path, result) -> None:
-    by_iter = {it: (i, mi) for it, i, mi in result.metrics_trace}
+    metrics = {it: (io.format_number(i), io.format_number(mi)) for it, i, mi in result.metrics_trace}
     with open(path, "w", newline="", encoding="ascii") as fh:
         writer = csv.writer(fh)
         writer.writerow(["iteration", "loss", "iou", "miou"])
-        for t, loss in enumerate(result.loss_trace):
-            extra = by_iter.get(t + 1, ("", ""))
-            writer.writerow(
-                [
-                    t + 1,
-                    io.format_number(float(loss)),
-                    io.format_number(extra[0]) if extra[0] != "" else "",
-                    io.format_number(extra[1]) if extra[1] != "" else "",
-                ]
-            )
+        for t, loss in enumerate(result.loss_trace, start=1):
+            writer.writerow([t, io.format_number(float(loss)), *metrics.get(t, ("", ""))])
 
 
 def _voxelize_auto(gs, spec, model):
@@ -221,7 +214,7 @@ def cmd_slice(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="gaussocc", description=__doc__)
+    parser = _Parser(prog="gaussocc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic labeled grid")

@@ -254,6 +254,7 @@ def covariance_matrices(gs: GaussianSet) -> np.ndarray:
     return np.einsum("pab,pb,pcb->pac", rot, s2, rot)
 
 
-def log_determinants(gs: GaussianSet) -> np.ndarray:
-    """(P,) log-determinants of the covariances, ``2 * sum(log s)``."""
-    return 2.0 * np.sum(np.log(gs.scales), axis=1)
+def seeded_stream(seed: int, lane: int) -> np.random.Generator:
+    """Independent counter-based random stream per (seed, lane): the draws
+    of one lane never depend on how many draws another lane made."""
+    return np.random.Generator(np.random.Philox(key=(np.uint64(seed).item() << 64) | lane))

@@ -34,16 +34,10 @@ from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
-from .core import (
-    GaussianPrimitive,
-    GaussianSet,
-    log_determinants,
-    mahalanobis_sq,
-    rotation_matrices,
-)
+from .core import GaussianPrimitive, GaussianSet, mahalanobis_sq, rotation_matrices
 
 # Below this density the mixture posterior is treated as undefined and the
-# configured fallback takes over.
+# expectation falls back to the uniform class distribution.
 GMM_DENOMINATOR_FLOOR = 1e-300
 
 _LOG_GMM_FLOOR = np.log(GMM_DENOMINATOR_FLOOR)
@@ -83,21 +77,18 @@ class EvalOptions:
     distance to the query point exceeds it (contribution exactly zero);
     ``None`` or ``inf`` disables the cutoff. A finite cutoff always runs on
     the sparse pair kernel. ``neighbor_index`` is still accepted but no
-    longer changes speed or results. ``gmm_fallback`` names the policy for
-    points where the mixture denominator vanishes; only ``"uniform"`` is
-    defined.
+    longer changes speed or results. Where the mixture denominator
+    vanishes, the semantics are the uniform class distribution (see
+    :func:`gmm_expectation`).
     """
 
     cutoff_mahalanobis_sq: Optional[float] = 25.0
     neighbor_index: bool = False
-    gmm_fallback: str = "uniform"
 
     def __post_init__(self):
         c = self.cutoff_mahalanobis_sq
         if c is not None and not c > 0.0:
             raise ValueError(f"cutoff_mahalanobis_sq must be > 0, got {c}")
-        if self.gmm_fallback != "uniform":
-            raise ValueError(f"unknown gmm_fallback policy {self.gmm_fallback!r}")
 
     @property
     def cutoff(self) -> float:
@@ -277,15 +268,23 @@ def per_gaussian(pairs: _Pairs, values: np.ndarray) -> np.ndarray:
     return out
 
 
-def gmm_posterior(w: np.ndarray, point: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Mixture posterior of each pair from its log weight
-    ``log(opacity) - log(det Sigma) / 2 - d2 / 2``.
+def log_mixture_weights(opacities: np.ndarray, scales: np.ndarray) -> np.ndarray:
+    """(P,) log mixture weights ``log(opacity) - log(det Sigma) / 2``, with
+    ``log(det Sigma) / 2 = sum(log s)``; -inf at zero opacity."""
+    with np.errstate(divide="ignore"):
+        return np.log(opacities) - np.sum(np.log(scales), axis=1)
 
-    Returns ``(rho, undefined)``: ``rho`` sums to 1 over the pairs of each
-    of the ``n`` points, and ``undefined`` flags the points where the
-    caller's fallback replaces it: no live Gaussian, or a mixture density,
-    with its ``(2 pi)^{-3/2}`` normalizer, below
-    :data:`GMM_DENOMINATOR_FLOOR`.
+
+def gmm_expectation(w, point, values, n: int, num_classes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Mixture-posterior expectation of per-pair class probabilities
+    ``values``, (C, M) rows or one (M,) column, from the pairs' log weights
+    ``w = log_mixture_weights - d2 / 2``.
+
+    Returns ``(e, rho, undefined)``: the (n, C) or (n,) expectation, the
+    posterior (it sums to 1 over each point's pairs) and the points with no
+    live Gaussian or a mixture density, with its ``(2 pi)^{-3/2}``
+    normalizer, below :data:`GMM_DENOMINATOR_FLOOR`; there ``e`` is the
+    uniform ``1 / num_classes``.
     """
     wmax = np.full(n, -np.inf)
     np.maximum.at(wmax, point, w)
@@ -296,7 +295,9 @@ def gmm_posterior(w: np.ndarray, point: np.ndarray, n: int) -> tuple[np.ndarray,
         log_norm = shift + np.log(denom)
     undefined = ~np.isfinite(log_norm) | (log_norm - 1.5 * _LOG_2PI < _LOG_GMM_FLOOR)
     rho = expw / np.where(denom > 0.0, denom, 1.0)[point]
-    return rho, undefined
+    e = scatter_sum(point, rho * values, n)
+    e[undefined] = 1.0 / num_classes
+    return e, rho, undefined
 
 
 def additive_logits(pairs: _Pairs, d2: np.ndarray, opacities, logits, n: int) -> np.ndarray:
@@ -322,8 +323,7 @@ class FieldEvaluator:
         self._means = gs.means
         self._rot = rotation_matrices(gs.rotations)
         self._scales = gs.scales
-        with np.errstate(divide="ignore"):
-            self._log_weight = np.log(gs.opacities) - 0.5 * log_determinants(gs)
+        self._log_weight = log_mixture_weights(gs.opacities, gs.scales)
         self._sem_t = np.ascontiguousarray(softmax(gs.logits).T)
         self._cutoff = self.opts.cutoff
         if np.isfinite(self._cutoff):
@@ -373,10 +373,9 @@ class FieldEvaluator:
         return np.clip(np.maximum(alpha, np.exp(-0.5 * nearest)), 0.0, 1.0)
 
     def _semantics(self, pairs: _Pairs, d2: np.ndarray, n: int) -> np.ndarray:
-        rho, undefined = gmm_posterior(self._log_weight[pairs.gauss] - 0.5 * d2, pairs.point, n)
-        e = scatter_sum(pairs.point, rho * np.take(self._sem_t, pairs.gauss, axis=1), n)
-        e[undefined] = 1.0 / self.gs.num_classes
-        return e
+        w = self._log_weight[pairs.gauss] - 0.5 * d2
+        sem = np.take(self._sem_t, pairs.gauss, axis=1)
+        return gmm_expectation(w, pairs.point, sem, n, self.gs.num_classes)[0]
 
     def _compose(self, pairs: _Pairs, d2: np.ndarray, n: int) -> np.ndarray:
         a = self._alpha(pairs, d2, n)

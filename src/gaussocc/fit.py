@@ -23,13 +23,14 @@ from typing import Optional
 
 import numpy as np
 
-from .core import MIN_SCALE, GaussianSet, rotation_matrices
+from .core import MIN_SCALE, GaussianSet, rotation_matrices, seeded_stream as _stream
 from .field import (
     EvalOptions,
     additive_logits,
-    gmm_posterior,
+    gmm_expectation,
     live_pairs,
     log1mexp,
+    log_mixture_weights,
     per_gaussian,
     scatter_sum,
     softmax,
@@ -47,11 +48,6 @@ _ADAM_B2 = 0.999
 _ADAM_EPS = 1e-8
 
 MODELS = ("probabilistic", "additive")
-
-
-def _stream(seed: int, lane: int) -> np.random.Generator:
-    # Independent counter-based stream per (seed, lane).
-    return np.random.Generator(np.random.Philox(key=(np.uint64(seed).item() << 64) | lane))
 
 
 def softplus(x: np.ndarray) -> np.ndarray:
@@ -147,9 +143,7 @@ class FitConfig:
         for name in ("learning_rate", "lr_min", "weight_decay", "init_logit_scale"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        c = self.cutoff_mahalanobis_sq
-        if c is not None and not c > 0.0:
-            raise ValueError(f"cutoff_mahalanobis_sq must be > 0, got {c}")
+        EvalOptions(cutoff_mahalanobis_sq=self.cutoff_mahalanobis_sq)  # rejects a bad cutoff
         if self.num_gaussians < 1 or self.iterations < 1 or self.batch_points < 1:
             raise ValueError("num_gaussians, iterations and batch_points must be positive")
         if self.learning_rate <= 0 or self.lr_min < 0 or self.eval_every < 1:
@@ -251,18 +245,9 @@ def fps_init(candidates: np.ndarray, k: int, seed: int, batched: bool = False) -
     sizes = np.array([m.size for m in members])
     exact = k * sizes / n
     quotas = np.floor(exact).astype(np.int64)
-    remainder = k - int(quotas.sum())
-    for o in np.argsort(-(exact - quotas), kind="stable"):
-        if remainder == 0:
-            break
-        if quotas[o] < sizes[o]:
-            quotas[o] += 1
-            remainder -= 1
-    while remainder > 0:  # rare: leftover capacity after fractional rounding
-        for o in np.argsort(-(sizes - quotas), kind="stable"):
-            if remainder and quotas[o] < sizes[o]:
-                quotas[o] += 1
-                remainder -= 1
+    # Largest remainders round up. Fewer octants round up than have a
+    # fractional part, and each of those has a spare candidate.
+    quotas[np.argsort(-(exact - quotas), kind="stable")[: k - int(quotas.sum())]] += 1
     out = []
     for o in range(8):
         if quotas[o] == 0:
@@ -298,33 +283,32 @@ def init_from_grid(gt: VoxelGrid, cfg: FitConfig) -> GaussianSet:
         jitter = rng.uniform(-0.25, 0.25, size=(p - n_occ, 3)) * gt.spec.voxel_size
         means = np.concatenate([centers, centers[extra] + jitter])
         chosen = np.concatenate([labels, labels[extra]])
-
-    channels = gt.spec.num_classes_total - 1 if cfg.model == "probabilistic" else gt.spec.num_classes_total
-    logits = np.zeros((p, channels))
-    hot = chosen - 1 if cfg.model == "probabilistic" else chosen
-    logits[np.arange(p), hot] = cfg.init_logit_scale
-    return GaussianSet(
-        means=means,
-        scales=np.tile(gt.spec.voxel_size, (p, 1)),
-        rotations=np.tile(np.array([1.0, 0.0, 0.0, 0.0]), (p, 1)),
-        opacities=np.ones(p),
-        logits=logits,
-    )
+    return _initial_set(gt, cfg, means, gt.spec.voxel_size, chosen)
 
 
 def random_init(gt: VoxelGrid, cfg: FitConfig) -> GaussianSet:
     """Placement-agnostic initialization: means uniform over the grid
     extent, neutral (zero) logits, voxel-pair scales, identity rotations."""
-    p = cfg.num_gaussians
     rng = _stream(cfg.seed, 9)
-    spec = gt.spec
-    channels = spec.num_classes_total - 1 if cfg.model == "probabilistic" else spec.num_classes_total
+    means = rng.uniform(gt.spec.min_corner, gt.spec.max_corner, size=(cfg.num_gaussians, 3))
+    return _initial_set(gt, cfg, means, 2.0 * gt.spec.voxel_size)
+
+
+def _initial_set(gt: VoxelGrid, cfg: FitConfig, means, scale, labels=None) -> GaussianSet:
+    """Identity rotations, unit opacities, one ``scale`` for all, and zero
+    logits but ``init_logit_scale`` on each Gaussian's grid label, if given.
+    The probabilistic logits leave out the empty class 0."""
+    p = means.shape[0]
+    empty = 1 if cfg.model == "probabilistic" else 0
+    logits = np.zeros((p, gt.spec.num_classes_total - empty))
+    if labels is not None:
+        logits[np.arange(p), labels - empty] = cfg.init_logit_scale
     return GaussianSet(
-        means=rng.uniform(spec.min_corner, spec.max_corner, size=(p, 3)),
-        scales=np.tile(2.0 * spec.voxel_size, (p, 1)),
+        means=means,
+        scales=np.tile(scale, (p, 1)),
         rotations=np.tile(np.array([1.0, 0.0, 0.0, 0.0]), (p, 1)),
         opacities=np.ones(p),
-        logits=np.zeros((p, channels)),
+        logits=logits,
     )
 
 
@@ -406,16 +390,12 @@ def _loss_and_grad(
         log_alpha = np.where(alpha_floor, _LOG_PRED_FLOOR, log_alpha_raw)
         # Mixture posterior over the live pairs of occupied points.
         sem = softmax(logits)
-        log_det = 2.0 * np.sum(np.log(s), axis=1)
-        with np.errstate(divide="ignore"):
-            log_weight = np.log(opac) - 0.5 * log_det
         occ_pairs = np.flatnonzero(occ[point])
         g_occ, pt_occ = gauss[occ_pairs], point[occ_pairs]
-        rho, fallback = gmm_posterior(log_weight[g_occ] - 0.5 * d2[occ_pairs], pt_occ, n)
-        k_idx = labels - 1
-        gk_occ = g_occ * ch + k_idx[pt_occ]  # flat (Gaussian, label class) index
+        w = log_mixture_weights(opac, s)[g_occ] - 0.5 * d2[occ_pairs]
+        gk_occ = g_occ * ch + (labels - 1)[pt_occ]  # flat (Gaussian, label class) index
         sem_y = np.take(sem, gk_occ)
-        e_y = np.where(fallback, 1.0 / ch, scatter_sum(pt_occ, rho * sem_y, n))
+        e_y, rho, fallback = gmm_expectation(w, pt_occ, sem_y, n, ch)
         e_floor = e_y < _PRED_FLOOR
         log_e = np.log(np.maximum(e_y, _PRED_FLOOR))
         loss_terms[occ] = -log_alpha[occ] - log_e[occ]

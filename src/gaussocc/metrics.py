@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GaussianPrimitive, GaussianSet, build_covariance, covariance_matrices
+from .core import GaussianPrimitive, GaussianSet, build_covariance, covariance_matrices, seeded_stream
 from .field import EvalOptions, FieldEvaluator
 from .grid import VoxelGrid
 
@@ -104,9 +104,7 @@ def perc_correct(gs: GaussianSet, gt: VoxelGrid) -> float:
 
     Means outside the grid count as incorrectly placed.
     """
-    idx, inside = gt.spec.point_to_voxel(gs.means)
-    occupied = gt.labels[idx[:, 0], idx[:, 1], idx[:, 2]] != 0
-    return 100.0 * float(np.count_nonzero(inside & occupied)) / len(gs)
+    return 100.0 * float(np.count_nonzero(gt.labels_at_points(gs.means))) / len(gs)
 
 
 def mean_nearest_dist(gs: GaussianSet, gt: VoxelGrid) -> float:
@@ -135,13 +133,6 @@ def _bbox_arrays(scene_bbox) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
-def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
-    # One independent counter-based stream per (seed, chunk); sample i of
-    # the estimate is reproducible no matter how chunks are scheduled.
-    key = (np.uint64(seed).item() << 64) | chunk_index
-    return np.random.Generator(np.random.Philox(key=key))
-
-
 def mc_coverage_volume(gs: GaussianSet, scene_bbox, mc_samples: int, seed: int) -> float:
     """Monte Carlo volume of the union of 90% ellipsoids.
 
@@ -157,7 +148,7 @@ def mc_coverage_volume(gs: GaussianSet, scene_bbox, mc_samples: int, seed: int) 
     ev = FieldEvaluator(gs, EvalOptions(cutoff_mahalanobis_sq=CHI2_3DOF_90))
     n_in = 0
     for chunk_index, done in enumerate(range(0, mc_samples, _MC_CHUNK)):
-        pts = _chunk_rng(seed, chunk_index).uniform(lo, hi, size=(min(_MC_CHUNK, mc_samples - done), 3))
+        pts = seeded_stream(seed, chunk_index).uniform(lo, hi, size=(min(_MC_CHUNK, mc_samples - done), 3))
         n_in += int(np.count_nonzero(ev.alpha(pts) > 0.0))
     if n_in == 0:
         raise ValueError("no coverage detected: no Monte Carlo sample hit any ellipsoid")

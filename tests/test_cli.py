@@ -117,6 +117,13 @@ class TestSynth:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    def test_negative_exponent_numbers_are_values(self, tmp_path):
+        paths = []
+        for i, corner in enumerate([(-10, -10, 0), ("-1e1", "-1.0E+1", 0), ("-.1e2", "-10e0", "0e0")]):
+            paths.append(tmp_path / f"{i}.ogrid")
+            assert run("synth", "--min", *corner, "--res", 4, 4, 4, "--out", paths[-1]) == 0
+        assert paths[0].read_bytes() == paths[1].read_bytes() == paths[2].read_bytes()
+
 
 class TestRemovedOptions:
     @pytest.mark.parametrize("flags", [("--threads", 2), ("--deterministic",)])
@@ -200,6 +207,15 @@ class TestFit:
         out = tmp_path / "set.gsocc"
         assert run("fit", "--gt", scene_file, "--config", cfg_path, "--out", out) == 0
         assert len(load_gaussian_set(out)) == 8
+
+    def test_flags_override_config_file(self, scene_file, tmp_path):
+        cfg_path = tmp_path / "fit.cfg"
+        write_key_values(cfg_path, FitConfig(num_gaussians=8, iterations=20, batch_points=64).to_dict())
+        trace = tmp_path / "trace.csv"
+        argv = ["fit", "--gt", scene_file, "--config", cfg_path, "--out", tmp_path / "set.gsocc"]
+        assert run(*argv, "--iterations", 3, "--gaussians", 5, "--trace", trace) == 0
+        assert len(load_gaussian_set(tmp_path / "set.gsocc")) == 5
+        assert [row.split(",")[0] for row in trace.read_text().splitlines()] == ["iteration", "1", "2", "3"]
 
     def test_missing_gt_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

@@ -256,5 +256,7 @@ class TestEvalOptions:
             EvalOptions(cutoff_mahalanobis_sq=0.0)
 
     def test_unknown_fallback_rejected(self):
-        with pytest.raises(ValueError):
-            EvalOptions(gmm_fallback="zeros")
+        # The uniform fallback is the only one, so no fallback is settable.
+        for policy in ("zeros", "uniform"):
+            with pytest.raises(TypeError):
+                EvalOptions(gmm_fallback=policy)

@@ -123,6 +123,22 @@ class TestFps:
         octants = {tuple(s) for s in signs}
         assert len(octants) >= 6
 
+    def test_batched_quotas_round_each_octant_share(self):
+        rng = np.random.default_rng(74)
+        # Skewed clouds, one with empty octants, so the shares have fractions.
+        clouds = [rng.exponential(1.0, size=(500, 3)), rng.normal(size=(37, 3)) * [1.0, 1.0, 0.0]]
+        for pts in clouds:
+            mid = 0.5 * (pts.min(axis=0) + pts.max(axis=0))
+            octant = ((pts >= mid) * [4, 2, 1]).sum(axis=1)
+            sizes = np.bincount(octant, minlength=8)
+            n = len(pts)
+            for k in range(1, n, 3):
+                idx = fps_init(pts, k, seed=k, batched=True)
+                assert len(set(idx.tolist())) == len(idx) == k
+                quotas = np.bincount(octant[idx], minlength=8)
+                share = k * sizes / n
+                assert np.all((quotas == np.floor(share)) | (quotas == np.ceil(share)))
+
     def test_oversized_request_rejected(self):
         with pytest.raises(ValueError, match="k must lie"):
             fps_init(np.zeros((4, 3)), 5, seed=0)

@@ -1,6 +1,7 @@
 """The package imports without scipy; only the audit's nearest-distance
-search loads it."""
+search loads it. The benchmark's imports and wrap targets resolve."""
 
+import importlib
 import os
 import subprocess
 import sys
@@ -12,6 +13,7 @@ import scipy.special
 from gaussocc.field import softmax
 
 _SRC = Path(__file__).resolve().parent.parent / "src"
+_PERFBENCH = _SRC.parent / "perfbench"
 
 # Runs in a fresh interpreter: this test process has imported scipy itself.
 _CHILD = """
@@ -59,3 +61,16 @@ def test_softmax_is_bit_identical_to_scipy():
     for magnitude in (1.0, 10.0, 100.0, 700.0):
         logits = rng.uniform(-magnitude, magnitude, size=(20_000, 5))
         assert np.array_equal(softmax(logits), scipy.special.softmax(logits, axis=1))
+
+
+def test_perfbench_imports_and_wrap_targets_resolve(monkeypatch):
+    # A rename of a name the benchmark uses fails here, not only in a
+    # benchmark run.
+    monkeypatch.syspath_prepend(str(_PERFBENCH))
+    importlib.import_module("workloads")
+    spans = importlib.import_module("spans")
+    for module_name, path, _, _ in spans.LIBRARY_WRAPS + spans.CLI_WRAPS:
+        target = importlib.import_module(module_name)
+        for part in path.split("."):
+            target = getattr(target, part)
+        assert callable(target), f"{module_name}.{path}"
