@@ -44,12 +44,16 @@ PALETTE = (
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reads negative numbers such as ``-1e1`` as values, not options (the
-    argparse pattern has no exponent); subparsers are built from it too."""
+    """Reads negative numbers such as ``-1e1``, ``-inf`` and ``-nan`` as
+    values, not options (the argparse pattern has no exponent and no
+    special values), so their own checks report them; subparsers are built
+    from it too."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+        self._negative_number_matcher = re.compile(
+            r"^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf|infinity|nan)$", re.IGNORECASE
+        )
 
 
 def _seed(text: str) -> int:

@@ -19,17 +19,34 @@ point farther than the Mahalanobis cutoff from every Gaussian contributes
 no term, so its aggregate is exactly 0.
 
 Every evaluation runs on a list of (Gaussian, point) pairs grouped by
-Gaussian. With a finite cutoff, a cell join (:class:`_CellIndex`) lists
-only the pairs inside each Gaussian's cutoff bounding box, and the pairs
-beyond the cutoff are then dropped; both skip only terms that are exactly
-zero. Without a cutoff every pair is visited, in chunks of bounded size.
-Per-point and per-Gaussian sums run over the pair list. The fitting loss
-of :mod:`gaussocc.fit` runs on the same kernel.
+Gaussian, and per-point and per-Gaussian sums run over that list. With a
+finite cutoff, one of two generators lists the candidate pairs, chosen by
+the kind of query points:
+
+* arbitrary points (Monte Carlo samples, fit batches, the public
+  :class:`FieldEvaluator` methods on an array): a cell join
+  (:class:`_CellIndex`) lists the pairs inside each Gaussian's cutoff
+  bounding box;
+* the voxel centers of a grid (:class:`VoxelCenters`, which ``voxelize``,
+  ``voxelize_legacy``, ``gaussocc eval`` and the fit's evaluations pass):
+  :class:`_VoxelLattice` lists, from voxel index ranges, the voxels whose
+  centers lie in the cutoff ellipsoid, bounded in closed form per x-row
+  and per (x, y) column, one span of whole x-rows at a time.
+
+Both bound the ellipsoid from outside with a padded cutoff, and the pairs
+beyond the cutoff are then dropped by the same ``d2 <= cutoff`` test on
+the same local-frame d2, so both give the same live pairs and skip only
+terms that are exactly zero. Each point's pairs come in ascending Gaussian
+order from either generator, so every per-point sum adds the same values
+in the same order and gives the same bits. Without a cutoff every pair is
+visited, in chunks of bounded size. The fitting loss of
+:mod:`gaussocc.fit` runs on the same kernel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
@@ -45,6 +62,10 @@ _LOG_2PI = np.log(2.0 * np.pi)
 _DEFAULT_CHUNK = 8192
 # Pairs per chunk when every (Gaussian, point) pair is visited (no cutoff).
 _PAIR_BUDGET = 1 << 20
+# Candidate pairs per lattice span, bounded before the span is expanded.
+_SPAN_PAIRS = 1 << 17
+# Voxels at or below this alpha are labelled empty without their semantics.
+_EMPTY_ALPHA = 0.5 - 1e-9
 # Relative padding of the cutoff boxes, far above the rounding error of d2,
 # so the cell join never drops a pair that the distance test would keep.
 _BOX_PAD = 1e-9
@@ -130,6 +151,17 @@ class _Pairs(NamedTuple):
         return _Pairs(np.compress(keep, self.gauss), np.compress(keep, self.point), kept_before[self.bounds])
 
 
+def _cutoff_boxes(means: np.ndarray, cov_diag: np.ndarray, cutoff: float) -> np.ndarray:
+    """(P, 3) half-widths ``sqrt(cutoff * Sigma[a, a])`` of the boxes that
+    enclose the cutoff ellipsoids, padded by :data:`_BOX_PAD`; raises when
+    a box is not finite."""
+    half = np.sqrt(cutoff * cov_diag) * (1.0 + _BOX_PAD)
+    finite = np.all(np.isfinite(means - half) & np.isfinite(means + half), axis=1)
+    if not np.all(finite):
+        raise ValueError(f"Gaussian {int(np.argmin(finite))} has a non-finite cutoff box")
+    return half
+
+
 class _CellIndex:
     """Cell join between query points and the cutoff boxes of the Gaussians.
 
@@ -143,11 +175,8 @@ class _CellIndex:
     """
 
     def __init__(self, means: np.ndarray, cov_diag: np.ndarray, cutoff: float):
-        half = np.sqrt(cutoff * cov_diag) * (1.0 + _BOX_PAD)  # (P, 3)
+        half = _cutoff_boxes(means, cov_diag, cutoff)
         lo, hi = means - half, means + half
-        finite = np.all(np.isfinite(lo) & np.isfinite(hi), axis=1)
-        if not np.all(finite):
-            raise ValueError(f"Gaussian {int(np.argmin(finite))} has a non-finite cutoff box")
         p = means.shape[0]
         self.origin = lo.min(axis=0)
         self.top = hi.max(axis=0)
@@ -199,6 +228,144 @@ class _CellIndex:
             inside[order[pos]],
             pair_ends[self.column_bounds],
         )
+
+
+class VoxelCenters(NamedTuple):
+    """The centers ``min_corner + (index + 0.5) * voxel_size`` of a grid
+    with ``resolution`` voxels per axis, in the flat x-major order
+    ``(ix * Y + iy) * Z + iz``. Evaluated at these points, the field lists
+    its pairs from voxel index ranges (:class:`_VoxelLattice`)."""
+
+    min_corner: np.ndarray
+    voxel_size: np.ndarray
+    resolution: np.ndarray
+
+    @property
+    def num_voxels(self) -> int:
+        return int(np.prod(self.resolution))
+
+    def axes(self) -> list[np.ndarray]:
+        """The center coordinates along each axis."""
+        return [self.min_corner[a] + (np.arange(self.resolution[a]) + 0.5) * self.voxel_size[a] for a in range(3)]
+
+    def rows(self, start: int, stop: int) -> np.ndarray:
+        """(N, 3) centers of the x-rows ``start:stop``, in flat order."""
+        ax, ay, az = self.axes()
+        gx, gy, gz = np.meshgrid(ax[start:stop], ay, az, indexing="ij")
+        return np.stack([gx, gy, gz], axis=-1).reshape(-1, 3)
+
+
+class _VoxelLattice:
+    """The candidate pairs between the Gaussians and the voxel centers of a
+    grid, listed straight from voxel index ranges, one span of whole x-rows
+    at a time.
+
+    With ``Sigma = R diag(s^2) R^T`` and its inverse ``Lambda``, a cutoff
+    ellipsoid reaches the x-rows within ``sqrt(cutoff * Sigma_xx)`` of its
+    mean. On the row at offset ``dx``, the ellipse it casts onto the xy
+    plane covers the y-offsets within ``sqrt(v_y (cutoff - dx^2 /
+    Sigma_xx))`` of ``dx Sigma_xy / Sigma_xx``; ``v_y = det Sigma_2 /
+    Sigma_xx`` is the variance of y given x, and ``det Sigma_2``, the
+    determinant of the xy marginal, is ``sum_m R_zm^2 s_k^2 s_l^2`` over
+    the local axes ``{k, l, m}``. Over the column at ``(dx, dy)``, whose
+    smallest d2 is ``q``, the ellipsoid covers the z-offsets within
+    ``sqrt((cutoff - q) / Lambda_zz)`` of the conditional mean offset
+    ``-(Lambda_zx dx + Lambda_zy dy) / Lambda_zz``. ``Sigma_xx``, ``Lambda_zz`` and
+    ``det Sigma_2`` are sums of positive terms, so thin Gaussians lose no
+    digits to cancellation. Every interval is taken at the cutoff padded
+    as the cell join's boxes are (``cutoff (1 + _BOX_PAD)^2``), far above
+    the rounding error of d2 and of the bounds, so no pair within the
+    cutoff is missed. An interval that is not finite (an overflow) covers
+    its whole axis.
+
+    Only the per-(Gaussian, x-row) stage is built for the whole grid. The
+    x-rows are cut into spans whose pairs, bounded before expansion by each
+    row's column count times its Gaussian's z-box, stay within ``budget``
+    (or are one x-row); one span is expanded to columns and pairs at a
+    time. Pairs are grouped by Gaussian within a span.
+    """
+
+    def __init__(self, means, rot, scales, cutoff: float, centers: VoxelCenters, budget: int):
+        self.axes = centers.axes()
+        self.centers = centers
+        self.shape = tuple(int(n) for n in centers.resolution)
+        self.means = means
+        self.reach = cutoff * (1.0 + _BOX_PAD) ** 2
+        p = means.shape[0]
+        cov_diag = _cov_diag(rot, scales)
+        half = _cutoff_boxes(means, cov_diag, cutoff)
+        s2 = scales**2
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            sxx = cov_diag[:, 0]
+            slope_y = np.einsum("pk,pk,pk->p", rot[:, 0], rot[:, 1], s2) / sxx
+            self.var_y = np.einsum("pk,pk->p", rot[:, 2] ** 2, s2[:, [1, 2, 0]] * s2[:, [2, 0, 1]]) / sxx
+            prec_z = rot[:, 2] / s2
+            lzz = np.einsum("pk,pk->p", prec_z, rot[:, 2])
+            self.slope_zx = -np.einsum("pk,pk->p", prec_z, rot[:, 0]) / lzz
+            self.slope_zy = -np.einsum("pk,pk->p", prec_z, rot[:, 1]) / lzz
+            self.var_z = 1.0 / lzz
+            # The per-(Gaussian, x-row) stage: each row's y-interval.
+            x0, x1 = self._range(0, means[:, 0], np.sqrt(self.reach * sxx))
+            nx = np.maximum(x1 - x0 + 1, 0)
+            g = np.repeat(np.arange(p), nx)
+            ix = x0[g] + np.arange(g.size) - np.repeat(np.cumsum(nx) - nx, nx)
+            dx = self.axes[0][ix] - means[g, 0]
+            qx = dx * dx / sxx[g]
+            rem = self.reach - qx
+            y_off = slope_y[g] * dx
+            y0, y1 = self._range(1, means[g, 1] + y_off, np.sqrt(self.var_y[g] * rem))
+        ny = np.where(rem < 0.0, 0, np.maximum(y1 - y0 + 1, 0))
+        rows = np.flatnonzero(ny)
+        self.g, self.ix, self.dx, self.qx, self.y_off, self.y0, self.ny = (
+            a[rows] for a in (g, ix, dx, qx, y_off, y0, ny)
+        )
+        z0, z1 = self._range(2, means[:, 2], half[:, 2])
+        bound = np.bincount(self.ix, self.ny * np.maximum(z1 - z0 + 1, 0)[self.g], minlength=self.shape[0])
+        self.spans = []
+        start, total = 0, 0.0
+        for x, b in enumerate(bound.tolist()):
+            if x > start and total + b > budget:
+                self.spans.append((start, x))
+                start, total = x, 0.0
+            total += b
+        self.spans.append((start, self.shape[0]))
+
+    def _range(self, a: int, mid: np.ndarray, half: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """First and last voxel index along axis ``a`` whose center lies within
+        ``half`` of ``mid``, clipped to the grid (first > last when there is
+        none); NaN spans the axis."""
+        size, n = self.centers.voxel_size[a], self.shape[a]
+        t = (mid - self.centers.min_corner[a]) / size - 0.5
+        h = half / size
+        first = np.fmin(np.fmax(np.ceil(t - h), 0.0), n)
+        last = np.fmax(np.fmin(np.floor(t + h), n - 1.0), -1.0)
+        return first.astype(np.int64), last.astype(np.int64)
+
+    def span_pairs(self, start: int, stop: int) -> tuple[np.ndarray, _Pairs]:
+        """The centers of x-rows ``start:stop`` and their candidate pairs,
+        point indices counting from the span's first voxel."""
+        ny_all, nz_all = self.shape[1], self.shape[2]
+        r = np.flatnonzero((self.ix >= start) & (self.ix < stop))
+        ny = self.ny[r]
+        col = np.repeat(r, ny)
+        iy = self.y0[col] + np.arange(col.size) - np.repeat(np.cumsum(ny) - ny, ny)
+        g = self.g[col]
+        with np.errstate(over="ignore", invalid="ignore"):
+            dy = self.axes[1][iy] - self.means[g, 1]
+            t = dy - self.y_off[col]
+            rem = self.reach - (self.qx[col] + t * t / self.var_y[g])
+            z_mid = self.means[g, 2] + self.slope_zx[g] * self.dx[col] + self.slope_zy[g] * dy
+            z0, z1 = self._range(2, z_mid, np.sqrt(self.var_z[g] * rem))
+        nz = np.where(rem < 0.0, 0, np.maximum(z1 - z0 + 1, 0))
+        first = ((self.ix[col] - start) * ny_all + iy) * nz_all + z0
+        ends = np.cumsum(nz)
+        per_gauss = np.bincount(g, nz, minlength=self.means.shape[0]).astype(np.int64)
+        pairs = _Pairs(
+            np.repeat(g, nz),
+            np.repeat(first - (ends - nz), nz) + np.arange(ends[-1] if ends.size else 0),
+            np.concatenate([[0], np.cumsum(per_gauss)]),
+        )
+        return self.centers.rows(start, stop), pairs
 
 
 def _cov_diag(rot: np.ndarray, scales: np.ndarray) -> np.ndarray:
@@ -310,11 +477,14 @@ def additive_logits(pairs: _Pairs, d2: np.ndarray, opacities, logits, n: int) ->
 class FieldEvaluator:
     """Batch evaluator binding one GaussianSet to one EvalOptions.
 
-    Precomputes the rotations, log mixture weights, softmaxed semantics
-    and, with a finite cutoff, the cell join once; all methods take an
-    (N, 3) array of query points, evaluate it in chunks of ``chunk`` points
-    (fewer without a cutoff, where every pair is visited) and are pure and
-    thread-safe.
+    Precomputes the rotations, log mixture weights and softmaxed semantics
+    once, and checks that every cutoff box is finite. All methods take an
+    (N, 3) array of query points or the :class:`VoxelCenters` of a grid
+    and are pure. Arbitrary points are evaluated in chunks of ``chunk``
+    points (fewer without a cutoff, where every pair is visited) through
+    the cell join, which is built on first use; voxel centers, with a
+    cutoff, are evaluated in spans of whole x-rows listed by
+    :class:`_VoxelLattice`.
     """
 
     def __init__(self, gs: GaussianSet, opts: EvalOptions | None = None, chunk: int = _DEFAULT_CHUNK):
@@ -327,11 +497,14 @@ class FieldEvaluator:
         self._sem_t = np.ascontiguousarray(softmax(gs.logits).T)
         self._cutoff = self.opts.cutoff
         if np.isfinite(self._cutoff):
-            self._index = _CellIndex(self._means, _cov_diag(self._rot, self._scales), self._cutoff)
+            _cutoff_boxes(self._means, _cov_diag(self._rot, self._scales), self._cutoff)
             self._step = int(chunk)
         else:
-            self._index = None
             self._step = max(1, min(int(chunk), _PAIR_BUDGET // len(gs)))
+
+    @cached_property
+    def _index(self) -> _CellIndex:
+        return _CellIndex(self._means, _cov_diag(self._rot, self._scales), self._cutoff)
 
     # -- low-level blocks --------------------------------------------------
 
@@ -340,26 +513,45 @@ class FieldEvaluator:
         ``sum(((R^T (x - m)) / s)^2)`` of the primitive-level distance."""
         return _squared_norms(_local_coords(points, pairs, self._means, self._rot, self._scales))
 
-    def _chunks(self, points: np.ndarray) -> Iterator[tuple[slice, _Pairs, np.ndarray]]:
+    def _live(self, points: np.ndarray, candidates: _Pairs) -> tuple[_Pairs, np.ndarray]:
+        d2 = self._d2(points, candidates)
+        keep = d2 <= self._cutoff
+        if np.all(keep):
+            return candidates, d2
+        return candidates.select(keep), np.compress(keep, d2)
+
+    def _chunks(self, points) -> Iterator[tuple[slice, _Pairs, np.ndarray]]:
         """Yield (rows, live pairs, their d2) per chunk of query points;
-        pair point indices count from the chunk's first row."""
+        pair point indices count from the chunk's first row. Voxel centers
+        with a cutoff take the lattice spans, other points the cell join,
+        and without a cutoff every pair is visited."""
+        if isinstance(points, VoxelCenters):
+            if np.isfinite(self._cutoff):
+                lattice = _VoxelLattice(self._means, self._rot, self._scales, self._cutoff, points, _SPAN_PAIRS)
+                span_voxels = int(points.resolution[1] * points.resolution[2])
+                for start, stop in lattice.spans:
+                    centers, candidates = lattice.span_pairs(start, stop)
+                    yield slice(start * span_voxels, stop * span_voxels), *self._live(centers, candidates)
+                return
+            points = points.rows(0, int(points.resolution[0]))
         for start in range(0, points.shape[0], self._step):
             chunk = points[start : start + self._step]
-            if self._index is None:
+            if np.isfinite(self._cutoff):
+                pairs, d2 = self._live(chunk, self._index.pairs(chunk))
+            else:
                 pairs = _Pairs.every(len(self.gs), chunk.shape[0])
                 d2 = self._d2(chunk, pairs)
-            else:
-                candidates = self._index.pairs(chunk)
-                d2 = self._d2(chunk, candidates)
-                keep = d2 <= self._cutoff
-                pairs, d2 = candidates.select(keep), np.compress(keep, d2)
             yield slice(start, start + chunk.shape[0]), pairs, d2
 
-    def _fill(self, points, row_shape: tuple, rows_of) -> np.ndarray:
+    def _fill(self, points, row_shape: tuple, rows_of, dtype=np.float64) -> np.ndarray:
         """(N, *row_shape) array of ``rows_of(pairs, d2, n)`` over the chunks
         of ``points``: the one chunk loop of the public methods."""
-        points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        out = np.empty((points.shape[0],) + row_shape)
+        if isinstance(points, VoxelCenters):
+            n = points.num_voxels
+        else:
+            points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+            n = points.shape[0]
+        out = np.empty((n,) + row_shape, dtype=dtype)
         for rows, pairs, d2 in self._chunks(points):
             out[rows] = rows_of(pairs, d2, rows.stop - rows.start)
         return out
@@ -378,8 +570,20 @@ class FieldEvaluator:
         return gmm_expectation(w, pairs.point, sem, n, self.gs.num_classes)[0]
 
     def _compose(self, pairs: _Pairs, d2: np.ndarray, n: int) -> np.ndarray:
+        return _composed(self._alpha(pairs, d2, n), self._semantics(pairs, d2, n))
+
+    def _compose_label(self, pairs: _Pairs, d2: np.ndarray, n: int) -> np.ndarray:
+        """Argmax of :meth:`_compose`, with semantics only where alpha can
+        win: below 1/2 the empty class does, since ``1 - alpha > 1/2 >
+        alpha * e_k``; the margin covers ``e_k`` rounding above 1."""
         a = self._alpha(pairs, d2, n)
-        return np.column_stack([1.0 - a, a[:, None] * self._semantics(pairs, d2, n)])
+        labels = np.zeros(n, dtype=np.int64)
+        contested = a > _EMPTY_ALPHA
+        if np.any(contested):
+            keep = contested[pairs.point]
+            e = self._semantics(pairs.select(keep), np.compress(keep, d2), n)
+            labels[contested] = np.argmax(_composed(a[contested], e[contested]), axis=1)
+        return labels
 
     def _legacy(self, pairs: _Pairs, d2: np.ndarray, n: int) -> np.ndarray:
         return additive_logits(pairs, d2, self.gs.opacities, self.gs.logits, n)
@@ -390,23 +594,37 @@ class FieldEvaluator:
 
     # -- public batch API --------------------------------------------------
 
-    def alpha(self, points: np.ndarray) -> np.ndarray:
+    def alpha(self, points) -> np.ndarray:
         """(N,) aggregate occupancy probabilities."""
         return self._fill(points, (), self._alpha)
 
-    def semantics(self, points: np.ndarray) -> np.ndarray:
+    def semantics(self, points) -> np.ndarray:
         """(N, C) mixture-expected class distributions."""
         self._require_opacity()
         return self._fill(points, (self.gs.num_classes,), self._semantics)
 
-    def compose(self, points: np.ndarray) -> np.ndarray:
+    def compose(self, points) -> np.ndarray:
         """(N, C + 1) composed predictions, empty class first."""
         self._require_opacity()
         return self._fill(points, (self.gs.num_classes + 1,), self._compose)
 
-    def legacy(self, points: np.ndarray) -> np.ndarray:
+    def legacy(self, points) -> np.ndarray:
         """(N, channels) additive-model outputs; raw, unnormalized."""
         return self._fill(points, (self.gs.num_classes,), self._legacy)
+
+    def compose_labels(self, points) -> np.ndarray:
+        """(N,) uint16 argmax of :meth:`compose`; ties go to the lowest class."""
+        self._require_opacity()
+        return self._fill(points, (), self._compose_label, np.uint16)
+
+    def legacy_labels(self, points) -> np.ndarray:
+        """(N,) uint16 argmax of :meth:`legacy`."""
+        return self._fill(points, (), lambda pairs, d2, n: np.argmax(self._legacy(pairs, d2, n), axis=1), np.uint16)
+
+
+def _composed(alpha: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """The composed prediction ``[1 - alpha, alpha * e]``, empty class first."""
+    return np.column_stack([1.0 - alpha, alpha[:, None] * e])
 
 
 # -- single-point operations ----------------------------------------------
@@ -445,8 +663,8 @@ def legacy_additive(x, gs_with_empty: GaussianSet, opts: EvalOptions | None = No
 def sample_field(x, gs: GaussianSet, opts: EvalOptions | None = None) -> FieldSample:
     """Bundle geometry, semantics and the composed prediction at a point."""
     ev = FieldEvaluator(gs, opts)
-    pt = np.asarray(x, dtype=np.float64)[None, :]
-    alpha = float(ev.alpha(pt)[0])
-    e = ev.semantics(pt)[0]
-    full = np.concatenate([[1.0 - alpha], alpha * e])
-    return FieldSample(geometry_prob=alpha, semantics_expectation=e, full_prediction=full)
+    ev._require_opacity()
+    ((_, pairs, d2),) = ev._chunks(np.asarray(x, dtype=np.float64)[None, :])
+    alpha, e = ev._alpha(pairs, d2, 1), ev._semantics(pairs, d2, 1)
+    full = _composed(alpha, e)
+    return FieldSample(geometry_prob=float(alpha[0]), semantics_expectation=e[0], full_prediction=full[0])

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import GaussianSet
-from .field import EvalOptions, FieldEvaluator
+from .field import EvalOptions, FieldEvaluator, VoxelCenters
 
 _FLOAT_FMT = "%.17g"
 
@@ -65,14 +65,13 @@ class GridSpec:
     def num_voxels(self) -> int:
         return int(np.prod(self.resolution))
 
+    def centers(self) -> VoxelCenters:
+        """The voxel centers, as the field evaluates them from index ranges."""
+        return VoxelCenters(self.min_corner, self.voxel_size, self.resolution)
+
     def all_centers(self) -> np.ndarray:
         """All voxel centers, (X*Y*Z, 3), in flat-layout order."""
-        axes = [
-            self.min_corner[a] + (np.arange(self.resolution[a]) + 0.5) * self.voxel_size[a]
-            for a in range(3)
-        ]
-        gx, gy, gz = np.meshgrid(*axes, indexing="ij")
-        return np.stack([gx, gy, gz], axis=-1).reshape(-1, 3)
+        return self.centers().rows(0, int(self.resolution[0]))
 
     def point_to_voxel(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Map points to integer voxel indices.
@@ -168,7 +167,8 @@ def voxelize(
             f"set has {gs.num_classes} semantic classes, grid expects "
             f"{spec.num_classes_total - 1}"
         )
-    return _label_voxels(FieldEvaluator(gs, opts).compose, spec)
+    labels = FieldEvaluator(gs, opts).compose_labels(spec.centers())
+    return VoxelGrid(spec=spec, labels=labels)
 
 
 def voxelize_legacy(
@@ -190,18 +190,8 @@ def voxelize_legacy(
             f"additive set needs {spec.num_classes_total} channels (empty first), "
             f"got {gs_with_empty.num_classes}"
         )
-    return _label_voxels(FieldEvaluator(gs_with_empty, opts).legacy, spec)
-
-
-def _label_voxels(predict, spec: GridSpec) -> VoxelGrid:
-    """Argmax labels of ``predict`` at every voxel center, one span of
-    voxels at a time."""
-    centers = spec.all_centers()
-    labels = np.empty(spec.num_voxels, dtype=np.uint16)
-    chunk = 16384
-    for start in range(0, spec.num_voxels, chunk):
-        labels[start : start + chunk] = np.argmax(predict(centers[start : start + chunk]), axis=1)
-    return VoxelGrid(spec=spec, labels=labels.reshape(tuple(spec.resolution)))
+    labels = FieldEvaluator(gs_with_empty, opts).legacy_labels(spec.centers())
+    return VoxelGrid(spec=spec, labels=labels)
 
 
 # -- OGRID v1 file format ----------------------------------------------------

@@ -237,13 +237,17 @@ def indiv_overlap(gs: GaussianSet) -> float:
     per_gaussian = np.zeros(p)
     rows = max(1, _INDIV_PAIR_BLOCK // (p - 1))
     for first in range(0, p - 1, rows):
-        ii, jj = np.nonzero(np.triu(np.ones((min(rows, p - 1 - first), p), dtype=bool), k=first + 1))
-        ii += first
-        avg = np.take(comp, ii, axis=1)
-        avg += np.take(comp, jj, axis=1)
+        # Row i pairs with j = i + 1 .. p - 1: repeat its own columns and
+        # concatenate the slices after it.
+        last = min(first + rows, p - 1)
+        counts = p - 1 - np.arange(first, last)
+        ii = np.repeat(np.arange(first, last), counts)
+        jj = np.concatenate([np.arange(i + 1, p) for i in range(first, last)])
+        avg = np.repeat(comp[:, first:last], counts, axis=1)
+        avg += np.concatenate([comp[:, i + 1 :] for i in range(first, last)], axis=1)
         avg *= 0.5
-        diff = np.take(means, ii, axis=1)
-        diff -= np.take(means, jj, axis=1)
+        diff = np.repeat(means[:, first:last], counts, axis=1)
+        diff -= np.concatenate([means[:, i + 1 :] for i in range(first, last)], axis=1)
         log_det_avg, quad = _spd3_cholesky(*avg, x=diff)
         bc = np.exp(0.25 * (log_dets[ii] + log_dets[jj]) - 0.5 * log_det_avg - 0.125 * quad)
         per_gaussian += np.bincount(ii, weights=bc, minlength=p) + np.bincount(jj, weights=bc, minlength=p)

@@ -124,6 +124,17 @@ class TestSynth:
             assert run("synth", "--min", *corner, "--res", 4, 4, 4, "--out", paths[-1]) == 0
         assert paths[0].read_bytes() == paths[1].read_bytes() == paths[2].read_bytes()
 
+    @pytest.mark.parametrize("value", ["-inf", "-Infinity", "-NaN"])
+    def test_negative_special_values_reach_the_finite_check(self, value, tmp_path, capsys):
+        # Read as values, not options: the corner check rejects them, as it
+        # rejects "--max inf".
+        out = tmp_path / "y.ogrid"
+        assert run("synth", "--min", value, 0, 0, "--res", 4, 4, 4, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert "min_corner must be finite" in err
+        assert "expected 3 arguments" not in err
+        assert not out.exists()
+
 
 class TestRemovedOptions:
     @pytest.mark.parametrize("flags", [("--threads", 2), ("--deterministic",)])

@@ -204,6 +204,17 @@ class TestComposeOccupancy:
         np.testing.assert_allclose(fs.full_prediction, compose_occupancy(x, gs), atol=1e-15)
         assert fs.semantics_expectation.sum() == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("opts", [EvalOptions(), NO_CUTOFF])
+    def test_sample_field_equals_the_batch_methods_bitwise(self, opts):
+        rng = np.random.default_rng(20)
+        gs = random_gaussian_set(rng, 12, 3)
+        ev = FieldEvaluator(gs, opts)
+        for x in rng.uniform(-6, 6, size=(20, 3)):
+            fs = sample_field(x, gs, opts)
+            assert fs.geometry_prob == ev.alpha(x)[0]
+            np.testing.assert_array_equal(fs.semantics_expectation, ev.semantics(x)[0])
+            np.testing.assert_array_equal(fs.full_prediction, ev.compose(x)[0])
+
 
 class TestLegacyAdditive:
     def test_single_onehot_at_center(self):

@@ -1,8 +1,13 @@
 """The sparse (Gaussian, point) pair kernel against brute-force and
 per-primitive loop oracles."""
 
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import logsumexp, softmax
 
 from gaussocc.core import MIN_SCALE, GaussianSet, mahalanobis_sq, rotation_matrices
@@ -12,9 +17,13 @@ from gaussocc.field import (
     _CellIndex,
     _cov_diag,
     _local_coords,
+    _Pairs,
+    _VoxelLattice,
     live_pairs,
 )
 from gaussocc.fit import ParamVector, _loss_and_grad
+from gaussocc.grid import GridSpec, nuscenes_grid_spec, voxel_center, voxelize, voxelize_legacy
+from gaussocc.scenes import synth_scene
 
 from conftest import random_gaussian_set
 from test_fit import fd_gradient, grad_errors
@@ -237,3 +246,213 @@ class TestLossAgainstLoopOracle:
         fd = fd_gradient(theta, p, ch, points, labels, model, CUTOFF)
         abs_err, rel_err = grad_errors(grad, fd)
         assert np.all((rel_err <= 1e-4) | (abs_err <= 1e-7))
+
+
+# -- the voxel-lattice generator ---------------------------------------------
+
+
+def lattice_spec(resolution=(36, 20, 7), num_classes_total=4) -> GridSpec:
+    """Non-cubic voxels (0.5 x 0.8 x 6/7) over a box smaller than the
+    mixed set's spread, so some Gaussians stick out of it."""
+    return GridSpec(min_corner=np.array([-9.0, -8.0, -3.0]), max_corner=np.array([9.0, 8.0, 3.0]),
+                    resolution=np.array(resolution), num_classes_total=num_classes_total)
+
+
+def lattice_set(rng, spec: GridSpec, c=3) -> GaussianSet:
+    """The mixed set plus thin Gaussians with their mean on a voxel center
+    and on a voxel face, and Gaussians partly and wholly outside the grid."""
+    base = mixed_set(rng, p=24, c=c)
+    vs = spec.voxel_size
+    on_center = voxel_center(spec, 9, 7, min(3, spec.resolution[2] - 1))
+    on_x_face = on_center + np.array([0.5, 0.0, 0.0]) * vs
+    on_y_face = on_center + np.array([0.0, 0.5, 0.0]) * vs
+    means = np.concatenate([base.means, [on_center, on_x_face, on_y_face, [12.0, 0.0, 0.0], [40.0, 0.0, 0.0]]])
+    scales = np.concatenate([base.scales, [[MIN_SCALE, 1.0, 1.0], [0.3, MIN_SCALE, MIN_SCALE],
+                                           [MIN_SCALE, 0.7, MIN_SCALE], [2.0, 1.0, 1.0], [1.0, 1.0, 1.0]]])
+    rotations = np.concatenate([base.rotations, np.tile([1.0, 0.0, 0.0, 0.0], (5, 1))])
+    extra = len(means) - len(base)
+    return GaussianSet(means=means, scales=scales, rotations=rotations,
+                       opacities=np.concatenate([base.opacities, rng.uniform(0.2, 1.0, extra)]),
+                       logits=np.concatenate([base.logits, rng.normal(0.0, 2.0, (extra, c))]))
+
+
+def lattice_candidates(gs: GaussianSet, spec: GridSpec, cutoff=CUTOFF, budget=1 << 17) -> list:
+    """Per span: (first flat voxel, span centers, candidate pairs)."""
+    lattice = _VoxelLattice(gs.means, rotation_matrices(gs.rotations), gs.scales, cutoff, spec.centers(), budget)
+    row = int(spec.resolution[1] * spec.resolution[2])
+    return [(start * row, *lattice.span_pairs(start, stop)) for start, stop in lattice.spans]
+
+
+def every_pair_d2(gs: GaussianSet, points: np.ndarray) -> np.ndarray:
+    """(P, N) d2 of every pair, by the kernel's own local-frame formula."""
+    every = _Pairs.every(len(gs), points.shape[0])
+    local = _local_coords(points, every, gs.means, rotation_matrices(gs.rotations), gs.scales)
+    return np.sum(local**2, axis=1).reshape(len(gs), -1)
+
+
+def check_lattice(gs: GaussianSet, spec: GridSpec, cutoff=CUTOFF, budget=1 << 17) -> tuple[int, int]:
+    """Assert that the lattice lists every live pair once, grouped by
+    Gaussian, with the span's centers; return (candidates, live)."""
+    centers = spec.all_centers()
+    d2 = every_pair_d2(gs, centers)
+    rot = rotation_matrices(gs.rotations)
+    candidates, live, listed = set(), set(), 0
+    spans = lattice_candidates(gs, spec, cutoff, budget)
+    assert spans[0][0] == 0
+    for (first, points, pairs), nxt in zip(spans, spans[1:] + [(spec.num_voxels,)]):
+        np.testing.assert_array_equal(points, centers[first : nxt[0]])
+        assert np.all(np.diff(pairs.gauss) >= 0)
+        np.testing.assert_array_equal(pairs.bounds, np.searchsorted(pairs.gauss, np.arange(len(gs) + 1)))
+        assert np.all((pairs.point >= 0) & (pairs.point < points.shape[0]))
+        span_d2 = np.sum(_local_coords(points, pairs, gs.means, rot, gs.scales) ** 2, axis=1)
+        glob = zip(pairs.gauss.tolist(), (pairs.point + first).tolist())
+        for pair, inside in zip(glob, (span_d2 <= cutoff).tolist()):
+            candidates.add(pair)
+            if inside:
+                live.add(pair)
+        listed += pairs.gauss.size
+    assert listed == len(candidates)  # no pair listed twice
+    want = set(zip(*np.nonzero(d2 <= cutoff)))
+    assert live == want
+    assert live <= candidates
+    return len(candidates), len(live)
+
+
+class TestVoxelLattice:
+    @pytest.mark.parametrize("resolution", [(36, 20, 7), (30, 24, 1)])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_live_pairs_equal_brute_force_and_cell_join(self, seed, resolution):
+        rng = np.random.default_rng(340 + seed)
+        spec = lattice_spec(resolution)
+        gs = lattice_set(rng, spec)
+        n_candidates, n_live = check_lattice(gs, spec)
+        centers = spec.all_centers()
+        joined, _, _ = live_pairs(centers, gs.means, rotation_matrices(gs.rotations), gs.scales, CUTOFF)
+        d2 = every_pair_d2(gs, centers)
+        assert pair_set(joined) == set(zip(*np.nonzero(d2 <= CUTOFF)))  # the lattice's live pairs
+        assert n_live == joined.gauss.size
+        # The thin Gaussians on a voxel center and a face see their voxels;
+        # the ones outside the grid see none.
+        assert np.all(np.count_nonzero(d2[24:27] <= CUTOFF, axis=1) > 0)
+        assert not np.any(d2[28] <= CUTOFF)
+        assert n_candidates <= 1.05 * n_live
+
+    def test_small_spans_list_the_same_pairs(self):
+        rng = np.random.default_rng(342)
+        spec = lattice_spec()
+        gs = lattice_set(rng, spec)
+        assert len(lattice_candidates(gs, spec, budget=64)) == spec.resolution[0]
+        assert check_lattice(gs, spec, budget=64) == check_lattice(gs, spec)
+
+    def test_pairs_exactly_at_the_cutoff_are_found(self):
+        # Axis-aligned Gaussians centred on a voxel, with a center exactly
+        # at d2 == cutoff along each axis and on the diagonals.
+        spec = GridSpec(min_corner=np.zeros(3), max_corner=np.array([4.0, 4.0, 4.0]),
+                        resolution=np.array([16, 16, 16]), num_classes_total=2)
+        # Without the padded cutoff, rounding drops some of these pairs.
+        shapes = ([1.0, 1.0, 1.0], [1.0, 2.0, 0.5], [0.5, 0.5, 3.0], [3.0, 0.5, 1.0], [1.0, 3.0, 1.0])
+        scales = np.array([np.array(shape) * 0.25 * k / 5.0 for k in range(1, 31) for shape in shapes])
+        p = len(scales)
+        gs = GaussianSet(means=np.tile(voxel_center(spec, 7, 8, 6), (p, 1)), scales=scales,
+                         rotations=np.tile([1.0, 0, 0, 0], (p, 1)), opacities=np.ones(p), logits=np.zeros((p, 1)))
+        d2 = every_pair_d2(gs, spec.all_centers())
+        assert np.count_nonzero(d2 == CUTOFF) >= 400
+        check_lattice(gs, spec)
+
+    def test_mostly_live_on_a_paper_like_set(self):
+        # Scales of 0.5-3 voxels and random rotations, as in the audit
+        # benchmark; the cell join lists about four candidates per live pair.
+        rng = np.random.default_rng(343)
+        spec = GridSpec(min_corner=np.array([-15.0, -15.0, -5.0]), max_corner=np.array([15.0, 15.0, 3.0]),
+                        resolution=np.array([60, 60, 16]), num_classes_total=5)
+        p = 300
+        quats = rng.normal(size=(p, 4))
+        gs = GaussianSet(means=rng.uniform(spec.min_corner, spec.max_corner, size=(p, 3)),
+                         scales=np.exp(rng.uniform(np.log(0.5), np.log(3.0), size=(p, 3))) * spec.voxel_size,
+                         rotations=quats / np.linalg.norm(quats, axis=1, keepdims=True),
+                         opacities=rng.uniform(0.1, 1.0, p), logits=rng.normal(size=(p, 4)))
+        n_candidates, n_live = 0, 0
+        for _, points, pairs in lattice_candidates(gs, spec):
+            d2 = np.sum(_local_coords(points, pairs, gs.means, rotation_matrices(gs.rotations), gs.scales) ** 2, axis=1)
+            n_candidates += d2.size
+            n_live += int(np.count_nonzero(d2 <= CUTOFF))
+        assert n_live > 10_000
+        assert n_live >= 0.9 * n_candidates
+
+    @pytest.mark.parametrize("resolution", [(36, 20, 7), (30, 24, 1)])
+    def test_outputs_equal_the_point_evaluation(self, resolution):
+        # Voxel centers given as a lattice and as points give the same
+        # bits, so the per-voxel sums run in the same order.
+        rng = np.random.default_rng(344)
+        spec = lattice_spec(resolution)
+        gs = lattice_set(rng, spec)
+        ev = FieldEvaluator(gs)
+        centers = spec.all_centers()
+        for method in (ev.alpha, ev.semantics, ev.compose, ev.legacy):
+            np.testing.assert_array_equal(method(spec.centers()), method(centers))
+        want = np.argmax(ev.compose(centers), axis=1)
+        assert np.count_nonzero(want) > 20
+        np.testing.assert_array_equal(voxelize(gs, spec).labels_flat, want)
+        np.testing.assert_array_equal(ev.compose_labels(centers), want)
+        additive = lattice_set(rng, spec, c=4)
+        additive = dataclasses.replace(additive, logits=additive.logits - [3.0, 0.0, 0.0, 0.0])
+        want = np.argmax(FieldEvaluator(additive).legacy(centers), axis=1)
+        assert np.count_nonzero(want) > 20
+        np.testing.assert_array_equal(voxelize_legacy(additive, spec).labels_flat, want)
+
+    def test_no_cutoff_matches_the_point_evaluation(self):
+        rng = np.random.default_rng(345)
+        spec = lattice_spec((12, 10, 3))
+        gs = lattice_set(rng, spec)
+        ev = FieldEvaluator(gs, EvalOptions(cutoff_mahalanobis_sq=None))
+        centers = spec.all_centers()
+        np.testing.assert_array_equal(ev.compose(spec.centers()), ev.compose(centers))
+        np.testing.assert_array_equal(voxelize(gs, spec, EvalOptions(cutoff_mahalanobis_sq=None)).labels_flat,
+                                      np.argmax(ev.compose(centers), axis=1))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_random_sets_and_grids(self, data):
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        rng = np.random.default_rng(seed)
+        p = data.draw(st.integers(1, 8), label="p")
+        res = [data.draw(st.integers(1, 9), label=f"res{a}") for a in range(3)]
+        lo = rng.uniform(-3.0, 0.0, 3)
+        spec = GridSpec(min_corner=lo, max_corner=lo + rng.uniform(0.5, 6.0, 3), resolution=np.array(res),
+                        num_classes_total=3)
+        low = data.draw(st.sampled_from([np.log(MIN_SCALE), -3.0, -1.0]), label="log_scale_low")
+        means = rng.uniform(spec.min_corner - 1.0, spec.max_corner + 1.0, size=(p, 3))
+        # Some means snapped onto voxel centers or faces.
+        snap = rng.random(p) < 0.3
+        half_steps = np.round((means - spec.min_corner) / (0.5 * spec.voxel_size))
+        means[snap] = (spec.min_corner + half_steps * 0.5 * spec.voxel_size)[snap]
+        gs = GaussianSet(means=means, scales=np.exp(rng.uniform(low, 0.5, size=(p, 3))),
+                         rotations=rng.normal(size=(p, 4)), opacities=rng.uniform(0.1, 1.0, p),
+                         logits=rng.normal(size=(p, 2)))
+        cutoff = data.draw(st.sampled_from([CUTOFF, 6.251, 1.0]), label="cutoff")
+        check_lattice(gs, spec, cutoff, budget=data.draw(st.sampled_from([16, 1 << 17]), label="budget"))
+
+
+def test_paper_scale_voxelize_memory_is_bounded():
+    # P=6400 on the 200x200x16 grid. Voxelize allocates per span, not per
+    # grid: its traced peak was 51 MB when it built all 640,000 centers and
+    # joined them 16,384 at a time, and is 16 MB from lattice spans.
+    spec = nuscenes_grid_spec(5)
+    grid, _ = synth_scene(0, spec=spec)
+    rng = np.random.default_rng(6400)
+    occupied = grid.occupied_centers()
+    p = 6400
+    means = occupied[rng.choice(occupied.shape[0], p, replace=False)]
+    quats = rng.normal(size=(p, 4))
+    gs = GaussianSet(means=means + rng.uniform(-0.75, 0.75, (p, 3)) * spec.voxel_size,
+                     scales=np.exp(rng.uniform(np.log(0.5), np.log(3.0), (p, 3))) * spec.voxel_size,
+                     rotations=quats / np.linalg.norm(quats, axis=1, keepdims=True),
+                     opacities=rng.uniform(0.1, 1.0, p), logits=rng.normal(size=(p, 4)))
+    tracemalloc.start()
+    try:
+        pred = voxelize(gs, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.count_nonzero(pred.labels) > 10_000
+    assert peak < 32 * 2**20
