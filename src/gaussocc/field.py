@@ -254,6 +254,11 @@ class VoxelCenters(NamedTuple):
         gx, gy, gz = np.meshgrid(ax[start:stop], ay, az, indexing="ij")
         return np.stack([gx, gy, gz], axis=-1).reshape(-1, 3)
 
+    def take(self, flat: np.ndarray) -> np.ndarray:
+        """(N, 3) centers of the voxels with the given flat indices."""
+        idx = np.unravel_index(flat, tuple(int(n) for n in self.resolution))
+        return np.stack([ax[i] for ax, i in zip(self.axes(), idx)], axis=-1)
+
 
 class _VoxelLattice:
     """The candidate pairs between the Gaussians and the voxel centers of a

@@ -18,6 +18,7 @@ accumulation, decoupled weight decay and a cosine step-size decay.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -207,13 +208,33 @@ class FitResult:
 
 
 def _greedy_fps(points: np.ndarray, k: int, first: int) -> np.ndarray:
+    """Greedy farthest-point picks from an (n, 3) cloud, starting at ``first``.
+
+    The coordinates are copied once into three contiguous columns and the
+    n-long buffers are allocated once. Each step computes the distance to
+    the newest pick as ``sqrt((dx*dx + dy*dy) + dz*dz)``, the summation
+    order of ``np.linalg.norm(points - points[nxt], axis=1)``, so every
+    distance, and hence every pick, carries the same bits as that loop.
+    """
+    cols = np.ascontiguousarray(points.T)
     chosen = np.empty(k, dtype=np.int64)
     chosen[0] = first
-    dist = np.linalg.norm(points - points[first], axis=1)
+    dist = np.full(points.shape[0], np.inf)
+    new = np.empty_like(dist)
+    tmp = np.empty_like(dist)
     for i in range(1, k):
-        nxt = int(np.argmax(dist))
-        chosen[i] = nxt
-        dist = np.minimum(dist, np.linalg.norm(points - points[nxt], axis=1))
+        x, y, z = cols[:, chosen[i - 1]]
+        np.subtract(cols[0], x, out=new)
+        np.multiply(new, new, out=new)
+        np.subtract(cols[1], y, out=tmp)
+        np.multiply(tmp, tmp, out=tmp)
+        np.add(new, tmp, out=new)
+        np.subtract(cols[2], z, out=tmp)
+        np.multiply(tmp, tmp, out=tmp)
+        np.add(new, tmp, out=new)
+        np.sqrt(new, out=new)
+        np.minimum(dist, new, out=dist)
+        chosen[i] = np.argmax(dist)
     return chosen
 
 
@@ -221,11 +242,25 @@ def fps_init(candidates: np.ndarray, k: int, seed: int, batched: bool = False) -
     """Indices of k farthest-point samples from a candidate cloud.
 
     Greedy: a seeded first pick, then each next point maximizes the
-    minimum distance to the chosen set. The batched variant splits the
-    cloud into octants around the bounding-box midpoint, runs greedy
-    sampling per octant with proportional quotas and concatenates.
+    minimum distance to the chosen set; among equally far points the
+    lowest index wins. The batched variant splits the cloud into octants
+    around the bounding-box midpoint, runs greedy sampling per octant with
+    proportional quotas and concatenates. The cost is one pass over an
+    octant's candidates (the whole cloud when not batched) per pick from
+    that octant, so about k passes in all.
+
+    ``candidates`` must be a finite (N, 3) array and ``k`` an integer in
+    [1, N]; anything else raises ``ValueError``.
     """
     points = np.atleast_2d(np.asarray(candidates, dtype=np.float64))
+    if points.ndim != 2 or points.shape[1] != 3:
+        raise ValueError(f"candidates must have shape (N, 3), got {points.shape}")
+    if not np.all(np.isfinite(points)):
+        raise ValueError("candidates must be finite")
+    try:
+        k = operator.index(k)
+    except TypeError:
+        raise ValueError(f"k must be an integer, got {k!r}") from None
     n = points.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k must lie in [1, {n}], got {k}")
@@ -508,10 +543,11 @@ def fit_grad(
 
 
 class _SamplePools:
-    """Cached occupied/empty voxel-center pools of one grid."""
+    """Cached occupied/empty voxel index pools of one grid; a draw builds
+    the centers of the drawn voxels only."""
 
     def __init__(self, gt: VoxelGrid):
-        self.centers = gt.spec.all_centers()
+        self.centers = gt.spec.centers()
         flat = gt.labels_flat
         self.labels = flat.astype(np.int64)
         self.occupied = np.flatnonzero(flat != 0)
@@ -526,7 +562,7 @@ class _SamplePools:
         if batch - n_occ:
             picks.append(self.empty[rng.integers(0, self.empty.size, size=batch - n_occ)])
         idx = np.concatenate(picks)
-        return self.centers[idx], self.labels[idx]
+        return self.centers.take(idx), self.labels[idx]
 
 
 _PARAM_GROUPS = (

@@ -127,7 +127,7 @@ class VoxelGrid:
 
     def occupied_centers(self) -> np.ndarray:
         """Centers of all non-empty voxels, (V, 3), flat-layout order."""
-        return self.spec.all_centers()[self.labels_flat != 0]
+        return self.spec.centers().take(np.flatnonzero(self.labels_flat))
 
     def occupied_labels(self) -> np.ndarray:
         flat = self.labels_flat

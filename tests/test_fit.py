@@ -1,7 +1,12 @@
 """Parameter encoding, initialization, loss/gradient math and the fit loop."""
 
+import importlib
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import softmax
 
 from gaussocc.core import GaussianSet
@@ -142,6 +147,67 @@ class TestFps:
     def test_oversized_request_rejected(self):
         with pytest.raises(ValueError, match="k must lie"):
             fps_init(np.zeros((4, 3)), 5, seed=0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        kind=st.sampled_from(("uniform", "lattice", "voxels", "duplicates")),
+        n=st.integers(1, 300),
+        data_seed=st.integers(0, 2**32 - 1),
+        k_frac=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**64 - 1),
+        batched=st.booleans(),
+    )
+    def test_picks_match_the_norm_loop(self, kind, n, data_seed, k_frac, seed, batched):
+        def norm_loop(points, k, first):  # the greedy loop the column kernel replaced
+            chosen = np.empty(k, dtype=np.int64)
+            chosen[0] = first
+            dist = np.linalg.norm(points - points[first], axis=1)
+            for i in range(1, k):
+                nxt = int(np.argmax(dist))
+                chosen[i] = nxt
+                dist = np.minimum(dist, np.linalg.norm(points - points[nxt], axis=1))
+            return chosen
+
+        rng = np.random.default_rng(data_seed)
+        if kind == "uniform":
+            pts = rng.uniform(-5.0, 5.0, size=(n, 3))
+        elif kind == "lattice":  # exact equal distances: the tie rule decides most picks
+            pts = rng.integers(-3, 4, size=(n, 3)).astype(np.float64)
+        elif kind == "voxels":  # distances equal up to rounding: the summation order decides
+            spacing = rng.choice([0.1, 0.2, 0.3, 0.7])
+            pts = -5.0 + (rng.integers(0, 8, size=(n, 3)) + 0.5) * spacing
+        else:
+            base = rng.normal(size=(max(1, n // 4), 3)) * rng.uniform(1e-3, 1e3)
+            pts = base[rng.integers(0, len(base), size=n)]
+        k = 1 + int(k_frac * (n - 1))
+        got = fps_init(pts, k, seed, batched=batched)
+        with mock.patch.object(importlib.import_module("gaussocc.fit"), "_greedy_fps", norm_loop):
+            expected = fps_init(pts, k, seed, batched=batched)
+        assert got.dtype == expected.dtype
+        np.testing.assert_array_equal(got, expected)
+
+    @pytest.mark.parametrize("batched", [False, True])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_candidates_rejected(self, bad, batched):
+        pts = np.random.default_rng(75).normal(size=(6, 3))
+        pts[2, 1] = bad
+        with pytest.raises(ValueError, match="candidates must be finite"):
+            fps_init(pts, 5, seed=0, batched=batched)
+
+    @pytest.mark.parametrize("batched", [False, True])
+    @pytest.mark.parametrize("shape", [(6, 2), (6, 4), (2, 3, 3)])
+    def test_candidates_not_n_by_3_rejected(self, shape, batched):
+        with pytest.raises(ValueError, match=r"candidates must have shape \(N, 3\)"):
+            fps_init(np.zeros(shape), 2, seed=0, batched=batched)
+
+    @pytest.mark.parametrize("k", [2.5, 2.0, "2", None])
+    def test_non_integer_k_rejected(self, k):
+        with pytest.raises(ValueError, match="k must be an integer"):
+            fps_init(np.zeros((4, 3)), k, seed=0)
+
+    def test_numpy_integer_k_accepted(self):
+        pts = np.random.default_rng(76).normal(size=(8, 3))
+        np.testing.assert_array_equal(fps_init(pts, np.int64(3), seed=1), fps_init(pts, 3, seed=1))
 
 
 class TestInitFromGrid:

@@ -17,6 +17,7 @@ from gaussocc.grid import (
     voxel_center,
     voxelize,
 )
+from gaussocc.scenes import synth_scene
 
 from conftest import random_gaussian_set
 
@@ -60,6 +61,18 @@ class TestVoxelCenter:
                 for iz in range(4):
                     flat = (ix * 3 + iy) * 4 + iz
                     np.testing.assert_allclose(centers[flat], voxel_center(spec, ix, iy, iz))
+
+    @pytest.mark.parametrize("seed", [0, 11])
+    def test_occupied_centers_equal_masked_all_centers(self, seed):
+        grid, _ = synth_scene(seed, spec=nuscenes_grid_spec(num_classes_total=5))
+        expected = grid.spec.all_centers()[grid.labels_flat != 0]
+        got = grid.occupied_centers()
+        assert got.shape == expected.shape and got.dtype == expected.dtype
+        assert got.tobytes() == expected.tobytes()
+
+    def test_occupied_centers_of_empty_grid(self):
+        grid = VoxelGrid(spec=small_spec(res=(2, 3, 4)), labels=np.zeros(24, dtype=np.uint16))
+        assert grid.occupied_centers().shape == (0, 3)
 
 
 class TestVoxelize:
