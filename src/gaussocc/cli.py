@@ -125,26 +125,23 @@ def _write_trace(path, result) -> None:
             writer.writerow([t, io.format_number(float(loss)), *metrics.get(t, ("", ""))])
 
 
-def _voxelize_auto(gs, spec, model):
-    if model == "auto":
-        if gs.num_classes == spec.num_classes_total - 1:
-            model = "probabilistic"
-        elif gs.num_classes == spec.num_classes_total:
-            model = "additive"
-        else:
-            raise ValueError(
-                f"set has {gs.num_classes} channels; grid with {spec.num_classes_total} "
-                "classes accepts C (probabilistic) or C+1 (additive)"
-            )
-    if model == "probabilistic":
+def _voxelize_auto(gs, spec):
+    """Voxelize with the model the set's channel count names: C channels
+    are probabilistic, C + 1 (empty class included) additive."""
+    if gs.num_classes == spec.num_classes_total - 1:
         return voxelize(gs, spec)
-    return voxelize_legacy(gs, spec)
+    if gs.num_classes == spec.num_classes_total:
+        return voxelize_legacy(gs, spec)
+    raise ValueError(
+        f"set has {gs.num_classes} channels; grid with {spec.num_classes_total} "
+        "classes accepts C (probabilistic) or C+1 (additive)"
+    )
 
 
 def cmd_eval(args) -> int:
     gt = load_grid(args.gt)
     gs = io.load_gaussian_set(args.pred_gaussians)
-    pred = _voxelize_auto(gs, gt.spec, args.model)
+    pred = _voxelize_auto(gs, gt.spec)
     report: dict[str, object] = {
         "iou": iou(pred, gt),
         "miou": miou(pred, gt),
@@ -184,7 +181,8 @@ def cmd_rays(args) -> int:
     origin, dirs = camera_rays(cam)
     depths = sampling.depths
     with open(args.out, "wb") as fh:
-        chunk = 4096
+        # About 2**18 points per block, whatever the number of references.
+        chunk = max(1, 2**18 // sampling.num_refs)
         for start in range(0, dirs.shape[0], chunk):
             block = dirs[start : start + chunk]
             pts = origin[None, None, :] + depths[None, :, None] * block[:, None, :]
@@ -246,7 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="IoU/mIoU report for a fitted set")
     p.add_argument("--pred-gaussians", required=True)
     p.add_argument("--gt", required=True)
-    p.add_argument("--model", choices=("auto", "probabilistic", "additive"), default="auto")
     p.add_argument("--report", required=True)
     p.set_defaults(func=cmd_eval)
 

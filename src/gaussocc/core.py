@@ -23,8 +23,6 @@ import numpy as np
 # covariance stays comfortably non-singular.
 MIN_SCALE = 1e-3
 
-_QUAT_NORM_TOL = 1e-6
-
 
 def _as_float_array(value, shape: tuple[int, ...], name: str) -> np.ndarray:
     arr = np.asarray(value, dtype=np.float64)

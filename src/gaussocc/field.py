@@ -430,16 +430,6 @@ def scatter_sum(index: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
     return np.bincount(index, values, minlength=n).astype(np.float64, copy=False)
 
 
-def per_gaussian(pairs: _Pairs, values: np.ndarray) -> np.ndarray:
-    """Sum pair values onto their Gaussians: (M, ...) -> (P, ...)."""
-    b = pairs.bounds
-    out = np.zeros((b.size - 1,) + values.shape[1:])
-    nonempty = np.flatnonzero(b[1:] > b[:-1])
-    if nonempty.size:
-        out[nonempty] = np.add.reduceat(values, b[nonempty], axis=0)
-    return out
-
-
 def log_mixture_weights(opacities: np.ndarray, scales: np.ndarray) -> np.ndarray:
     """(P,) log mixture weights ``log(opacity) - log(det Sigma) / 2``, with
     ``log(det Sigma) / 2 = sum(log s)``; -inf at zero opacity."""
@@ -668,8 +658,7 @@ def legacy_additive(x, gs_with_empty: GaussianSet, opts: EvalOptions | None = No
 def sample_field(x, gs: GaussianSet, opts: EvalOptions | None = None) -> FieldSample:
     """Bundle geometry, semantics and the composed prediction at a point."""
     ev = FieldEvaluator(gs, opts)
-    ev._require_opacity()
-    ((_, pairs, d2),) = ev._chunks(np.asarray(x, dtype=np.float64)[None, :])
-    alpha, e = ev._alpha(pairs, d2, 1), ev._semantics(pairs, d2, 1)
+    point = np.asarray(x, dtype=np.float64)[None, :]
+    e, alpha = ev.semantics(point), ev.alpha(point)
     full = _composed(alpha, e)
     return FieldSample(geometry_prob=float(alpha[0]), semantics_expectation=e[0], full_prediction=full[0])

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 from typing import Optional
 
 import numpy as np
@@ -32,7 +33,6 @@ from .field import (
     live_pairs,
     log1mexp,
     log_mixture_weights,
-    per_gaussian,
     scatter_sum,
     softmax,
 )
@@ -464,10 +464,10 @@ def _loss_and_grad(
             d_loss_dz[np.arange(n), labels] -= 1.0
             d_loss_dz[p_floor] = 0.0
             g_vals = opac[gauss] * alpha_i
-            dz = np.take(d_loss_dz, point, axis=0)  # (M, ch)
-            g_gv = np.einsum("mc,mc->m", np.take(logits, gauss, axis=0), dz)
+            dz = np.take(np.ascontiguousarray(d_loss_dz.T), point, axis=1)  # (ch, M)
+            g_gv = np.einsum("cm,cm->m", np.take(np.ascontiguousarray(logits.T), gauss, axis=1), dz)
             grad_d2 = -0.5 * g_gv * g_vals
-            grad_logits = per_gaussian(pairs, g_vals[:, None] * dz)
+            grad_logits = scatter_sum(gauss, g_vals * dz, p)
             grad_a_direct = scatter_sum(gauss, g_gv * alpha_i, p)
 
     loss = float(loss_terms.mean())
@@ -477,10 +477,14 @@ def _loss_and_grad(
     # Chain the d2 gradient into means, log-scales and quaternions. With
     # u = R^T (x - m) / s per pair, d2 = |u|^2 and the per-Gaussian sums
     # t = sum g u and uu = sum g u u^T carry everything; the rotation is
-    # applied once per Gaussian, after the sum.
-    gu = grad_d2[:, None] * local
-    t = per_gaussian(pairs, gu)
-    uu = per_gaussian(pairs, gu[:, :, None] * local[:, None, :])  # (p, 3, 3)
+    # applied once per Gaussian, after the sum. Both are summed from
+    # component rows, uu from its 6 unique entries.
+    u = np.ascontiguousarray(local.T)
+    gu = grad_d2 * u
+    t = scatter_sum(gauss, gu, p)
+    uu = np.empty((p, 3, 3))
+    for i, j in combinations_with_replacement(range(3), 2):
+        uu[:, i, j] = uu[:, j, i] = scatter_sum(gauss, gu[i] * u[j], p)
     g_means = -2.0 * np.einsum("pab,pb->pa", rot, t / s)
     # Each log-scale also enters the mixture weight through -log(det)/2.
     g_ls = -2.0 * np.diagonal(uu, axis1=1, axis2=2) - grad_log_a[:, None]

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import GaussianPrimitive, GaussianSet, build_covariance, covariance_matrices, seeded_stream
-from .field import EvalOptions, FieldEvaluator
+from .field import EvalOptions, FieldEvaluator, scatter_sum
 from .grid import VoxelGrid
 
 # Chi-square critical value at 90% for three degrees of freedom; the
@@ -234,7 +234,7 @@ def indiv_overlap(gs: GaussianSet) -> float:
     comp = np.ascontiguousarray(covs.reshape(p, 9)[:, [0, 1, 2, 4, 5, 8]].T)
     means = np.ascontiguousarray(gs.means.T)
     log_dets = _spd3_cholesky(*comp)
-    per_gaussian = np.zeros(p)
+    overlap = np.zeros(p)
     rows = max(1, _INDIV_PAIR_BLOCK // (p - 1))
     for first in range(0, p - 1, rows):
         # Row i pairs with j = i + 1 .. p - 1: repeat its own columns and
@@ -250,8 +250,8 @@ def indiv_overlap(gs: GaussianSet) -> float:
         diff -= np.concatenate([means[:, i + 1 :] for i in range(first, last)], axis=1)
         log_det_avg, quad = _spd3_cholesky(*avg, x=diff)
         bc = np.exp(0.25 * (log_dets[ii] + log_dets[jj]) - 0.5 * log_det_avg - 0.125 * quad)
-        per_gaussian += np.bincount(ii, weights=bc, minlength=p) + np.bincount(jj, weights=bc, minlength=p)
-    return float(per_gaussian.mean())
+        overlap += scatter_sum(ii, bc, p) + scatter_sum(jj, bc, p)
+    return float(overlap.mean())
 
 
 @dataclass(frozen=True)

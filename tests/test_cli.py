@@ -18,7 +18,7 @@ from gaussocc.io import (
 )
 from gaussocc.metrics import iou, miou, utilization_report
 from gaussocc.rays import CameraModel, RaySampling, camera_rays, occupancy_labels
-from gaussocc.grid import voxelize
+from gaussocc.grid import voxelize, voxelize_legacy
 from gaussocc.fit import FitConfig, init_from_grid
 from gaussocc.scenes import synth_scene
 
@@ -154,6 +154,15 @@ class TestRemovedOptions:
         assert exc.value.code == 2
         assert "unrecognized arguments: --neighbor-index" in capsys.readouterr().err
 
+    def test_eval_model_is_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(
+                "eval", "--pred-gaussians", tmp_path / "x.gsocc", "--gt", tmp_path / "x.ogrid",
+                "--report", tmp_path / "x.txt", "--model", "additive",
+            )
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --model additive" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv", [(), ("eval",)])
     def test_help_lists_none(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -281,6 +290,36 @@ class TestEval:
         pred = voxelize(gs, gt.spec)
         assert float(values["iou"]) == iou(pred, gt)
         assert float(values["miou"]) == miou(pred, gt)
+
+    def test_channel_count_picks_the_additive_model(self, scene_file, tmp_path):
+        gt = load_grid(scene_file)
+        cfg = FitConfig(model="additive", num_gaussians=64, iterations=1, seed=4)
+        gs = init_from_grid(gt, cfg)
+        assert gs.num_classes == gt.spec.num_classes_total
+        set_path = tmp_path / "additive.gsocc"
+        save_gaussian_set(set_path, gs)
+        report = tmp_path / "report.txt"
+        assert run("eval", "--pred-gaussians", set_path, "--gt", scene_file, "--report", report) == 0
+        values = read_key_values(report)
+        pred = voxelize_legacy(gs, gt.spec)
+        assert float(values["iou"]) == iou(pred, gt)
+        assert float(values["miou"]) == miou(pred, gt)
+
+    def test_other_channel_count_is_runtime_error(self, scene_file, tmp_path, capsys):
+        gt = load_grid(scene_file)
+        c = gt.spec.num_classes_total - 1
+        gs = GaussianSet.from_primitives(
+            [GaussianPrimitive(mean=(0.0, 0.0, 1.0), scale=(1.0, 1.0, 1.0), rotation=(1, 0, 0, 0),
+                               opacity=1.0, semantics=np.zeros(c + 2))]
+        )
+        set_path = tmp_path / "wide.gsocc"
+        save_gaussian_set(set_path, gs)
+        report = tmp_path / "report.txt"
+        assert run("eval", "--pred-gaussians", set_path, "--gt", scene_file, "--report", report) == 1
+        err = capsys.readouterr().err
+        assert f"set has {c + 2} channels" in err
+        assert "accepts C (probabilistic) or C+1 (additive)" in err
+        assert not report.exists()
 
 
 class TestAudit:
@@ -426,20 +465,26 @@ class TestRays:
         assert len(rows) == 16 * 12
         assert all(len(r) == 24 and set(r) <= {"0", "1"} for r in rows)
 
-    @pytest.mark.parametrize("num_refs", [64, 2])
-    def test_bytes_match_per_row_formatting(self, scene_file, tmp_path, num_refs):
-        # 80 x 60 = 4800 rays, so two 4096-ray blocks; the camera stands inside
-        # the grid and looks along +x with a wide view, so rays partly leave it.
+    @staticmethod
+    def _street_camera(width, height):
+        # The camera stands inside the grid and looks along +x with a wide
+        # view, so rays partly leave it.
         pose = np.eye(4)
         pose[:3, 0] = [0.0, -1.0, 0.0]
         pose[:3, 1] = [0.0, 0.0, -1.0]
         pose[:3, 2] = [1.0, 0.0, 0.0]
         pose[:3, 3] = [-9.0, 0.5, 1.7]
-        cam = CameraModel(
-            intrinsics=np.array([[30.0, 0, 40.0], [0, 30.0, 30.0], [0, 0, 1]]),
+        f = 30.0 * width / 80
+        return CameraModel(
+            intrinsics=np.array([[f, 0, width / 2], [0, f, height / 2], [0, 0, 1]]),
             pose=pose,
-            image_size=(80, 60),
+            image_size=(width, height),
         )
+
+    @pytest.mark.parametrize("num_refs", [64, 2])
+    def test_bytes_match_per_row_formatting(self, scene_file, tmp_path, num_refs):
+        # 80 x 60 = 4800 rays: two blocks of 4096 rays at 64 references.
+        cam = self._street_camera(80, 60)
         cam_path = tmp_path / "cam.txt"
         save_camera(cam_path, cam)
         out = tmp_path / "labels.txt"
@@ -460,6 +505,37 @@ class TestRays:
         want = "".join(" ".join(str(int(v)) for v in row) + "\n" for row in labels)
         assert out.read_bytes() == want.encode("ascii")
 
+
+    def test_many_refs_keep_memory_bounded(self, scene_file, tmp_path):
+        # 3072 rays x 1000 references: the rays are labelled in blocks of
+        # about 2**18 points, not of a fixed ray count.
+        import tracemalloc
+
+        cam = self._street_camera(64, 48)
+        cam_path = tmp_path / "cam.txt"
+        save_camera(cam_path, cam)
+        out = tmp_path / "labels.txt"
+        tracemalloc.start()
+        try:
+            code = run(
+                "rays", "--camera", cam_path, "--gt", scene_file, "--out", out,
+                "--depth-min", 1.0, "--depth-max", 12.0, "--num-refs", 1000,
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 64 * 2**20
+        origin, dirs = camera_rays(cam)
+        depths = RaySampling(depth_min=1.0, depth_max=12.0, num_refs=1000).depths
+        gt = load_grid(scene_file)
+        text = np.frombuffer(out.read_bytes(), dtype=np.uint8).reshape(64 * 48, 2000)
+        for start in range(0, dirs.shape[0], 256):
+            block = dirs[start : start + 256]
+            pts = (origin[None, None, :] + depths[None, :, None] * block[:, None, :]).reshape(-1, 3)
+            want = occupancy_labels(pts, gt).reshape(block.shape[0], 1000)
+            np.testing.assert_array_equal(text[start : start + 256, 0::2] - ord("0"), want)
+        assert (text[:, 0::2] == ord("1")).any()
 
     def test_non_finite_depth_is_runtime_error(self, scene_file, tmp_path, capsys):
         cam_path = tmp_path / "cam.txt"

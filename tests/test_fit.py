@@ -381,6 +381,21 @@ class TestGradient:
         abs_err, rel_err = grad_errors(grad, fd)
         assert np.all((rel_err <= 1e-4) | (abs_err <= 1e-7))
 
+    @pytest.mark.parametrize("model,ch", [("probabilistic", 3), ("additive", 4)])
+    def test_no_live_pair(self, model, ch):
+        # Every point lies far beyond the cutoff of every Gaussian, so the
+        # pair list is empty and no parameter moves the loss. RuntimeWarning
+        # is an error under this suite's settings.
+        rng = np.random.default_rng(81)
+        p = 5
+        theta = self.random_theta(rng, p, ch)
+        pts = rng.uniform(100.0, 110.0, (16, 3))
+        labs = np.arange(16) % (ch + 1 if model == "probabilistic" else ch)
+        loss, grad = _loss_and_grad(theta, p, ch, pts, labs, model, 25.0)
+        assert np.isfinite(loss)
+        assert grad.shape == theta.shape
+        assert np.all(grad == 0.0)
+
     def test_public_wrappers_agree_with_core(self):
         rng = np.random.default_rng(80)
         gt = tiny_grid([((3, 3, 3), 1), ((5, 5, 5), 2)])

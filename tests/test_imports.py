@@ -1,5 +1,6 @@
 """The package imports without scipy; only the audit's nearest-distance
-search loads it. The benchmark's imports and wrap targets resolve."""
+search loads it. The benchmark's imports and wrap targets resolve, and its
+wrapped layers record spans."""
 
 import importlib
 import os
@@ -10,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import scipy.special
 
+from gaussocc.core import MIN_SCALE, rotation_matrices
 from gaussocc.field import softmax
 
 _SRC = Path(__file__).resolve().parent.parent / "src"
@@ -74,3 +76,49 @@ def test_perfbench_imports_and_wrap_targets_resolve(monkeypatch):
         for part in path.split("."):
             target = getattr(target, part)
         assert callable(target), f"{module_name}.{path}"
+
+
+def test_perfbench_wrapped_layers_record(monkeypatch, mini_street):
+    # A layer whose call site stops going through the wrapped name records
+    # nothing; this catches that, and pins the positional arguments the
+    # loss+grad counter reads.
+    monkeypatch.syspath_prepend(str(_PERFBENCH))
+    spans = importlib.import_module("spans")
+    # The package namespace exports functions named like its modules.
+    fit, field, metrics = (importlib.import_module(f"gaussocc.{m}") for m in ("fit", "field", "metrics"))
+    calls = []
+    loss_and_grad = fit._loss_and_grad
+
+    def recording(*args, **kwargs):
+        calls.append(args)
+        return loss_and_grad(*args, **kwargs)
+
+    monkeypatch.setattr(fit, "_loss_and_grad", recording)
+    gt, _ = mini_street
+    cfg = fit.FitConfig(num_gaussians=16, iterations=3, seed=3)
+    tracer = spans.Tracer()
+    try:
+        spans.install_wraps(tracer, spans.LIBRARY_WRAPS)
+        gs = fit.fit(gt, cfg).gaussians
+        metrics.utilization_report(gs, gt, mc_samples=2000, seed=1)
+        field.FieldEvaluator(gs).compose(gt.spec.all_centers()[:500])
+    finally:
+        tracer.restore()
+    recorded = {rec["name"] for rec in tracer.spans}
+    for name in (
+        "fit.loss_grad", "fit.eval", "fit.init", "field.d2", "field.index_build",
+        "metrics.mc_coverage", "metrics.indiv_overlap", "metrics.nearest_dist",
+        "metrics.perc_correct", "field.compose",
+    ):
+        assert name in recorded, name
+    counts = [rec["counts"] for rec in tracer.spans if rec["name"] == "fit.loss_grad"]
+    assert len(counts) == len(calls) == cfg.iterations
+    for args, count in zip(calls, counts):
+        theta, p, ch, points, cutoff = args[0], args[1], args[2], args[3], args[6]
+        assert count["pairs"] == p * cfg.batch_points
+        blk = theta.reshape(p, 11 + ch)
+        qn = blk[:, 6:10] / np.linalg.norm(blk[:, 6:10], axis=1, keepdims=True)
+        scales = np.maximum(np.exp(blk[:, 3:6]), MIN_SCALE)
+        live = field.live_pairs(points, blk[:, 0:3], rotation_matrices(qn), scales, cutoff)[2].size
+        assert 0 < live < p * cfg.batch_points
+        assert abs(count["live"] - live) <= 0.01 * live
