@@ -35,10 +35,21 @@ _VOLUME_90 = (4.0 / 3.0) * np.pi * CHI2_3DOF_90**1.5
 # and therefore the estimate, do not depend on execution schedule.
 _MC_CHUNK = 1 << 17
 
-# Gaussian pairs per block of individual overlap, which bounds its memory.
-# One 512 KB column of a block fits a core's L2 cache; 2^16 pairs ran
-# faster than 2^17 or 2^18 at 2048 Gaussians.
-_INDIV_PAIR_BLOCK = 1 << 16
+# Individual overlap leaves out the pairs whose Bhattacharyya coefficient
+# is provably at most this, so each Gaussian's sum loses at most (P - 1)
+# times it.
+_INDIV_EPS = 1e-16
+
+# A pair's coefficient is at most _INDIV_EPS once |dmu|^2 exceeds this
+# times the sum of its two largest covariance eigenvalues.
+_INDIV_REACH = 4.0 * math.log(1.0 / _INDIV_EPS)
+
+# Broadcast (row, column) candidates per block of individual overlap,
+# which bounds its memory: one 256 KB float64 block, with its two
+# siblings and the kept pairs' arrays, stays in a core's 2 MB L2 cache.
+# 2^15 ran faster than 2^14, 2^16 or 2^17 at 2048 and 6400 Gaussians; the
+# tracemalloc peak at 6400 is 4.5 MB (13 MB at 2^17).
+_INDIV_PAIR_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -177,10 +188,11 @@ def bhattacharyya_coef(gi: GaussianPrimitive, gj: GaussianPrimitive) -> float:
     """Bhattacharyya coefficient between two Gaussians, in (0, 1].
 
     Computed in log space from the average covariance; exactly 1 for
-    identical Gaussians.
+    identical Gaussians. Raises when a covariance overflows the float range.
     """
-    ci = build_covariance(gi).covariance
-    cj = build_covariance(gj).covariance
+    with np.errstate(over="ignore", invalid="ignore"):
+        ci, cj = (build_covariance(g).covariance for g in (gi, gj))
+    _require_finite(np.stack([ci, cj]))
     avg = 0.5 * (ci + cj)
     # One determinant routine for all three matrices: identical inputs then
     # cancel exactly and BC(g, g) is exactly 1.
@@ -191,6 +203,12 @@ def bhattacharyya_coef(gi: GaussianPrimitive, gj: GaussianPrimitive) -> float:
     quad = float(diff @ np.linalg.solve(avg, diff))
     log_bc = 0.25 * (log_det_i + log_det_j) - 0.5 * log_det_avg - 0.125 * quad
     return float(np.exp(log_bc))
+
+
+def _require_finite(covs: np.ndarray) -> None:
+    finite = np.all(np.isfinite(covs), axis=(1, 2))
+    if not np.all(finite):
+        raise ValueError(f"Gaussian {int(np.argmin(finite))} has a non-finite covariance")
 
 
 def _spd3_cholesky(a, b, c, d, e, f, x=None):
@@ -214,18 +232,86 @@ def _spd3_cholesky(a, b, c, d, e, f, x=None):
     return log_det, y1 * y1 + y2 * y2 + y3 * y3
 
 
+def _eigenvalue_bounds(scales: np.ndarray) -> np.ndarray:
+    """(P,) upper bounds on the largest eigenvalue of each covariance as
+    :func:`covariance_matrices` computes it: ``max(s)^2`` with a margin far
+    above its rounding, which ``eigvalsh`` put at up to 2.4e-15 relative
+    over 100,000 randomly rotated covariances."""
+    return np.max(scales, axis=1) ** 2 * (1.0 + 1e-12)
+
+
+def _indiv_pairs(means: np.ndarray, lam: np.ndarray):
+    """Yield blocks ``(ii, jj)`` that list each pair ``i != j`` with
+    ``|mu_i - mu_j|^2 <= _INDIV_REACH (lam_i + lam_j)`` exactly once.
+
+    The Gaussians are stable-sorted by mean x. Row ``i`` (in that order)
+    reaches the later columns whose x lies within
+    ``sqrt(_INDIV_REACH (lam_i + max lam))`` of its own; each block of
+    consecutive rows runs the d2 test on one broadcast (rows, columns)
+    array of contiguous columns with at most :data:`_INDIV_PAIR_BLOCK`
+    entries, or on one row."""
+    p = len(lam)
+    order = np.argsort(means[:, 0], kind="stable")
+    pts = np.ascontiguousarray(means[order].T)
+    lam = lam[order]
+    x = pts[0]
+    # Sums and squares that overflow to inf keep or drop a pair as their
+    # exact values would.
+    with np.errstate(over="ignore"):
+        reach = np.sqrt(_INDIV_REACH * (lam + lam.max()))
+        # Pad the window far beyond the rounding of x + reach and of the d2
+        # test below, so it never cuts off a pair the test keeps.
+        reach += 1e-9 * (reach + np.abs(x))
+        ends = np.maximum.accumulate(np.searchsorted(x, x + reach, side="right"))
+    # One set of buffers for every block: fresh arrays of this size would be
+    # mapped and page-faulted anew at each block.
+    size = max(_INDIV_PAIR_BLOCK, int(np.max(ends - np.arange(p))))
+    d2_buf, step_buf = np.empty((2, size))
+    keep_buf = np.empty(size, dtype=bool)
+    first = 0
+    while first < p - 1:
+        # Rows first .. last - 1 against columns first + 1 .. end - 1; the
+        # entry count grows with last because ends is nondecreasing.
+        entries = np.arange(1, p - first) * (ends[first : p - 1] - first - 1)
+        last = first + max(1, int(np.searchsorted(entries, _INDIV_PAIR_BLOCK, side="right")))
+        end = ends[last - 1]
+        rows, cols = slice(first, last), slice(first + 1, end)
+        shape = (last - first, end - first - 1)
+        d2, step, keep = (buf[: shape[0] * shape[1]].reshape(shape) for buf in (d2_buf, step_buf, keep_buf))
+        with np.errstate(over="ignore"):
+            np.square(np.subtract(pts[0, rows, None], pts[0, None, cols], out=d2), out=d2)
+            for axis in (1, 2):
+                np.subtract(pts[axis, rows, None], pts[axis, None, cols], out=step)
+                d2 += np.square(step, out=step)
+            np.add(lam[rows, None], lam[None, cols], out=step)
+            step *= _INDIV_REACH
+        flat = np.flatnonzero(np.less_equal(d2, step, out=keep))
+        ri = np.repeat(np.arange(shape[0]), np.count_nonzero(keep, axis=1))
+        ci = flat - ri * shape[1]
+        upper = ci >= ri  # column first + 1 + ci after row first + ri
+        yield order[first + ri[upper]], order[first + 1 + ci[upper]]
+        first = last
+
+
 def indiv_overlap(gs: GaussianSet) -> float:
     """Mean over Gaussians of the summed Bhattacharyya coefficients to all
-    other Gaussians; 0 for a single Gaussian. The pairs ``i < j`` are
-    visited in blocks of whole rows ``i`` of at most
-    :data:`_INDIV_PAIR_BLOCK` pairs, or of one row, and each pair's 3x3
-    algebra runs in closed form (:func:`_spd3_cholesky`). Raises when a
-    covariance overflows the float range."""
+    other Gaussians; 0 for a single Gaussian. Raises when a covariance
+    overflows the float range.
+
+    Pairs whose coefficient cannot exceed ``_INDIV_EPS`` = 1e-16 are left
+    out. The log-determinant term of the Bhattacharyya distance is >= 0,
+    and by Weyl's inequality the averaged covariance has a largest
+    eigenvalue of at most ``(lam_i + lam_j) / 2``, with ``lam`` the
+    :func:`_eigenvalue_bounds`; so ``BC <= exp(-|dmu|^2 / (4 (lam_i +
+    lam_j)))``, and a pair is dropped iff ``|dmu|^2 > 4 ln(1 / eps)
+    (lam_i + lam_j)``. The result therefore differs from the sum over all
+    pairs by at most ``(P - 1) * 1e-16`` absolute, plus summation order.
+    The kept pairs come from :func:`_indiv_pairs`, whose blocks bound the
+    memory, and each pair's 3x3 algebra runs in closed form
+    (:func:`_spd3_cholesky`)."""
     with np.errstate(over="ignore", invalid="ignore"):
         covs = covariance_matrices(gs)
-    finite = np.all(np.isfinite(covs), axis=(1, 2))
-    if not np.all(finite):
-        raise ValueError(f"Gaussian {int(np.argmin(finite))} has a non-finite covariance")
+    _require_finite(covs)
     p = len(gs)
     if p == 1:
         return 0.0
@@ -235,19 +321,12 @@ def indiv_overlap(gs: GaussianSet) -> float:
     means = np.ascontiguousarray(gs.means.T)
     log_dets = _spd3_cholesky(*comp)
     overlap = np.zeros(p)
-    rows = max(1, _INDIV_PAIR_BLOCK // (p - 1))
-    for first in range(0, p - 1, rows):
-        # Row i pairs with j = i + 1 .. p - 1: repeat its own columns and
-        # concatenate the slices after it.
-        last = min(first + rows, p - 1)
-        counts = p - 1 - np.arange(first, last)
-        ii = np.repeat(np.arange(first, last), counts)
-        jj = np.concatenate([np.arange(i + 1, p) for i in range(first, last)])
-        avg = np.repeat(comp[:, first:last], counts, axis=1)
-        avg += np.concatenate([comp[:, i + 1 :] for i in range(first, last)], axis=1)
+    for ii, jj in _indiv_pairs(gs.means, _eigenvalue_bounds(gs.scales)):
+        avg = np.take(comp, ii, axis=1)
+        avg += np.take(comp, jj, axis=1)
         avg *= 0.5
-        diff = np.repeat(means[:, first:last], counts, axis=1)
-        diff -= np.concatenate([means[:, i + 1 :] for i in range(first, last)], axis=1)
+        diff = np.take(means, ii, axis=1)
+        diff -= np.take(means, jj, axis=1)
         log_det_avg, quad = _spd3_cholesky(*avg, x=diff)
         bc = np.exp(0.25 * (log_dets[ii] + log_dets[jj]) - 0.5 * log_det_avg - 0.125 * quad)
         overlap += scatter_sum(ii, bc, p) + scatter_sum(jj, bc, p)

@@ -1,12 +1,22 @@
 """Grid metrics and the utilization audit against independent oracles."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaussocc import metrics
-from gaussocc.core import MIN_SCALE, GaussianPrimitive, GaussianSet, build_covariance, covariance_matrices
+from gaussocc.core import (
+    MIN_SCALE,
+    GaussianPrimitive,
+    GaussianSet,
+    build_covariance,
+    covariance_matrices,
+    rotation_matrices,
+)
 from gaussocc.grid import GridSpec, VoxelGrid
 from gaussocc.metrics import (
     CHI2_3DOF_90,
@@ -96,6 +106,37 @@ def components(covs):
     """The six upper-triangle component arrays ``a b c d e f`` of (n, 3, 3)
     symmetric matrices."""
     return [covs[:, i, j] for i, j in ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))]
+
+
+def pair_coefficients(gs):
+    """(P, P) closed-form Bhattacharyya coefficients of every pair, row by
+    row, with a zero diagonal: the exhaustive oracle for the pruned
+    ``indiv_overlap``."""
+    p = len(gs)
+    comp = np.stack(components(covariance_matrices(gs)))
+    log_dets = metrics._spd3_cholesky(*comp)
+    out = np.zeros((p, p))
+    for i in range(p - 1):
+        j = np.arange(i + 1, p)
+        log_det_avg, quad = metrics._spd3_cholesky(*(0.5 * (comp[:, i, None] + comp[:, j])),
+                                                   x=(gs.means[i] - gs.means[j]).T)
+        out[i, j] = np.exp(0.25 * (log_dets[i] + log_dets[j]) - 0.5 * log_det_avg - 0.125 * quad)
+    return out + out.T
+
+
+def box_recipe_set(p, seed):
+    """Means uniform in a 100 x 100 x 8 m box and scales of 0.25-1.5 m,
+    the extent and sizes of a paper-grid set."""
+    rng = np.random.default_rng(seed)
+    return GaussianSet(means=rng.uniform((0, 0, 0), (100, 100, 8), size=(p, 3)),
+                       scales=rng.uniform(0.25, 1.5, size=(p, 3)), rotations=rng.normal(size=(p, 4)),
+                       opacities=rng.uniform(0.1, 1.0, size=p), logits=rng.normal(size=(p, 4)))
+
+
+def assert_within_pruning_contract(value, exact, p):
+    # The pruned sum loses at most (P - 1) * 1e-16 per Gaussian; the rest is
+    # summation order.
+    assert abs(value - exact) <= (p - 1) * 2e-16 + 1e-12 * exact
 
 
 def isotropic(mean, scale=1.0, logits=(0.0, 0.0)):
@@ -355,6 +396,15 @@ class TestBhattacharyya:
             gb = random_gaussian_set(rng, 1, 2).primitive(0)
             assert bhattacharyya_coef(ga, gb) == pytest.approx(bhattacharyya_coef(gb, ga), abs=1e-12)
 
+    @pytest.mark.parametrize("overflowing", [0, 1])
+    def test_non_finite_covariance_rejected(self, overflowing):
+        pair = [isotropic((0, 0, 0)), isotropic((1, 1, 1))]
+        pair[overflowing] = isotropic((1, 1, 1), scale=1e160)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"Gaussian {overflowing} has a non-finite covariance"):
+                bhattacharyya_coef(*pair)
+
     def test_strictly_decreasing_with_separation(self):
         prev = 1.1
         for sep in (0.0, 0.5, 1.0, 2.0, 4.0):
@@ -438,6 +488,7 @@ class TestIndivOverlap:
         monkeypatch.setattr(metrics, "_INDIV_PAIR_BLOCK", block)
         self.test_matches_double_loop_oracle()
 
+
     def test_permutation_invariance_of_utilization_metrics(self):
         rng = np.random.default_rng(52)
         gs = random_gaussian_set(rng, 12, 3, spread=3.0)
@@ -485,3 +536,131 @@ class TestIndivOverlap:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="non-finite cutoff box"):
                 utilization_report(gs, gt, mc_samples=1000, seed=0)
+
+
+@st.composite
+def pruning_sets(draw):
+    """Sets for the pruned individual overlap: log-uniform scales from
+    MIN_SCALE to 100, coincident means, repeated x coordinates, and copies
+    of a Gaussian placed just inside or just outside its drop radius along
+    its major axis, where the tail bound is tight."""
+    p = draw(st.integers(2, 60), label="p")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    spread = draw(st.sampled_from([0.0, 0.5, 20.0, 1000.0]), label="spread")
+    means = rng.uniform(-spread, spread, size=(p, 3))
+    scales = np.exp(rng.uniform(np.log(MIN_SCALE), np.log(100.0), size=(p, 3)))
+    if draw(st.booleans(), label="isotropic"):
+        scales[:] = scales[:, :1]
+    rotations = rng.normal(size=(p, 4))
+    x_levels = draw(st.integers(1, p), label="x_levels")
+    means[:, 0] = rng.choice(means[:x_levels, 0], size=p)
+    coincident = draw(st.integers(0, p - 1), label="coincident")
+    means[1 : 1 + coincident] = means[0]
+    for a in range(0, p - 1, 2)[: draw(st.integers(0, p // 2), label="boundary_pairs")]:
+        b = a + 1
+        scales[b], rotations[b] = scales[a], rotations[a]
+        major = rotation_matrices(rotations[a])[:, np.argmax(scales[a])]
+        radius = np.sqrt(metrics._INDIV_REACH * 2.0 * np.max(scales[a]) ** 2)
+        factor = 1.0 + draw(st.sampled_from([-1e-6, -1e-9, 0.0, 1e-9, 1e-6, 1e-3]), label="offset")
+        means[b] = means[a] + major * radius * factor
+    return GaussianSet(means=means, scales=scales, rotations=rotations,
+                       opacities=np.ones(p), logits=np.zeros((p, 2)))
+
+
+class TestIndivOverlapPruning:
+    @settings(max_examples=200, deadline=None)
+    @given(gs=pruning_sets())
+    def test_matches_exhaustive_oracle(self, gs):
+        p = len(gs)
+        exact = pair_coefficients(gs)
+        assert_within_pruning_contract(indiv_overlap(gs), exact.sum() / p, p)
+        kept = np.zeros((p, p), dtype=bool)
+        for ii, jj in metrics._indiv_pairs(gs.means, metrics._eigenvalue_bounds(gs.scales)):
+            assert np.all(ii != jj) and not np.any(kept[ii, jj] | kept[jj, ii])
+            kept[ii, jj] = kept[jj, ii] = True
+        np.fill_diagonal(kept, True)
+        assert np.all(exact[~kept] <= metrics._INDIV_EPS)
+        # Kept and dropped pairs follow the drop rule, up to its rounding.
+        lam = metrics._eigenvalue_bounds(gs.scales)
+        d2 = np.sum((gs.means[:, None] - gs.means[None]) ** 2, axis=2)
+        ratio = d2 / (metrics._INDIV_REACH * (lam[:, None] + lam[None]))
+        assert np.all(ratio[kept] <= 1.0 + 1e-9) and np.all(ratio[~kept] > 1.0 - 1e-9)
+
+    def test_pairs_one_ulp_past_the_window_sum_are_kept(self):
+        # Pairs of equal Gaussians whose x offset is one ulp beyond
+        # x_i + radius, as the kernel rounds that sum, yet whose rounded d2
+        # still meets the drop rule. Each pair sits on its own y row, far
+        # from the others.
+        pairs = []
+        for scale in np.geomspace(MIN_SCALE, 100.0, 60):
+            lam = metrics._eigenvalue_bounds(np.full((1, 3), scale))[0]
+            radius = np.sqrt(metrics._INDIV_REACH * (lam + lam))
+            xi = np.linspace(-radius, radius, 401)
+            xj = np.nextafter(xi + radius, np.inf)
+            edge = (xj - xi) ** 2 <= metrics._INDIV_REACH * (lam + lam)
+            pairs += [(a, b, lam) for a, b in zip(xi[edge], xj[edge])]
+        assert len(pairs) > 1000
+        n = 2 * len(pairs)
+        means = np.zeros((n, 3))
+        means[:, 0] = [x for a, b, _ in pairs for x in (a, b)]
+        means[:, 1] = np.repeat(1e5 * np.arange(len(pairs)), 2)
+        lams = np.repeat([lam for *_, lam in pairs], 2)
+        listed = {(min(i, j), max(i, j)) for ii, jj in metrics._indiv_pairs(means, lams) for i, j in zip(ii, jj)}
+        assert listed == {(k, k + 1) for k in range(0, n, 2)}
+
+    def test_overflowing_drop_test_keeps_or_drops_without_warning(self):
+        # Finite covariances whose drop threshold (two scales of 1e153) or
+        # squared distance (1e155 apart) overflows: an infinite threshold
+        # keeps the pair and an infinite distance against a finite
+        # threshold drops it.
+        gs = GaussianSet.from_primitives([isotropic((0, 0, 0), scale=1e153), isotropic((1e154, 0, 0), scale=1e153),
+                                          isotropic((5, 0, 0), scale=1e10), isotropic((1e155, 0, 0))])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            total = sum(bhattacharyya_coef(gs.primitive(i), gs.primitive(j))
+                        for i in range(4) for j in range(4) if i != j)
+            assert total > 0.0
+            assert_within_pruning_contract(indiv_overlap(gs), total / 4, 4)
+
+    @pytest.mark.parametrize("make", ["ill_conditioned", "isotropic", "two_equal_maxima"])
+    def test_eigenvalue_bounds_hold(self, make):
+        rng = np.random.default_rng(57)
+        gs = ill_conditioned_set(rng, 4000)
+        scales = {"ill_conditioned": gs.scales,
+                  "isotropic": np.repeat(gs.scales[:, :1], 3, axis=1),
+                  "two_equal_maxima": np.column_stack([gs.scales[:, 0], gs.scales[:, 0], gs.scales[:, 1] / 1e3])}[make]
+        gs = GaussianSet(means=gs.means, scales=scales, rotations=rng.normal(size=(4000, 4)),
+                         opacities=gs.opacities, logits=gs.logits)
+        largest = np.linalg.eigvalsh(covariance_matrices(gs))[:, -1]
+        assert np.all(largest <= metrics._eigenvalue_bounds(gs.scales))
+
+    def test_paper_scale_memory_is_bounded(self):
+        # P=6400: the exhaustive row blocks peaked at 14.1 MB; the candidate
+        # blocks and their kept pairs peak at 4.5 MB.
+        gs = box_recipe_set(6400, 6400)
+        tracemalloc.start()
+        try:
+            value = indiv_overlap(gs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert value > 1.0
+        assert peak < 32 * 2**20
+
+    def test_paper_recipe_matches_exhaustive_oracle(self):
+        gs = box_recipe_set(2048, 2048)
+        exact = pair_coefficients(gs)
+        assert np.mean(exact > metrics._INDIV_EPS) < 0.2  # most pairs are pruned
+        assert_within_pruning_contract(indiv_overlap(gs), exact.sum() / 2048, 2048)
+
+    @pytest.mark.parametrize("block", [1, 100, 500])
+    def test_blocks_do_not_change_the_pairs(self, block, monkeypatch):
+        gs = box_recipe_set(300, 3)
+        lam = metrics._eigenvalue_bounds(gs.scales)
+        expected = {(min(i, j), max(i, j)) for ii, jj in metrics._indiv_pairs(gs.means, lam) for i, j in zip(ii, jj)}
+        monkeypatch.setattr(metrics, "_INDIV_PAIR_BLOCK", block)
+        blocks = list(metrics._indiv_pairs(gs.means, lam))
+        assert len(blocks) > 1
+        got = [(min(i, j), max(i, j)) for ii, jj in blocks for i, j in zip(ii, jj)]
+        assert len(got) == len(set(got)) and set(got) == expected
+
