@@ -217,13 +217,15 @@ def build_covariance(g: GaussianPrimitive) -> CovarianceDecomposition:
     """Assemble the covariance factors of a primitive.
 
     The inverse is ``R @ diag(1/s^2) @ R.T`` and the determinant is
-    ``prod(s)**2``; both are exact consequences of the factorization.
+    ``prod(s)**2``; both are exact consequences of the factorization. A
+    determinant beyond the float range is ``inf``.
     """
     rot = quat_to_rotation(g.rotation)
     s = g.scale
     cov = (rot * (s * s)) @ rot.T
     inv = (rot / (s * s)) @ rot.T
-    det = float(np.prod(s)) ** 2
+    with np.errstate(over="ignore"):
+        det = float(np.square(np.prod(s)))
     return CovarianceDecomposition(
         rotation_matrix=_frozen(rot),
         scale_matrix=_frozen(np.diag(s)),

@@ -80,13 +80,24 @@ class GridSpec:
         including far and non-finite ones, are clipped into range and must
         be masked by ``inside``.
         """
+        cols, inside = self.voxel_columns(points)
+        return np.stack(cols, axis=1), inside
+
+    def voxel_columns(self, points: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+        """:meth:`point_to_voxel` one axis at a time: the (N,) index column
+        of each axis, and inside (N,)."""
         points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        with np.errstate(over="ignore", invalid="ignore"):
-            rel = (points - self.min_corner) / self.voxel_size
-        # floor(r) lies in [0, n) exactly when r does; fmax/fmin send NaN to 0.
-        inside = np.all((rel >= 0) & (rel < self.resolution), axis=1)
-        idx = np.floor(np.fmin(np.fmax(rel, 0), self.resolution - 1)).astype(np.int64)
-        return idx, inside
+        size = self.voxel_size
+        cols = []
+        inside = np.ones(points.shape[0], dtype=bool)
+        for a in range(3):
+            n = self.resolution[a]
+            with np.errstate(over="ignore", invalid="ignore"):
+                rel = (points[:, a] - self.min_corner[a]) / size[a]
+            # floor(r) lies in [0, n) exactly when r does; fmax/fmin send NaN to 0.
+            inside &= (rel >= 0) & (rel < n)
+            cols.append(np.floor(np.fmin(np.fmax(rel, 0), n - 1)).astype(np.int64))
+        return cols, inside
 
     def describes_same_grid(self, other: "GridSpec") -> bool:
         return (
@@ -139,8 +150,9 @@ class VoxelGrid:
 
     def labels_at_points(self, points: np.ndarray) -> np.ndarray:
         """Labels at arbitrary points; outside the grid reads as empty."""
-        idx, inside = self.spec.point_to_voxel(points)
-        out = self.labels[idx[:, 0], idx[:, 1], idx[:, 2]].astype(np.int64)
+        (ix, iy, iz), inside = self.spec.voxel_columns(points)
+        _, ny, nz = self.labels.shape
+        out = self.labels_flat[(ix * ny + iy) * nz + iz].astype(np.int64)
         out[~inside] = 0
         return out
 

@@ -1,5 +1,7 @@
 """Primitive data model and covariance algebra."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -100,6 +102,14 @@ class TestBuildCovariance:
         assert g.scale[1] == MIN_SCALE
         cd = build_covariance(g)
         assert cd.det > 0
+
+    def test_overflowing_determinant_is_inf(self):
+        # prod(scale) = 1e300 is finite; its square is not.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cd = build_covariance(prim(scale=(1e100, 1e100, 1e100)))
+        assert cd.det == np.inf
+        assert np.all(np.isfinite(cd.covariance))
 
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=40, deadline=None)

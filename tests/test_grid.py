@@ -301,3 +301,31 @@ class TestSpecValidation:
         assert inside.all()
         expected = np.floor((points - spec.min_corner) / spec.voxel_size).astype(np.int64)
         np.testing.assert_array_equal(idx, expected)
+
+    def test_labels_at_points_equal_the_three_index_gather(self):
+        # The (N, 3) lookup the column-wise one replaced, kept as the oracle.
+        def gather(grid, points):
+            spec = grid.spec
+            with np.errstate(over="ignore", invalid="ignore"):
+                rel = (points - spec.min_corner) / spec.voxel_size
+            inside = np.all((rel >= 0) & (rel < spec.resolution), axis=1)
+            idx = np.floor(np.fmin(np.fmax(rel, 0), spec.resolution - 1)).astype(np.int64)
+            out = grid.labels[idx[:, 0], idx[:, 1], idx[:, 2]].astype(np.int64)
+            out[~inside] = 0
+            return out
+
+        rng = np.random.default_rng(12)
+        spec = GridSpec(np.array([-1 / 3, 2.0, -7.1]), np.array([3.0, 2.7, 1.0]), np.array([10, 7, 5]), 6)
+        grid = VoxelGrid(spec=spec, labels=rng.integers(0, 6, size=spec.num_voxels))
+        vs = spec.voxel_size
+        faces = spec.min_corner + rng.integers(-1, spec.resolution + 2, size=(3000, 3)) * vs
+        random = rng.uniform(spec.min_corner - vs, spec.max_corner + vs, size=(3000, 3))
+        odd = rng.choice([np.nan, np.inf, -np.inf, 1e308, -1e308, 0.0], size=(3000, 3))
+        mixed = np.where(rng.random((3000, 3)) < 0.2, odd, random)
+        for points in (faces, random, mixed, np.vstack([faces, mixed])):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = grid.labels_at_points(points)
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(got, gather(grid, points))
+        assert 0 < np.count_nonzero(gather(grid, mixed)) < len(mixed)

@@ -1,7 +1,9 @@
-"""The package imports without scipy; only the audit's nearest-distance
-search loads it. The benchmark's imports and wrap targets resolve, and its
-wrapped layers record spans."""
+"""The package needs numpy alone: it imports no other third-party module,
+and neither importing the CLI nor a real ``gaussocc audit`` run loads
+scipy, which the tests use only as an oracle. The benchmark's imports and
+wrap targets resolve, and its wrapped layers record spans."""
 
+import ast
 import importlib
 import os
 import subprocess
@@ -13,6 +15,10 @@ import scipy.special
 
 from gaussocc.core import MIN_SCALE, rotation_matrices
 from gaussocc.field import softmax
+from gaussocc.grid import save_grid
+from gaussocc.io import save_gaussian_set
+
+from conftest import random_gaussian_set
 
 _SRC = Path(__file__).resolve().parent.parent / "src"
 _PERFBENCH = _SRC.parent / "perfbench"
@@ -56,6 +62,39 @@ def test_cli_import_loads_no_scipy_and_nearest_dist_still_works():
     assert modules == "[]"
     # The one occupied center is (1.5, 2.5, 3.5): L1 distances 0 and 7.5.
     assert float(dist) == 3.75
+
+
+def test_audit_run_loads_no_scipy(tmp_path, mini_street):
+    gt, _ = mini_street
+    rng = np.random.default_rng(4)
+    save_grid(tmp_path / "gt.ogrid", gt)
+    save_gaussian_set(tmp_path / "gs.gsocc", random_gaussian_set(rng, 64, gt.spec.num_classes_total))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(_SRC) + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    # -X importtime lists every module the run imports on stderr.
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "gaussocc.cli", "audit", "--gaussians", "gs.gsocc",
+         "--gt", "gt.ogrid", "--mc-samples", "2000", "--report", "audit.json"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    imported = [line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")]
+    assert "numpy" in imported and "gaussocc.metrics" in imported
+    assert [m for m in imported if m.split(".")[0] == "scipy"] == []
+    assert "mean_dist" in (tmp_path / "audit.json").read_text()
+
+
+def test_package_imports_no_third_party_module_but_numpy():
+    allowed = set(sys.stdlib_module_names) | {"numpy", "gaussocc"}
+    found = set()
+    for path in sorted((_SRC / "gaussocc").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                found.update((path.name, alias.name.split(".")[0]) for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                found.add((path.name, node.module.split(".")[0]))
+    assert {name for _, name in found} >= {"numpy", "__future__"}
+    assert sorted((f, name) for f, name in found if name not in allowed) == []
 
 
 def test_softmax_is_bit_identical_to_scipy():

@@ -17,7 +17,7 @@ from gaussocc.core import (
     covariance_matrices,
     rotation_matrices,
 )
-from gaussocc.grid import GridSpec, VoxelGrid
+from gaussocc.grid import GridSpec, VoxelGrid, nuscenes_grid_spec
 from gaussocc.metrics import (
     CHI2_3DOF_90,
     ConfusionMatrix,
@@ -292,6 +292,110 @@ class TestPositionMetrics:
             mean_nearest_dist(gs, gt)
 
 
+def nearest_l1_oracle(gt, points):
+    centers = gt.occupied_centers()
+    return np.array([np.min(np.sum(np.abs(centers - m), axis=1)) for m in points])
+
+
+def nearest_l1(gt, points):
+    return metrics._nearest_occupied_l1(points, gt.occupied_mask, gt.spec.centers().axes())
+
+
+def set_at(means):
+    p = len(means)
+    return GaussianSet(
+        means=means,
+        scales=np.ones((p, 3)),
+        rotations=np.tile([1.0, 0, 0, 0], (p, 1)),
+        opacities=np.ones(p),
+        logits=np.zeros((p, 1)),
+    )
+
+
+@st.composite
+def nearest_cases(draw):
+    """A grid with anisotropic voxels and one to all voxels occupied, and
+    points whose coordinates lie on centers, on voxel faces, anywhere
+    near the grid or far outside it, axis by axis."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    res = np.array([draw(st.integers(1, 9)) for _ in range(3)])
+    size = np.array([draw(st.sampled_from([1 / 3, 0.1, 0.7, 1.0, 2.5])) for _ in range(3)])
+    lo = np.array([draw(st.sampled_from([0.0, -1 / 3, 5.1, -40.0])) for _ in range(3)])
+    spec = GridSpec(lo, lo + size * res, res, 2)
+    labels = (rng.random(tuple(res)) < draw(st.sampled_from([0.0, 0.02, 0.2, 1.0]))).astype(np.uint16)
+    labels[tuple(rng.integers(0, res))] = 1
+    n = 40
+    centers = spec.centers().axes()
+    vs = spec.voxel_size
+    cols = []
+    for a in range(3):
+        options = np.stack([
+            rng.choice(centers[a], size=n),
+            lo[a] + rng.integers(0, res[a] + 1, size=n) * vs[a],
+            rng.uniform(lo[a] - 3 * vs[a], spec.max_corner[a] + 3 * vs[a], size=n),
+            rng.choice([-1.0, 1.0], size=n) * 10.0 ** rng.uniform(2, 6, size=n),
+        ])
+        cols.append(options[rng.integers(0, 4, size=n), np.arange(n)])
+    return VoxelGrid(spec=spec, labels=labels), np.stack(cols, axis=1)
+
+
+class TestNearestOccupied:
+    @given(nearest_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_bit_equal_to_brute_force(self, case):
+        gt, points = case
+        expected = nearest_l1_oracle(gt, points)
+        np.testing.assert_array_equal(nearest_l1(gt, points), expected)
+        assert mean_nearest_dist(set_at(points), gt) == float(np.mean(expected))
+
+    def test_window_doubles_to_a_far_row(self):
+        # The one occupied voxel is 63 rows from the points: the search
+        # window doubles six times before it reaches row 0.
+        labels = np.zeros((3, 64, 2), dtype=np.uint16)
+        labels[1, 0, 1] = 1
+        gt = grid_of(labels, classes=2)
+        rng = np.random.default_rng(3)
+        points = np.column_stack([rng.uniform(0, 3, 50), rng.uniform(60, 64, 50), rng.uniform(0, 2, 50)])
+        np.testing.assert_array_equal(nearest_l1(gt, points), nearest_l1_oracle(gt, points))
+
+    def test_overflowing_distances_without_warning(self):
+        rng = np.random.default_rng(8)
+        gt = grid_of((rng.random((5, 4, 3)) < 0.3).astype(np.uint16), classes=2)
+        points = np.array([[1.7e308, 2.0, 1.0], [-1.7e308, -1.7e308, 0.0], [9e307, 9e307, 9e307], [1e308, 0.0, -1e308]])
+        with np.errstate(over="ignore"):
+            expected = nearest_l1_oracle(gt, points)
+        assert np.isinf(expected).any()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            np.testing.assert_array_equal(nearest_l1(gt, points), expected)
+            assert mean_nearest_dist(set_at(points), gt) == np.inf
+
+    @pytest.mark.parametrize("block", [1, 7, 100])
+    def test_blocks_do_not_change_distances(self, block, monkeypatch):
+        rng = np.random.default_rng(5)
+        gt = grid_of((rng.random((6, 9, 4)) < 0.1).astype(np.uint16), classes=2)
+        points = rng.uniform(-3, 12, size=(60, 3))
+        expected = nearest_l1_oracle(gt, points)
+        monkeypatch.setattr(metrics, "_NEAREST_BLOCK", block)
+        np.testing.assert_array_equal(nearest_l1(gt, points), expected)
+
+    def test_paper_scale_memory_bound(self):
+        spec = nuscenes_grid_spec(num_classes_total=2)
+        rng = np.random.default_rng(11)
+        gt = VoxelGrid(spec=spec, labels=(rng.random(tuple(spec.resolution)) < 0.13).astype(np.uint16))
+        means = rng.uniform(spec.min_corner - 2.0, spec.max_corner + 2.0, size=(6400, 3))
+        gs = set_at(means)
+        tracemalloc.start()
+        try:
+            value = mean_nearest_dist(gs, gt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+        assert value == float(np.mean(nearest_l1(gt, means)))
+        np.testing.assert_array_equal(nearest_l1(gt, means[:200]), nearest_l1_oracle(gt, means[:200]))
+
+
 class TestEllipsoidVolume:
     UNIT_VOLUME = 4.0 / 3.0 * np.pi * CHI2_3DOF_90**1.5
 
@@ -395,6 +499,13 @@ class TestBhattacharyya:
             ga = random_gaussian_set(rng, 1, 2).primitive(0)
             gb = random_gaussian_set(rng, 1, 2).primitive(0)
             assert bhattacharyya_coef(ga, gb) == pytest.approx(bhattacharyya_coef(gb, ga), abs=1e-12)
+
+    def test_identical_with_overflowing_determinant_is_exactly_one(self):
+        # The covariance 1e200 I is finite; det(Sigma) = 1e600 is not.
+        g = isotropic((1, 2, 3), scale=1e100)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert bhattacharyya_coef(g, g) == 1.0
 
     @pytest.mark.parametrize("overflowing", [0, 1])
     def test_non_finite_covariance_rejected(self, overflowing):
