@@ -64,12 +64,17 @@ def _seed(text: str) -> int:
     return value
 
 
-def _positive(text: str) -> int:
-    """argparse type of the sample, iteration and Gaussian counts."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _at_least(low: int):
+    """argparse type of a count that must be at least ``low``: the sample,
+    iteration and Gaussian counts, and the ray reference count."""
+
+    def count(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return count
 
 
 def _info(message: str) -> None:
@@ -235,8 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", choices=("probabilistic", "additive"))
     p.add_argument("--init", choices=("grid", "random"))
     p.add_argument("--seed", type=_seed)
-    p.add_argument("--iterations", type=_positive)
-    p.add_argument("--gaussians", type=_positive)
+    p.add_argument("--iterations", type=_at_least(1))
+    p.add_argument("--gaussians", type=_at_least(1))
     p.add_argument("--out", required=True)
     p.add_argument("--trace", help="CSV loss/metric trace destination")
     p.set_defaults(func=cmd_fit)
@@ -250,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("audit", help="utilization report for a Gaussian set")
     p.add_argument("--gaussians", required=True)
     p.add_argument("--gt", required=True)
-    p.add_argument("--mc-samples", type=_positive, default=1_000_000)
+    p.add_argument("--mc-samples", type=_at_least(1), default=1_000_000)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--report", required=True)
     p.set_defaults(func=cmd_audit)
@@ -260,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gt", required=True)
     p.add_argument("--depth-min", type=float, default=1.0)
     p.add_argument("--depth-max", type=float, default=51.2)
-    p.add_argument("--num-refs", type=int, default=64)
+    p.add_argument("--num-refs", type=_at_least(2), default=64)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_rays)
 

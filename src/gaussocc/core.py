@@ -181,6 +181,19 @@ class GaussianSet:
             logits=np.stack([p.semantics for p in prims]),
         )
 
+    def rows(self) -> np.ndarray:
+        """(P, 11 + C) rows, one per Gaussian: mean (3), scale (3),
+        quaternion wxyz (4), opacity (1), logits (C). The one row layout,
+        shared by the GSOCC file and the fit's parameter blocks."""
+        return np.concatenate([self.means, self.scales, self.rotations, self.opacities[:, None], self.logits], axis=1)
+
+    @classmethod
+    def from_rows(cls, rows: np.ndarray) -> "GaussianSet":
+        """The set whose :meth:`rows` are ``rows``, validated and normalized
+        as by the constructor."""
+        return cls(means=rows[:, 0:3], scales=rows[:, 3:6], rotations=rows[:, 6:10], opacities=rows[:, 10],
+                   logits=rows[:, 11:])
+
     def primitive(self, i: int) -> GaussianPrimitive:
         # Rows are already validated and normalized; copy them verbatim so a
         # primitive view is bit-identical to the stored columns (a second

@@ -151,6 +151,13 @@ class _Pairs(NamedTuple):
         return _Pairs(np.compress(keep, self.gauss), np.compress(keep, self.point), kept_before[self.bounds])
 
 
+def _runs(first: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """The runs ``first[i], first[i] + 1, ..., first[i] + count[i] - 1``,
+    concatenated in order."""
+    ends = np.cumsum(count)
+    return np.repeat(first - (ends - count), count) + np.arange(ends[-1] if ends.size else 0)
+
+
 def _cutoff_boxes(means: np.ndarray, cov_diag: np.ndarray, cutoff: float) -> np.ndarray:
     """(P, 3) half-widths ``sqrt(cutoff * Sigma[a, a])`` of the boxes that
     enclose the cutoff ellipsoids, padded by :data:`_BOX_PAD`; raises when
@@ -196,9 +203,8 @@ class _CellIndex:
         self.cell = cell
         self.shape = last.max(axis=0) + 1
         self.column_bounds = np.concatenate([[0], np.cumsum(columns)])
-        self.column_gauss = np.repeat(np.arange(p), columns)
-        g = self.column_gauss
-        j = np.arange(g.size) - self.column_bounds[g]
+        self.column_gauss = g = np.repeat(np.arange(p), columns)
+        j = _runs(np.zeros_like(columns), columns)
         ix = first[g, 0] + j // span[g, 1]
         iy = first[g, 1] + j % span[g, 1]
         base = (ix * self.shape[1] + iy) * self.shape[2]
@@ -213,19 +219,12 @@ class _CellIndex:
         keys = (cells[:, 0] * self.shape[1] + cells[:, 1]) * self.shape[2] + cells[:, 2]
         order = np.argsort(keys, kind="stable")
         keys = keys[order]
-        start = np.zeros(self.key_lo.size, dtype=np.int64)
-        count = np.zeros_like(start)
-        if keys.size:
-            # Only the columns that overlap the points' key range are searched.
-            near = np.flatnonzero((self.key_hi > keys[0]) & (self.key_lo <= keys[-1]))
-            start[near] = np.searchsorted(keys, self.key_lo[near])
-            count[near] = np.searchsorted(keys, self.key_hi[near]) - start[near]
-        ends = np.cumsum(count)
-        pos = np.repeat(start - (ends - count), count) + np.arange(ends[-1])
-        pair_ends = np.concatenate([[0], ends])
+        start = np.searchsorted(keys, self.key_lo)
+        count = np.searchsorted(keys, self.key_hi) - start
+        pair_ends = np.concatenate([[0], np.cumsum(count)])
         return _Pairs(
             np.repeat(self.column_gauss, count),
-            inside[order[pos]],
+            inside[order[_runs(start, count)]],
             pair_ends[self.column_bounds],
         )
 
@@ -313,7 +312,7 @@ class _VoxelLattice:
             x0, x1 = self._range(0, means[:, 0], np.sqrt(self.reach * sxx))
             nx = np.maximum(x1 - x0 + 1, 0)
             g = np.repeat(np.arange(p), nx)
-            ix = x0[g] + np.arange(g.size) - np.repeat(np.cumsum(nx) - nx, nx)
+            ix = _runs(x0, nx)
             dx = self.axes[0][ix] - means[g, 0]
             qx = dx * dx / sxx[g]
             rem = self.reach - qx
@@ -353,7 +352,7 @@ class _VoxelLattice:
         r = np.flatnonzero((self.ix >= start) & (self.ix < stop))
         ny = self.ny[r]
         col = np.repeat(r, ny)
-        iy = self.y0[col] + np.arange(col.size) - np.repeat(np.cumsum(ny) - ny, ny)
+        iy = _runs(self.y0[r], ny)
         g = self.g[col]
         with np.errstate(over="ignore", invalid="ignore"):
             dy = self.axes[1][iy] - self.means[g, 1]
@@ -363,11 +362,10 @@ class _VoxelLattice:
             z0, z1 = self._range(2, z_mid, np.sqrt(self.var_z[g] * rem))
         nz = np.where(rem < 0.0, 0, np.maximum(z1 - z0 + 1, 0))
         first = ((self.ix[col] - start) * ny_all + iy) * nz_all + z0
-        ends = np.cumsum(nz)
         per_gauss = np.bincount(g, nz, minlength=self.means.shape[0]).astype(np.int64)
         pairs = _Pairs(
             np.repeat(g, nz),
-            np.repeat(first - (ends - nz), nz) + np.arange(ends[-1] if ends.size else 0),
+            _runs(first, nz),
             np.concatenate([[0], np.cumsum(per_gauss)]),
         )
         return self.centers.rows(start, stop), pairs

@@ -62,12 +62,22 @@ def inv_softplus(y: np.ndarray) -> np.ndarray:
     return np.where(y > 20.0, y + np.log1p(-np.exp(-y)), small)
 
 
+def _constrained(blk: np.ndarray) -> np.ndarray:
+    """The (P, stride) parameter blocks mapped to the rows of the set they
+    decode to: scales and opacities overflow long before their raw values."""
+    out = blk.copy()
+    with np.errstate(over="ignore"):
+        out[:, 3:6] = np.exp(blk[:, 3:6])
+        out[:, 10] = softplus(blk[:, 10])
+    return out
+
+
 @dataclass(frozen=True)
 class ParamVector:
-    """Flat unconstrained parameters of a Gaussian set.
-
-    Per-Gaussian layout: mean (3), log-scale (3), quaternion wxyz (4),
-    raw opacity (1), logits (``num_channels``).
+    """Flat unconstrained parameters of a Gaussian set: the rows of
+    :meth:`GaussianSet.rows`, the one row layout, with log-scales in place
+    of the scales and raw opacities (inverse softplus) in place of the
+    opacities.
     """
 
     values: np.ndarray
@@ -89,27 +99,13 @@ class ParamVector:
 
     @classmethod
     def encode(cls, gs: GaussianSet) -> "ParamVector":
-        blocks = np.concatenate(
-            [
-                gs.means,
-                np.log(gs.scales),
-                gs.rotations,
-                inv_softplus(gs.opacities)[:, None],
-                gs.logits,
-            ],
-            axis=1,
-        )
-        return cls(values=blocks.reshape(-1), num_gaussians=len(gs), num_channels=gs.num_classes)
+        blk = gs.rows()
+        blk[:, 3:6] = np.log(gs.scales)
+        blk[:, 10] = inv_softplus(gs.opacities)
+        return cls(values=blk.reshape(-1), num_gaussians=len(gs), num_channels=gs.num_classes)
 
     def decode(self) -> GaussianSet:
-        blk = self.values.reshape(self.num_gaussians, self.stride)
-        return GaussianSet(
-            means=blk[:, 0:3],
-            scales=np.exp(blk[:, 3:6]),
-            rotations=blk[:, 6:10],
-            opacities=softplus(blk[:, 10]),
-            logits=blk[:, 11:],
-        )
+        return GaussianSet.from_rows(_constrained(self.values.reshape(self.num_gaussians, self.stride)))
 
 
 INIT_POLICIES = ("grid", "random")
@@ -578,16 +574,6 @@ _PARAM_GROUPS = (
 )
 
 
-def _constrained(blk: np.ndarray) -> np.ndarray:
-    """The (P, stride) parameter blocks mapped to the values a decoded set
-    holds: scales and opacities overflow long before their raw values."""
-    out = blk.copy()
-    with np.errstate(over="ignore"):
-        out[:, 3:6] = np.exp(blk[:, 3:6])
-        out[:, 10] = softplus(blk[:, 10])
-    return out
-
-
 def _require_finite(blk: np.ndarray, what: str, iteration: int) -> None:
     """Fail fast, naming the parameter group, on a non-finite entry of a
     (P, stride) block of gradients or parameters."""
@@ -618,58 +604,51 @@ def fit(gt: VoxelGrid, cfg: FitConfig) -> FitResult:
     opts = EvalOptions(cutoff_mahalanobis_sq=cfg.cutoff_mahalanobis_sq)
     initial = init_from_grid(gt, cfg) if cfg.init == "grid" else random_init(gt, cfg)
     pv = ParamVector.encode(initial)
-    theta = pv.values.copy()
     p, ch = pv.num_gaussians, pv.num_channels
-    stride = pv.stride
-
+    blk = pv.values.reshape(p, pv.stride)
     # Decoupled weight decay applies to log-scales, raw opacity and logits.
     # Means are geometry (decay would drag the scene toward the origin) and
     # quaternions are directions (decay would violate norm preservation).
-    decay_mask = np.zeros((p, stride), dtype=bool)
-    decay_mask[:, 3:6] = True
-    decay_mask[:, 10:] = True
-    decay_mask = decay_mask.reshape(-1)
-
-    def renormalize_quats(vec: np.ndarray) -> None:
-        # The preconditioned update is not exactly tangent to the quaternion
-        # sphere; the loss is radial-invariant, so snap the norm back.
-        quats = vec.reshape(p, stride)[:, 6:10]
-        quats /= np.linalg.norm(quats, axis=1, keepdims=True)
+    decay = np.r_[3:6, 10 : pv.stride]
 
     rng = _stream(cfg.seed, 2)
     pools = _SamplePools(gt)
-    m = np.zeros_like(theta)
-    vv = np.zeros_like(theta)
+    m = np.zeros_like(blk)
+    vv = np.zeros_like(blk)
     losses = np.empty(cfg.iterations)
     metrics: list[tuple[int, float, float]] = []
 
     def record(iteration: int):
-        gs = ParamVector(values=theta, num_gaussians=p, num_channels=ch).decode()
-        i, mi = _evaluate(gs, gt, cfg.model, opts)
+        i, mi = _evaluate(GaussianSet.from_rows(_constrained(blk)), gt, cfg.model, opts)
         metrics.append((iteration, i, mi))
 
     record(0)
     span = max(cfg.iterations - 1, 1)
     for t in range(cfg.iterations):
         points, labels = pools.draw(cfg.batch_points, cfg.occupied_ratio, rng)
-        loss, grad = _loss_and_grad(theta, p, ch, points, labels, cfg.model, opts.cutoff)
+        loss, grad = _loss_and_grad(blk, p, ch, points, labels, cfg.model, opts.cutoff)
         if not np.isfinite(loss):
             raise ValueError(f"fit diverged at iteration {t}: the loss is {loss}")
-        _require_finite(grad.reshape(p, stride), "gradient", t)
+        grad = grad.reshape(blk.shape)
+        _require_finite(grad, "gradient", t)
         losses[t] = loss
         lr = cfg.lr_min + 0.5 * (cfg.learning_rate - cfg.lr_min) * (1.0 + np.cos(np.pi * t / span))
         m = _ADAM_B1 * m + (1.0 - _ADAM_B1) * grad
         vv = _ADAM_B2 * vv + (1.0 - _ADAM_B2) * grad * grad
         m_hat = m / (1.0 - _ADAM_B1 ** (t + 1))
         v_hat = vv / (1.0 - _ADAM_B2 ** (t + 1))
-        theta = theta - lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
+        # A fresh block each step: an array once passed to _loss_and_grad
+        # is never changed afterwards.
+        blk = blk - lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
         if cfg.weight_decay:
-            theta[decay_mask] -= lr * cfg.weight_decay * theta[decay_mask]
-        renormalize_quats(theta)
-        _require_finite(_constrained(theta.reshape(p, stride)), "parameters", t)
+            blk[:, decay] -= lr * cfg.weight_decay * blk[:, decay]
+        # The preconditioned update is not exactly tangent to the quaternion
+        # sphere; the loss is radial-invariant, so snap the norm back.
+        blk[:, 6:10] /= np.linalg.norm(blk[:, 6:10], axis=1, keepdims=True)
+        _require_finite(_constrained(blk), "parameters", t)
         if (t + 1) % cfg.eval_every == 0 and t + 1 < cfg.iterations:
             record(t + 1)
 
     record(cfg.iterations)
-    final = ParamVector(values=theta, num_gaussians=p, num_channels=ch).decode()
+    final = GaussianSet.from_rows(_constrained(blk))
     return FitResult(gaussians=final, loss_trace=losses, metrics_trace=tuple(metrics))

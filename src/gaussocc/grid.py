@@ -15,6 +15,7 @@ variant). Reads auto-detect the variant.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +51,8 @@ class GridSpec:
                 raise ValueError("max_corner - min_corner must be finite on every axis")
         if not np.all(res > 0):
             raise ValueError("resolution must be positive")
+        if math.prod(res.tolist()) > np.iinfo(np.int64).max:
+            raise ValueError(f"resolution {res.tolist()} has more voxels than an int64 can count")
         if self.num_classes_total < 2:
             raise ValueError("need at least the empty class plus one semantic class")
         for name, arr in (("min_corner", lo), ("max_corner", hi), ("resolution", res)):

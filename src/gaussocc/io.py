@@ -1,8 +1,9 @@
 """File formats: Gaussian sets, cameras, key=value configs, reports, PPM.
 
 ``GSOCC v1`` is the Gaussian set format: one ASCII header line
-``GSOCC 1 <P> <C>`` followed by P lines of ``11 + C`` numbers each:
-mean (3), scale (3), quaternion wxyz (4), opacity (1), logits (C).
+``GSOCC 1 <P> <C>`` followed by P lines of ``11 + C`` numbers each, the
+rows of :meth:`GaussianSet.rows`: mean (3), scale (3), quaternion wxyz
+(4), opacity (1), logits (C).
 Floats are written with 17 significant digits, which round-trips IEEE
 doubles exactly.
 
@@ -37,10 +38,7 @@ def save_gaussian_set(path, gs: GaussianSet) -> None:
     p, c = len(gs), gs.num_classes
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"GSOCC 1 {p} {c}\n")
-        for i in range(p):
-            row = np.concatenate(
-                [gs.means[i], gs.scales[i], gs.rotations[i], [gs.opacities[i]], gs.logits[i]]
-            )
+        for row in gs.rows():
             fh.write(" ".join(format_number(v) for v in row) + "\n")
 
 
@@ -59,13 +57,7 @@ def load_gaussian_set(path) -> GaussianSet:
     rows = np.loadtxt(lines, dtype=np.float64, ndmin=2)
     if rows.shape != (p, 11 + c):
         raise ValueError(f"{path}: expected {p} rows of {11 + c} numbers, got {rows.shape}")
-    return GaussianSet(
-        means=rows[:, 0:3],
-        scales=rows[:, 3:6],
-        rotations=rows[:, 6:10],
-        opacities=rows[:, 10],
-        logits=rows[:, 11:],
-    )
+    return GaussianSet.from_rows(rows)
 
 
 # -- camera file ---------------------------------------------------------------

@@ -117,6 +117,12 @@ class TestSynth:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    def test_voxel_count_beyond_int64_is_runtime_error(self, tmp_path, capsys):
+        out = tmp_path / "x.ogrid"
+        assert run("synth", "--res", 2**32, 2**32, 1, "--out", out) == 1
+        assert "more voxels than an int64 can count" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_negative_exponent_numbers_are_values(self, tmp_path):
         paths = []
         for i, corner in enumerate([(-10, -10, 0), ("-1e1", "-1.0E+1", 0), ("-.1e2", "-10e0", "0e0")]):
@@ -536,6 +542,13 @@ class TestRays:
             want = occupancy_labels(pts, gt).reshape(block.shape[0], 1000)
             np.testing.assert_array_equal(text[start : start + 256, 0::2] - ord("0"), want)
         assert (text[:, 0::2] == ord("1")).any()
+
+    @pytest.mark.parametrize("num_refs", [1, 0, -3])
+    def test_fewer_than_two_refs_is_usage_error(self, num_refs, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run("rays", "--camera", "cam.txt", "--gt", "x.ogrid", "--out", "x.txt", "--num-refs", num_refs)
+        assert exc.value.code == 2
+        assert "argument --num-refs: must be >= 2" in capsys.readouterr().err
 
     def test_non_finite_depth_is_runtime_error(self, scene_file, tmp_path, capsys):
         cam_path = tmp_path / "cam.txt"

@@ -1,6 +1,8 @@
 """Parameter encoding, initialization, loss/gradient math and the fit loop."""
 
 import importlib
+import warnings
+from itertools import combinations
 from unittest import mock
 
 import numpy as np
@@ -82,6 +84,16 @@ class TestParamVector:
         )
         back = ParamVector.encode(gs).decode()
         assert back.opacities[0] == pytest.approx(1e-8, rel=1e-9)
+
+    def test_overflowing_log_scale_is_named_without_warning(self):
+        rng = np.random.default_rng(71)
+        values = ParamVector.encode(random_gaussian_set(rng, 3, 2)).values.copy()
+        values[13 + 4] = 1000.0  # the second Gaussian's second log-scale
+        pv = ParamVector(values=values, num_gaussians=3, num_channels=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="scales must be finite"):
+                pv.decode()
 
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError, match="parameters"):
@@ -442,6 +454,24 @@ class TestFitLoop:
         b = fit(grid, cfg)
         np.testing.assert_array_equal(a.loss_trace, b.loss_trace)
         np.testing.assert_array_equal(a.gaussians.means, b.gaussians.means)
+
+    def test_each_step_gets_a_fresh_unchanged_array(self, mini_street, monkeypatch):
+        grid, _ = mini_street
+        module = importlib.import_module("gaussocc.fit")
+        real = module._loss_and_grad
+        passed = []
+
+        def recording(theta, *args, **kwargs):
+            passed.append((theta, theta.copy()))
+            return real(theta, *args, **kwargs)
+
+        monkeypatch.setattr(module, "_loss_and_grad", recording)
+        fit(grid, FitConfig(num_gaussians=8, iterations=4, batch_points=64, seed=2, eval_every=4))
+        assert len(passed) == 4
+        for theta, snapshot in passed:
+            assert np.array_equal(theta, snapshot)
+        for (a, _), (b, _) in combinations(passed, 2):
+            assert not np.shares_memory(a, b)
 
     def test_quaternion_gradient_is_tangent(self):
         # The analytic gradient of a free quaternion lies in the tangent

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from gaussocc.core import GaussianSet
 from gaussocc.io import (
     format_number,
     load_camera,
@@ -34,6 +35,22 @@ class TestGaussianSetFormat:
         np.testing.assert_allclose(back.rotations, gs.rotations, atol=1e-15)
         np.testing.assert_array_equal(back.opacities, gs.opacities)
         np.testing.assert_array_equal(back.logits, gs.logits)
+
+    def test_bytes_equal_the_per_row_writer(self, tmp_path):
+        rng = np.random.default_rng(92)
+        gs = random_gaussian_set(rng, 9, 4)
+        means, opacities, logits = gs.means.copy(), gs.opacities.copy(), gs.logits.copy()
+        means[2] = [1e300, -1e-300, 0.1]
+        opacities[0] = 0.0
+        logits[1, 0] = -0.0
+        gs = GaussianSet(means, gs.scales, gs.rotations, opacities, logits)
+        path = tmp_path / "set.gsocc"
+        save_gaussian_set(path, gs)
+        want = ["GSOCC 1 9 4\n"]
+        for i in range(len(gs)):
+            row = np.concatenate([gs.means[i], gs.scales[i], gs.rotations[i], [gs.opacities[i]], gs.logits[i]])
+            want.append(" ".join(format_number(v) for v in row) + "\n")
+        assert path.read_bytes() == "".join(want).encode("ascii")
 
     def test_header_contents(self, tmp_path):
         rng = np.random.default_rng(91)

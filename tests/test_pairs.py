@@ -18,6 +18,7 @@ from gaussocc.field import (
     _cov_diag,
     _local_coords,
     _Pairs,
+    _runs,
     _VoxelLattice,
     live_pairs,
 )
@@ -63,6 +64,27 @@ def query_points(rng, gs: GaussianSet, n=300) -> np.ndarray:
 
 def pair_set(pairs) -> set:
     return set(zip(pairs.gauss.tolist(), pairs.point.tolist()))
+
+
+_RUNS_RNG = np.random.default_rng(12)
+
+
+@pytest.mark.parametrize(
+    "first, count",
+    [
+        ([3, -2, 7, 0], [2, 0, 3, 1]),
+        ([5, 1], [0, 0]),
+        ([4], [6]),
+        ([], []),
+        (_RUNS_RNG.integers(-100, 100, size=300).tolist(), _RUNS_RNG.integers(0, 6, size=300).tolist()),
+    ],
+)
+def test_runs_equal_concatenated_ranges(first, count):
+    first, count = np.array(first, dtype=np.int64), np.array(count, dtype=np.int64)
+    want = np.concatenate([np.arange(f, f + c) for f, c in zip(first, count)] + [np.arange(0)])
+    got = _runs(first, count)
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(got, want)
 
 
 class TestCellJoin:
