@@ -7,6 +7,10 @@ factored product ``R @ diag(s) @ diag(s).T @ R.T``, so the inverse and
 determinant come straight from the factors instead of a general matrix
 inversion.
 
+Quaternions are made unit once: a row already unit to within
+``_UNIT_TOL`` is kept as it is, so a set rebuilt from its own rows is
+bit for bit the same set.
+
 All types are immutable after construction (arrays are copied and marked
 read-only) and every operation here is a pure function, so values can be
 shared freely across threads.
@@ -22,6 +26,10 @@ import numpy as np
 # Scales at or below this floor are clamped at construction so the
 # covariance stays comfortably non-singular.
 MIN_SCALE = 1e-3
+
+# A quaternion whose computed norm is this close to 1 is already unit; one
+# divided by its norm lands within about 1.5 eps of 1.
+_UNIT_TOL = 8 * np.finfo(np.float64).eps
 
 
 def _as_float_array(value, shape: tuple[int, ...], name: str) -> np.ndarray:
@@ -39,19 +47,28 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _unit_quaternions(q: np.ndarray) -> np.ndarray:
+    """Quaternions (..., 4) scaled to unit norm. A row already unit to within
+    ``_UNIT_TOL`` is returned unchanged, which makes this idempotent."""
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(q, axis=-1, keepdims=True)
+    if np.any(norm == 0.0):
+        raise ValueError("zero-norm quaternion has no orientation")
+    if np.any(np.isinf(norm)):
+        raise ValueError("quaternion norm overflows the float range")
+    return np.where(np.abs(norm - 1.0) <= _UNIT_TOL, q, q / norm)
+
+
 def rotation_matrices(quats: np.ndarray) -> np.ndarray:
     """Convert scalar-first quaternions of shape (..., 4) to rotation matrices.
 
-    Quaternions are normalized internally; a zero-norm quaternion raises
-    ``ValueError``.
+    Quaternions are normalized internally; a zero or overflowing norm
+    raises ``ValueError``.
     """
     q = np.asarray(quats, dtype=np.float64)
     if q.shape[-1] != 4:
         raise ValueError(f"quaternions must have trailing dimension 4, got {q.shape}")
-    norm = np.linalg.norm(q, axis=-1, keepdims=True)
-    if np.any(norm == 0.0):
-        raise ValueError("zero-norm quaternion has no orientation")
-    w, x, y, z = np.moveaxis(q / norm, -1, 0)
+    w, x, y, z = np.moveaxis(_unit_quaternions(q), -1, 0)
 
     out = np.empty(q.shape[:-1] + (3, 3), dtype=np.float64)
     out[..., 0, 0] = 1.0 - 2.0 * (y * y + z * z)
@@ -105,15 +122,9 @@ class GaussianPrimitive:
         if not np.isfinite(opacity) or opacity < 0.0:
             raise ValueError(f"opacity must be >= 0, got {opacity}")
 
-        with np.errstate(over="ignore"):
-            norm = float(np.linalg.norm(rotation))
-        if norm == 0.0:
-            raise ValueError("zero-norm quaternion has no orientation")
-        if not np.isfinite(norm):
-            raise ValueError("quaternion norm overflows the float range")
         object.__setattr__(self, "mean", _frozen(mean))
         object.__setattr__(self, "scale", _frozen(np.maximum(scale, MIN_SCALE)))
-        object.__setattr__(self, "rotation", _frozen(rotation / norm))
+        object.__setattr__(self, "rotation", _frozen(_unit_quaternions(rotation)))
         object.__setattr__(self, "opacity", opacity)
         object.__setattr__(self, "semantics", _frozen(semantics))
 
@@ -128,7 +139,8 @@ class GaussianSet:
 
     ``means`` is (P, 3), ``scales`` (P, 3), ``rotations`` (P, 4) scalar
     first, ``opacities`` (P,) and ``logits`` (P, C). The same validation
-    and normalization as :class:`GaussianPrimitive` is applied row-wise.
+    and normalization as :class:`GaussianPrimitive` is applied row-wise; a
+    quaternion already unit to within ``_UNIT_TOL`` is kept as it is.
     """
 
     means: np.ndarray
@@ -152,16 +164,10 @@ class GaussianSet:
             raise ValueError("means and logits must be finite")
         if np.any(opacities < 0.0):
             raise ValueError("opacities must be >= 0")
-        with np.errstate(over="ignore"):
-            norms = np.linalg.norm(rotations, axis=1, keepdims=True)
-        if np.any(norms == 0.0):
-            raise ValueError("zero-norm quaternion has no orientation")
-        if not np.all(np.isfinite(norms)):
-            raise ValueError("quaternion norm overflows the float range")
 
         object.__setattr__(self, "means", _frozen(means))
         object.__setattr__(self, "scales", _frozen(np.maximum(scales, MIN_SCALE)))
-        object.__setattr__(self, "rotations", _frozen(rotations / norms))
+        object.__setattr__(self, "rotations", _frozen(_unit_quaternions(rotations)))
         object.__setattr__(self, "opacities", _frozen(opacities))
         object.__setattr__(self, "logits", _frozen(logits))
 
@@ -195,16 +201,7 @@ class GaussianSet:
                    logits=rows[:, 11:])
 
     def primitive(self, i: int) -> GaussianPrimitive:
-        # Rows are already validated and normalized; copy them verbatim so a
-        # primitive view is bit-identical to the stored columns (a second
-        # normalization could shift the quaternion by an ulp).
-        prim = object.__new__(GaussianPrimitive)
-        object.__setattr__(prim, "mean", _frozen(self.means[i]))
-        object.__setattr__(prim, "scale", _frozen(self.scales[i]))
-        object.__setattr__(prim, "rotation", _frozen(self.rotations[i]))
-        object.__setattr__(prim, "opacity", float(self.opacities[i]))
-        object.__setattr__(prim, "semantics", _frozen(self.logits[i]))
-        return prim
+        return GaussianPrimitive(self.means[i], self.scales[i], self.rotations[i], self.opacities[i], self.logits[i])
 
     def __len__(self) -> int:
         return self.means.shape[0]

@@ -163,14 +163,17 @@ class FitConfig:
         for key, value in raw.items():
             if key not in fields:
                 raise ValueError(f"unknown fit config key {key!r}")
-            if key in ("model", "init"):
-                kwargs[key] = value
-            elif key == "cutoff_mahalanobis_sq":
-                kwargs[key] = None if value.lower() in ("none", "inf") else float(value)
-            elif key in ("num_gaussians", "iterations", "batch_points", "seed", "eval_every"):
-                kwargs[key] = int(value)
-            else:
-                kwargs[key] = float(value)
+            try:
+                if key in ("model", "init"):
+                    kwargs[key] = value
+                elif key == "cutoff_mahalanobis_sq":
+                    kwargs[key] = None if value.lower() in ("none", "inf") else float(value)
+                elif key in ("num_gaussians", "iterations", "batch_points", "seed", "eval_every"):
+                    kwargs[key] = int(value)
+                else:
+                    kwargs[key] = float(value)
+            except ValueError as exc:
+                raise ValueError(f"{key}: {exc}") from None
         return cls(**kwargs)  # type: ignore[arg-type]
 
     @classmethod

@@ -47,17 +47,26 @@ def load_gaussian_set(path) -> GaussianSet:
         header = fh.readline().split()
         if len(header) != 4 or header[0] != "GSOCC" or header[1] != "1":
             raise ValueError(f"{path}: not a GSOCC v1 file")
-        p, c = int(header[2]), int(header[3])
+        try:
+            p, c = int(header[2]), int(header[3])
+        except ValueError as exc:
+            raise ValueError(f"{path}: bad GSOCC header: {exc}") from None
         if p < 1 or c < 1:
             raise ValueError(f"{path}: GSOCC header needs P >= 1 and C >= 1, got P={p}, C={c}")
         # loadtxt's own rule for data lines; it warns when it finds none.
         lines = [line for line in fh if line.split("#", 1)[0].strip()]
     if not lines:
         raise ValueError(f"{path}: expected {p} rows of {11 + c} numbers, got none")
-    rows = np.loadtxt(lines, dtype=np.float64, ndmin=2)
+    try:
+        rows = np.loadtxt(lines, dtype=np.float64, ndmin=2)
+    except ValueError as exc:
+        raise ValueError(f"{path}: bad GSOCC row: {exc}") from None
     if rows.shape != (p, 11 + c):
         raise ValueError(f"{path}: expected {p} rows of {11 + c} numbers, got {rows.shape}")
-    return GaussianSet.from_rows(rows)
+    try:
+        return GaussianSet.from_rows(rows)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 # -- camera file ---------------------------------------------------------------
@@ -77,11 +86,23 @@ def load_camera(path) -> CameraModel:
         tokens = [line.split() for line in fh if line.strip()]
     if len(tokens) != 6:
         raise ValueError(f"{path}: camera file needs 6 lines, found {len(tokens)}")
-    fx, fy, cx, cy = (float(v) for v in tokens[0])
-    width, height = (int(v) for v in tokens[1])
-    pose = np.array([[float(v) for v in row] for row in tokens[2:6]])
+
+    def numbers(i: int, what: str, kind: type, count: int) -> list:
+        if len(tokens[i]) != count:
+            raise ValueError(f"{path}: {what} line needs {count} numbers, got {len(tokens[i])}")
+        try:
+            return [kind(v) for v in tokens[i]]
+        except ValueError as exc:
+            raise ValueError(f"{path}: bad {what} line: {exc}") from None
+
+    fx, fy, cx, cy = numbers(0, "intrinsics", float, 4)
+    width, height = numbers(1, "size", int, 2)
+    pose = np.array([numbers(i, "pose", float, 4) for i in range(2, 6)])
     intrinsics = np.array([[fx, 0.0, cx], [0.0, fy, cy], [0.0, 0.0, 1.0]])
-    return CameraModel(intrinsics=intrinsics, pose=pose, image_size=(width, height))
+    try:
+        return CameraModel(intrinsics=intrinsics, pose=pose, image_size=(width, height))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 # -- key=value files -----------------------------------------------------------
@@ -108,16 +129,23 @@ def write_key_values(path, mapping: Mapping[str, object]) -> None:
             fh.write(f"{key}={value if isinstance(value, str) else format_number(value)}\n")
 
 
+def _json_value(v):
+    """``v`` as a JSON value; JSON has no NaN or Infinity, so a non-finite
+    float is ``None`` (written as null)."""
+    if isinstance(v, (float, np.floating)):
+        return float(v) if np.isfinite(v) else None
+    if isinstance(v, (int, np.integer)):
+        return int(v)
+    return v
+
+
 def write_report(path, mapping: Mapping[str, object]) -> None:
     """Write a metrics report; '.json' paths get the structured variant,
     everything else the flat metric=value form."""
     if str(path).endswith(".json"):
-        payload = {
-            k: (float(v) if isinstance(v, (float, np.floating)) else int(v) if isinstance(v, (int, np.integer)) else v)
-            for k, v in mapping.items()
-        }
+        payload = {k: _json_value(v) for k, v in mapping.items()}
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
+            json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
             fh.write("\n")
     else:
         write_key_values(path, mapping)

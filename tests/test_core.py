@@ -8,11 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaussocc.core import (
+    _UNIT_TOL,
     MIN_SCALE,
     GaussianPrimitive,
     GaussianSet,
     build_covariance,
     mahalanobis_sq,
+    _unit_quaternions,
     quat_to_rotation,
 )
 
@@ -191,13 +193,19 @@ class TestDataModel:
         rows = gs.rows()
         assert rows.shape == (7, 14)
         back = GaussianSet.from_rows(rows)
-        for name in ("means", "scales", "opacities", "logits"):
+        for name in ("means", "scales", "rotations", "opacities", "logits"):
             assert getattr(back, name).tobytes() == getattr(gs, name).tobytes(), name
-        # The constructor normalizes every quaternion, which can move a unit
-        # quaternion by an ulp, so the rotations are those of a second
-        # construction from the set's own columns.
-        again = GaussianSet(gs.means, gs.scales, gs.rotations, gs.opacities, gs.logits)
-        assert back.rotations.tobytes() == again.rotations.tobytes()
+
+    def test_set_is_a_fixed_point_of_its_constructor(self):
+        # Dividing every quaternion by its norm again moved about a third of
+        # these rows by an ulp.
+        gs = random_gaussian_set(np.random.default_rng(1), 1000, 4)
+        for back in (
+            GaussianSet.from_rows(gs.rows()),
+            GaussianSet.from_primitives(gs.primitive(i) for i in range(len(gs))),
+            GaussianSet(gs.means, gs.scales, gs.rotations, gs.opacities, gs.logits),
+        ):
+            assert back.rows().tobytes() == gs.rows().tobytes()
 
     def test_set_is_immutable(self):
         rng = np.random.default_rng(4)
@@ -208,3 +216,45 @@ class TestDataModel:
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError):
             GaussianSet.from_primitives([])
+
+
+class TestUnitQuaternions:
+    @given(
+        st.lists(st.floats(-1.0, 1.0, allow_nan=False), min_size=4, max_size=4).filter(
+            lambda q: np.linalg.norm(q) >= 0.5
+        ),
+        st.floats(-150.0, 150.0),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_idempotent_and_unit_at_any_magnitude(self, direction, exponent):
+        direction = np.array(direction)
+        q = direction * 10.0**exponent
+        unit = _unit_quaternions(q)
+        assert abs(np.linalg.norm(unit) - 1.0) <= _UNIT_TOL
+        assert _unit_quaternions(unit).tobytes() == unit.tobytes()
+        # Rows are independent: a stacked batch gives the same bits.
+        stacked = _unit_quaternions(np.stack([q, unit, q]))
+        assert stacked.tobytes() == np.stack([unit, unit, unit]).tobytes()
+        with pytest.raises(ValueError, match="zero-norm quaternion has no orientation"):
+            _unit_quaternions(np.stack([q, 0.0 * q]))
+        with pytest.raises(ValueError, match="quaternion norm overflows"):
+            _unit_quaternions(np.stack([q, direction * 1e300]))
+
+    def test_unit_row_is_kept_and_others_divided(self):
+        q = np.array([[1.0, 0.0, 0.0, 0.0], [2.0, 0.0, 0.0, 0.0], [0.5, 0.5, -0.5, 0.5]])
+        np.testing.assert_array_equal(_unit_quaternions(q), [[1, 0, 0, 0], [1, 0, 0, 0], [0.5, 0.5, -0.5, 0.5]])
+
+    @pytest.mark.parametrize(
+        "q, message",
+        [
+            ([0.0, 0.0, 0.0, 0.0], "zero-norm quaternion has no orientation"),
+            ([1e-170, 0.0, 0.0, 0.0], "zero-norm quaternion has no orientation"),
+            ([1e200, 0.0, 0.0, 0.0], "quaternion norm overflows the float range"),
+            ([[1.0, 0.0, 0.0, 0.0], [0.0, 1e160, 1e160, 0.0]], "quaternion norm overflows the float range"),
+        ],
+    )
+    def test_zero_and_overflowing_norms_are_named(self, q, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                _unit_quaternions(np.array(q))

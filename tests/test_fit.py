@@ -74,6 +74,10 @@ class TestParamVector:
         np.testing.assert_allclose(back.opacities, gs.opacities, rtol=1e-9, atol=1e-12)
         np.testing.assert_allclose(back.logits, gs.logits, atol=1e-12)
 
+    def test_round_trip_keeps_rotations_bit_for_bit(self):
+        gs = random_gaussian_set(np.random.default_rng(1), 1000, 4)
+        assert ParamVector.encode(gs).decode().rotations.tobytes() == gs.rotations.tobytes()
+
     def test_round_trip_small_opacity(self):
         gs = GaussianSet(
             means=np.zeros((1, 3)),

@@ -160,6 +160,12 @@ def test_unmutated_file_loads(files, kind):
         ("wrap.ogrid", b"OGRID 1 4294967296 4294967296 1 3 0 0 0 2 1 1\n0\n",
          r"wrap\.ogrid: bad OGRID header: resolution .* more voxels than an int64 can count"),
         ("nan.cam", b"nan 20 8 6\n16 12\n1 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n", "intrinsics and pose must be finite"),
+        ("word.cam", b"20 20 8 6\n16 12\n1 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 x\n",
+         r"word\.cam: bad pose line: could not convert string to float: 'x'"),
+        ("size.cam", b"20 20 8 6\n10.5 10\n1 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n",
+         r"size\.cam: bad size line: invalid literal for int\(\)"),
+        ("short.cam", b"20 20 8\n16 12\n1 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n",
+         r"short\.cam: intrinsics line needs 4 numbers, got 3"),
         ("inf.ogrid", b"OGRID 1 2 1 1 3 0 0 0 inf 1 1\n0 1\n", r"inf\.ogrid: bad OGRID header: max_corner must be finite"),
     ],
 )
@@ -178,6 +184,11 @@ def test_out_of_range_values_are_named(tmp_path, name, content, message):
         ("classless.gsocc", b"GSOCC 1 1 0\n0 0 0 1 1 1 1 0 0 0 1\n", r"classless\.gsocc: GSOCC header needs"),
         ("bodiless.gsocc", b"GSOCC 1 2 1\n# no rows\n\n", r"bodiless\.gsocc: expected 2 rows of 12 numbers, got none"),
         ("spin.gsocc", b"GSOCC 1 1 1\n0 0 0 1 1 1 1e200 0 0 0 1 0\n", "quaternion norm overflows"),
+        ("header.gsocc", b"GSOCC 1 x 4\n", r"header\.gsocc: bad GSOCC header: invalid literal for int\(\)"),
+        ("word.gsocc", b"GSOCC 1 1 1\n0 0 0 1 1 1 1 0 0 0 1 zz\n",
+         r"word\.gsocc: bad GSOCC row: could not convert string 'zz'"),
+        ("iterations.cfg", b"iterations = 10.5\n", r"^iterations: invalid literal for int\(\)"),
+        ("word.cfg", b"seed = abc\n", r"^seed: invalid literal for int\(\)"),
         ("rate.cfg", b"learning_rate = nan\n", "learning_rate must be finite"),
         ("decay.cfg", b"weight_decay = nan\n", "weight_decay must be finite"),
         ("cutoff.cfg", b"cutoff_mahalanobis_sq = nan\n", "cutoff_mahalanobis_sq must be > 0"),

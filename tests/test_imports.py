@@ -1,16 +1,19 @@
 """The package needs numpy alone: it imports no other third-party module,
 and neither importing the CLI nor a real ``gaussocc audit`` run loads
 scipy, which the tests use only as an oracle. The benchmark's imports and
-wrap targets resolve, and its wrapped layers record spans."""
+wrap targets resolve, its wrapped layers record spans, and two of its
+workloads reproduce their recorded reference outputs."""
 
 import ast
 import importlib
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 import scipy.special
 
 from gaussocc.core import MIN_SCALE, rotation_matrices
@@ -161,3 +164,23 @@ def test_perfbench_wrapped_layers_record(monkeypatch, mini_street):
         live = field.live_pairs(points, blk[:, 0:3], rotation_matrices(qn), scales, cutoff)[2].size
         assert 0 < live < p * cfg.batch_points
         assert abs(count["live"] - live) <= 0.01 * live
+
+
+@pytest.mark.parametrize("name", ["audit-paper", "fit-street"])
+def test_perfbench_reference_outputs_at_seed_0(monkeypatch, tmp_path, name):
+    # One repetition of the workload and its checks against the recorded
+    # reference: a change that moves a voxel label hash, a Monte Carlo hit
+    # count or a gradient fails here, not only in a benchmark run.
+    monkeypatch.syspath_prepend(str(_PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    spans = importlib.import_module("spans")
+    reference = json.loads((_PERFBENCH / "reference.json").read_text())[name]["0"]
+    ctx = workloads.Context(root=_SRC.parent, seed=0, tracer=spans.Tracer(enabled=False), workdir=tmp_path,
+                            reference=reference)
+    workload = workloads.WORKLOADS[name]()
+    inputs = workload.setup(ctx)
+    out = workload.body(ctx, inputs)
+    workload.resample(ctx, inputs, out)
+    checks = dict(workload.check(ctx, inputs, out, None))
+    assert {f"reference-{key}" for key in reference} <= set(checks)
+    assert {check: problem for check, problem in checks.items() if problem is not None} == {}

@@ -32,9 +32,16 @@ class TestGaussianSetFormat:
         # 17 significant digits round-trips doubles exactly
         np.testing.assert_array_equal(back.means, gs.means)
         np.testing.assert_array_equal(back.scales, gs.scales)
-        np.testing.assert_allclose(back.rotations, gs.rotations, atol=1e-15)
+        np.testing.assert_array_equal(back.rotations, gs.rotations)
         np.testing.assert_array_equal(back.opacities, gs.opacities)
         np.testing.assert_array_equal(back.logits, gs.logits)
+
+    def test_save_load_save_gives_the_same_bytes(self, tmp_path):
+        gs = random_gaussian_set(np.random.default_rng(1), 1000, 4)
+        first, second = tmp_path / "first.gsocc", tmp_path / "second.gsocc"
+        save_gaussian_set(first, gs)
+        save_gaussian_set(second, load_gaussian_set(first))
+        assert second.read_bytes() == first.read_bytes()
 
     def test_bytes_equal_the_per_row_writer(self, tmp_path):
         rng = np.random.default_rng(92)
@@ -130,6 +137,19 @@ class TestReports:
         path = tmp_path / "report.json"
         write_report(path, {"iou": 0.5, "count": 3})
         assert json.loads(path.read_text()) == {"iou": 0.5, "count": 3}
+
+    def test_json_report_writes_non_finite_as_null(self, tmp_path):
+        path = tmp_path / "report.json"
+        write_report(path, {"iou_1": np.float64("nan"), "ratio": float("inf"), "miou": 0.25, "count": np.int64(2)})
+        # A strict parser: NaN and Infinity are not JSON.
+        assert json.loads(path.read_text(), parse_constant=lambda name: pytest.fail(name)) == {
+            "iou_1": None, "ratio": None, "miou": 0.25, "count": 2}
+        # All-finite reports keep their bytes.
+        write_report(path, {"iou": 0.5, "count": 3})
+        assert path.read_text() == '{\n  "count": 3,\n  "iou": 0.5\n}\n'
+        flat = tmp_path / "report.txt"
+        write_report(flat, {"iou_1": float("nan"), "ratio": float("-inf")})
+        assert flat.read_text() == "iou_1=nan\nratio=-inf\n"
 
 
 class TestPpm:
