@@ -22,7 +22,10 @@ import numpy as np
 
 from . import io
 from .fit import FitConfig, fit
-from .grid import GridSpec, load_grid, save_grid, voxelize, voxelize_legacy
+# voxelize and voxelize_legacy are not called here: eval goes through the
+# one model dispatch. They stay importable from this module because the
+# benchmark's traced CLI run (perfbench/spans.py) wraps these names.
+from .grid import GridSpec, _voxelize_model, load_grid, save_grid, voxelize, voxelize_legacy  # noqa: F401
 from .metrics import ConfusionMatrix, iou, miou, utilization_report
 from .rays import RaySampling, camera_rays, occupancy_labels
 from .scenes import RECIPES, default_grid_spec, synth_scene
@@ -130,23 +133,10 @@ def _write_trace(path, result) -> None:
             writer.writerow([t, io.format_number(float(loss)), *metrics.get(t, ("", ""))])
 
 
-def _voxelize_auto(gs, spec):
-    """Voxelize with the model the set's channel count names: C channels
-    are probabilistic, C + 1 (empty class included) additive."""
-    if gs.num_classes == spec.num_classes_total - 1:
-        return voxelize(gs, spec)
-    if gs.num_classes == spec.num_classes_total:
-        return voxelize_legacy(gs, spec)
-    raise ValueError(
-        f"set has {gs.num_classes} channels; grid with {spec.num_classes_total} "
-        "classes accepts C (probabilistic) or C+1 (additive)"
-    )
-
-
 def cmd_eval(args) -> int:
     gt = load_grid(args.gt)
     gs = io.load_gaussian_set(args.pred_gaussians)
-    pred = _voxelize_auto(gs, gt.spec)
+    pred = _voxelize_model(gs, gt.spec)  # the channel count picks the model
     report: dict[str, object] = {
         "iou": iou(pred, gt),
         "miou": miou(pred, gt),

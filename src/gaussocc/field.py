@@ -31,7 +31,7 @@ the kind of query points:
   ``voxelize_legacy``, ``gaussocc eval`` and the fit's evaluations pass):
   :class:`_VoxelLattice` lists, from voxel index ranges, the voxels whose
   centers lie in the cutoff ellipsoid, bounded in closed form per x-row
-  and per (x, y) column, one span of whole x-rows at a time.
+  and per (x, y) column.
 
 Both bound the ellipsoid from outside with a padded cutoff, and the pairs
 beyond the cutoff are then dropped by the same ``d2 <= cutoff`` test on
@@ -39,8 +39,10 @@ the same local-frame d2, so both give the same live pairs and skip only
 terms that are exactly zero. Each point's pairs come in ascending Gaussian
 order from either generator, so every per-point sum adds the same values
 in the same order and gives the same bits. Without a cutoff every pair is
-visited, in chunks of bounded size. The fitting loss of
-:mod:`gaussocc.fit` runs on the same kernel.
+visited, in chunks of bounded size. A pass over the voxel centers of a
+grid never builds them all at once: it takes spans of whole x-rows of at
+most :data:`_SPAN_VOXELS` voxels (or one x-row), with or without a cutoff.
+The fitting loss of :mod:`gaussocc.fit` runs on the same kernel.
 """
 
 from __future__ import annotations
@@ -64,6 +66,8 @@ _DEFAULT_CHUNK = 8192
 _PAIR_BUDGET = 1 << 20
 # Candidate pairs per lattice span, bounded before the span is expanded.
 _SPAN_PAIRS = 1 << 17
+# Voxels per span of whole x-rows, in every pass over a grid's centers.
+_SPAN_VOXELS = 1 << 17
 # Voxels at or below this alpha are labelled empty without their semantics.
 _EMPTY_ALPHA = 0.5 - 1e-9
 # Relative padding of the cutoff boxes, far above the rounding error of d2,
@@ -248,15 +252,28 @@ class VoxelCenters(NamedTuple):
         return [self.min_corner[a] + (np.arange(self.resolution[a]) + 0.5) * self.voxel_size[a] for a in range(3)]
 
     def rows(self, start: int, stop: int) -> np.ndarray:
-        """(N, 3) centers of the x-rows ``start:stop``, in flat order."""
+        """(N, 3) centers of the x-rows ``start:stop``, in flat order,
+        written in place from the three axes."""
         ax, ay, az = self.axes()
-        gx, gy, gz = np.meshgrid(ax[start:stop], ay, az, indexing="ij")
-        return np.stack([gx, gy, gz], axis=-1).reshape(-1, 3)
+        ax = ax[start:stop]
+        out = np.empty((ax.size, ay.size, az.size, 3))
+        out[..., 0] = ax[:, None, None]
+        out[..., 1] = ay[:, None]
+        out[..., 2] = az
+        return out.reshape(-1, 3)
 
     def take(self, flat: np.ndarray) -> np.ndarray:
         """(N, 3) centers of the voxels with the given flat indices."""
         idx = np.unravel_index(flat, tuple(int(n) for n in self.resolution))
         return np.stack([ax[i] for ax, i in zip(self.axes(), idx)], axis=-1)
+
+
+def _row_spans(resolution) -> list[tuple[int, int]]:
+    """The spans ``(start, stop)`` of whole x-rows, of at most
+    :data:`_SPAN_VOXELS` voxels each or one x-row, that cover a grid."""
+    x, per_row = int(resolution[0]), int(resolution[1]) * int(resolution[2])
+    step = max(1, _SPAN_VOXELS // per_row)
+    return [(start, min(start + step, x)) for start in range(0, x, step)]
 
 
 class _VoxelLattice:
@@ -283,13 +300,14 @@ class _VoxelLattice:
     its whole axis.
 
     Only the per-(Gaussian, x-row) stage is built for the whole grid. The
-    x-rows are cut into spans whose pairs, bounded before expansion by each
-    row's column count times its Gaussian's z-box, stay within ``budget``
-    (or are one x-row); one span is expanded to columns and pairs at a
-    time. Pairs are grouped by Gaussian within a span.
+    x-rows are cut into spans that hold at most ``voxel_budget`` voxels and
+    whose pairs, bounded before expansion by each row's column count times
+    its Gaussian's z-box, stay within ``budget``; a span of one x-row may
+    exceed either. One span is expanded to columns and pairs at a time.
+    Pairs are grouped by Gaussian within a span.
     """
 
-    def __init__(self, means, rot, scales, cutoff: float, centers: VoxelCenters, budget: int):
+    def __init__(self, means, rot, scales, cutoff: float, centers: VoxelCenters, budget: int, voxel_budget: int):
         self.axes = centers.axes()
         self.centers = centers
         self.shape = tuple(int(n) for n in centers.resolution)
@@ -325,10 +343,11 @@ class _VoxelLattice:
         )
         z0, z1 = self._range(2, means[:, 2], half[:, 2])
         bound = np.bincount(self.ix, self.ny * np.maximum(z1 - z0 + 1, 0)[self.g], minlength=self.shape[0])
+        max_rows = max(1, voxel_budget // (self.shape[1] * self.shape[2]))
         self.spans = []
         start, total = 0, 0.0
         for x, b in enumerate(bound.tolist()):
-            if x > start and total + b > budget:
+            if x > start and (total + b > budget or x - start >= max_rows):
                 self.spans.append((start, x))
                 start, total = x, 0.0
             total += b
@@ -475,9 +494,11 @@ class FieldEvaluator:
     (N, 3) array of query points or the :class:`VoxelCenters` of a grid
     and are pure. Arbitrary points are evaluated in chunks of ``chunk``
     points (fewer without a cutoff, where every pair is visited) through
-    the cell join, which is built on first use; voxel centers, with a
-    cutoff, are evaluated in spans of whole x-rows listed by
-    :class:`_VoxelLattice`.
+    the cell join, which is built on first use. Voxel centers are built
+    and evaluated one span of whole x-rows at a time: with a cutoff the
+    spans and their pairs come from :class:`_VoxelLattice`, without one
+    each :func:`_row_spans` span is cut into chunks as arbitrary points
+    are.
     """
 
     def __init__(self, gs: GaussianSet, opts: EvalOptions | None = None, chunk: int = _DEFAULT_CHUNK):
@@ -518,15 +539,23 @@ class FieldEvaluator:
         pair point indices count from the chunk's first row. Voxel centers
         with a cutoff take the lattice spans, other points the cell join,
         and without a cutoff every pair is visited."""
-        if isinstance(points, VoxelCenters):
-            if np.isfinite(self._cutoff):
-                lattice = _VoxelLattice(self._means, self._rot, self._scales, self._cutoff, points, _SPAN_PAIRS)
-                span_voxels = int(points.resolution[1] * points.resolution[2])
-                for start, stop in lattice.spans:
-                    centers, candidates = lattice.span_pairs(start, stop)
-                    yield slice(start * span_voxels, stop * span_voxels), *self._live(centers, candidates)
-                return
-            points = points.rows(0, int(points.resolution[0]))
+        if not isinstance(points, VoxelCenters):
+            yield from self._point_chunks(points, 0)
+            return
+        row = int(points.resolution[1] * points.resolution[2])
+        if not np.isfinite(self._cutoff):
+            for start, stop in _row_spans(points.resolution):
+                yield from self._point_chunks(points.rows(start, stop), start * row)
+            return
+        lattice = _VoxelLattice(self._means, self._rot, self._scales, self._cutoff, points, _SPAN_PAIRS,
+                                _SPAN_VOXELS)
+        for start, stop in lattice.spans:
+            centers, candidates = lattice.span_pairs(start, stop)
+            yield slice(start * row, stop * row), *self._live(centers, candidates)
+
+    def _point_chunks(self, points: np.ndarray, first: int) -> Iterator[tuple[slice, _Pairs, np.ndarray]]:
+        """:meth:`_chunks` over an (N, 3) array whose first row is query
+        point ``first``."""
         for start in range(0, points.shape[0], self._step):
             chunk = points[start : start + self._step]
             if np.isfinite(self._cutoff):
@@ -534,7 +563,7 @@ class FieldEvaluator:
             else:
                 pairs = _Pairs.every(len(self.gs), chunk.shape[0])
                 d2 = self._d2(chunk, pairs)
-            yield slice(start, start + chunk.shape[0]), pairs, d2
+            yield slice(first + start, first + start + chunk.shape[0]), pairs, d2
 
     def _fill(self, points, row_shape: tuple, rows_of, dtype=np.float64) -> np.ndarray:
         """(N, *row_shape) array of ``rows_of(pairs, d2, n)`` over the chunks

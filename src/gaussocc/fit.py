@@ -36,7 +36,7 @@ from .field import (
     scatter_sum,
     softmax,
 )
-from .grid import VoxelGrid, voxelize, voxelize_legacy
+from .grid import VoxelGrid, _voxelize_model
 from .io import read_key_values
 from .metrics import iou, miou
 
@@ -590,10 +590,7 @@ def _require_finite(blk: np.ndarray, what: str, iteration: int) -> None:
 
 
 def _evaluate(gs: GaussianSet, gt: VoxelGrid, model: str, opts: EvalOptions) -> tuple[float, float]:
-    if model == "probabilistic":
-        pred = voxelize(gs, gt.spec, opts)
-    else:
-        pred = voxelize_legacy(gs, gt.spec, opts)
+    pred = _voxelize_model(gs, gt.spec, model, opts)
     return iou(pred, gt), miou(pred, gt)
 
 

@@ -73,7 +73,9 @@ class GridSpec:
         return VoxelCenters(self.min_corner, self.voxel_size, self.resolution)
 
     def all_centers(self) -> np.ndarray:
-        """All voxel centers, (X*Y*Z, 3), in flat-layout order."""
+        """All voxel centers, (X*Y*Z, 3), in flat-layout order. Nothing in
+        the package calls this: its passes over a grid take
+        ``centers().rows()`` one span of x-rows at a time."""
         return self.centers().rows(0, int(self.resolution[0]))
 
     def point_to_voxel(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -177,13 +179,7 @@ def voxelize(
     """Label every voxel with the argmax of the composed prediction at its
     center; ties resolve to the lowest class index. ``threads`` is accepted
     but ignored: voxelization runs on the calling thread."""
-    if gs.num_classes != spec.num_classes_total - 1:
-        raise ValueError(
-            f"set has {gs.num_classes} semantic classes, grid expects "
-            f"{spec.num_classes_total - 1}"
-        )
-    labels = FieldEvaluator(gs, opts).compose_labels(spec.centers())
-    return VoxelGrid(spec=spec, labels=labels)
+    return _voxelize_model(gs, spec, "probabilistic", opts)
 
 
 def voxelize_legacy(
@@ -200,12 +196,34 @@ def voxelize_legacy(
     Gaussian's reach accumulates all zeros, which ties to class 0, empty.
     ``threads`` is accepted but ignored, as in :func:`voxelize`.
     """
-    if gs_with_empty.num_classes != spec.num_classes_total:
-        raise ValueError(
-            f"additive set needs {spec.num_classes_total} channels (empty first), "
-            f"got {gs_with_empty.num_classes}"
-        )
-    labels = FieldEvaluator(gs_with_empty, opts).legacy_labels(spec.centers())
+    return _voxelize_model(gs_with_empty, spec, "additive", opts)
+
+
+# Per field model: the channels its sets carry beyond the grid's semantic
+# classes, what they are, and the FieldEvaluator method that labels voxels.
+_MODELS = {
+    "probabilistic": (0, "one per semantic class", "compose_labels"),
+    "additive": (1, "empty first", "legacy_labels"),
+}
+
+
+def _voxelize_model(gs: GaussianSet, spec: GridSpec, model: str | None = None,
+                    opts: EvalOptions | None = None) -> VoxelGrid:
+    """Voxelize under ``model``, a key of :data:`_MODELS`. ``None`` picks
+    the model from the set's channel count: C channels are probabilistic,
+    C + 1 (empty class included) additive. The one voxelize body."""
+    semantic = spec.num_classes_total - 1
+    if model is None:
+        model = {semantic: "probabilistic", semantic + 1: "additive"}.get(gs.num_classes)
+        if model is None:
+            raise ValueError(
+                f"set has {gs.num_classes} channels; grid with {spec.num_classes_total} "
+                "classes accepts C (probabilistic) or C+1 (additive)"
+            )
+    extra, layout, method = _MODELS[model]
+    if gs.num_classes != semantic + extra:
+        raise ValueError(f"{model} set needs {semantic + extra} channels ({layout}), got {gs.num_classes}")
+    labels = getattr(FieldEvaluator(gs, opts), method)(spec.centers())
     return VoxelGrid(spec=spec, labels=labels)
 
 

@@ -274,7 +274,7 @@ def bhattacharyya_coef(gi: GaussianPrimitive, gj: GaussianPrimitive) -> float:
     """
     with np.errstate(over="ignore", invalid="ignore"):
         ci, cj = (build_covariance(g).covariance for g in (gi, gj))
-    _require_finite(np.stack([ci, cj]))
+    _require_finite_covariances(np.stack([ci, cj]))
     avg = 0.5 * (ci + cj)
     # One determinant routine for all three matrices: identical inputs then
     # cancel exactly and BC(g, g) is exactly 1.
@@ -287,7 +287,7 @@ def bhattacharyya_coef(gi: GaussianPrimitive, gj: GaussianPrimitive) -> float:
     return float(np.exp(log_bc))
 
 
-def _require_finite(covs: np.ndarray) -> None:
+def _require_finite_covariances(covs: np.ndarray) -> None:
     finite = np.all(np.isfinite(covs), axis=(1, 2))
     if not np.all(finite):
         raise ValueError(f"Gaussian {int(np.argmin(finite))} has a non-finite covariance")
@@ -393,7 +393,7 @@ def indiv_overlap(gs: GaussianSet) -> float:
     (:func:`_spd3_cholesky`)."""
     with np.errstate(over="ignore", invalid="ignore"):
         covs = covariance_matrices(gs)
-    _require_finite(covs)
+    _require_finite_covariances(covs)
     p = len(gs)
     if p == 1:
         return 0.0

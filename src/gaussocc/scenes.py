@@ -18,6 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .field import _row_spans
 from .grid import GridSpec, VoxelGrid
 
 DEFAULT_CLASS_NAMES = ("empty", "ground", "car", "building", "pole")
@@ -158,15 +159,24 @@ RECIPES: dict[str, Callable[[np.random.Generator, GridSpec], list[Shape]]] = {
 
 
 def rasterize(shapes: Sequence[Shape], spec: GridSpec) -> VoxelGrid:
-    """Label voxel centers by the last containing shape."""
+    """Label voxel centers by the last containing shape.
+
+    The centers are built one span of whole x-rows at a time (at most
+    2^17 voxels, or one x-row), and the shapes, in recipe order, label
+    that span's slice of the flat labels."""
     if not shapes:
         raise ValueError("empty recipe: no shapes to rasterize")
-    centers = spec.all_centers()
-    labels = np.zeros(spec.num_voxels, dtype=np.uint16)
     for shape in shapes:
         if not 0 < shape.label < spec.num_classes_total:
             raise ValueError(f"shape label {shape.label} outside grid classes")
-        labels[shape.contains(centers)] = shape.label
+    centers = spec.centers()
+    row = int(spec.resolution[1] * spec.resolution[2])
+    labels = np.zeros(spec.num_voxels, dtype=np.uint16)
+    for start, stop in _row_spans(spec.resolution):
+        points = centers.rows(start, stop)
+        span = labels[start * row : stop * row]
+        for shape in shapes:
+            span[shape.contains(points)] = shape.label
     return VoxelGrid(spec=spec, labels=labels)
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from contextlib import contextmanager
 
 import numpy as np
@@ -31,6 +32,16 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     for number, description, passed in sorted(_ACCEPTANCE_LOG):
         status = "PASS" if passed else "FAIL"
         terminalreporter.write_line(f"[criterion {number:2d}] {status}: {description}")
+
+
+def traced_peak(fn):
+    """``(fn(), the tracemalloc peak in bytes while fn ran)``."""
+    tracemalloc.start()
+    try:
+        value = fn()
+        return value, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def random_gaussian_set(rng: np.random.Generator, p: int, c: int, spread: float = 5.0) -> GaussianSet:

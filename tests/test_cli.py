@@ -22,6 +22,8 @@ from gaussocc.grid import voxelize, voxelize_legacy
 from gaussocc.fit import FitConfig, init_from_grid
 from gaussocc.scenes import synth_scene
 
+from conftest import traced_peak
+
 
 def run(*args):
     return main([str(a) for a in args])
@@ -515,21 +517,14 @@ class TestRays:
     def test_many_refs_keep_memory_bounded(self, scene_file, tmp_path):
         # 3072 rays x 1000 references: the rays are labelled in blocks of
         # about 2**18 points, not of a fixed ray count.
-        import tracemalloc
-
         cam = self._street_camera(64, 48)
         cam_path = tmp_path / "cam.txt"
         save_camera(cam_path, cam)
         out = tmp_path / "labels.txt"
-        tracemalloc.start()
-        try:
-            code = run(
-                "rays", "--camera", cam_path, "--gt", scene_file, "--out", out,
-                "--depth-min", 1.0, "--depth-max", 12.0, "--num-refs", 1000,
-            )
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        code, peak = traced_peak(lambda: run(
+            "rays", "--camera", cam_path, "--gt", scene_file, "--out", out,
+            "--depth-min", 1.0, "--depth-max", 12.0, "--num-refs", 1000,
+        ))
         assert code == 0
         assert peak < 64 * 2**20
         origin, dirs = camera_rays(cam)

@@ -16,6 +16,7 @@ from gaussocc.grid import (
     save_grid,
     voxel_center,
     voxelize,
+    voxelize_legacy,
 )
 from gaussocc.scenes import synth_scene
 
@@ -62,6 +63,16 @@ class TestVoxelCenter:
                     flat = (ix * 3 + iy) * 4 + iz
                     np.testing.assert_allclose(centers[flat], voxel_center(spec, ix, iy, iz))
 
+    @pytest.mark.parametrize("start, stop", [(0, 7), (2, 5), (6, 7), (3, 3)])
+    def test_rows_equal_the_meshgrid_stack(self, start, stop):
+        spec = GridSpec(min_corner=np.array([-1.3, 0.2, -7.0]), max_corner=np.array([2.9, 1.7, 3.1]),
+                        resolution=np.array([7, 5, 3]), num_classes_total=2)
+        centers = spec.centers()
+        ax, ay, az = centers.axes()
+        want = np.stack(np.meshgrid(ax[start:stop], ay, az, indexing="ij"), axis=-1).reshape(-1, 3)
+        got = centers.rows(start, stop)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("seed", [0, 11])
     def test_occupied_centers_equal_masked_all_centers(self, seed):
         grid, _ = synth_scene(seed, spec=nuscenes_grid_spec(num_classes_total=5))
@@ -76,6 +87,14 @@ class TestVoxelCenter:
 
 
 class TestVoxelize:
+    def test_channel_count_must_match_the_model(self):
+        spec = small_spec(classes=4)
+        rng = np.random.default_rng(90)
+        with pytest.raises(ValueError, match=r"probabilistic set needs 3 channels \(one per semantic class\), got 4"):
+            voxelize(random_gaussian_set(rng, 3, 4), spec)
+        with pytest.raises(ValueError, match=r"additive set needs 4 channels \(empty first\), got 3"):
+            voxelize_legacy(random_gaussian_set(rng, 3, 3), spec)
+
     def test_empty_region_all_empty(self):
         gs = GaussianSet.from_primitives(
             [

@@ -1,6 +1,5 @@
 """Grid metrics and the utilization audit against independent oracles."""
 
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -33,7 +32,7 @@ from gaussocc.metrics import (
     utilization_report,
 )
 
-from conftest import random_gaussian_set
+from conftest import random_gaussian_set, traced_peak
 
 
 def grid_of(labels, classes=4):
@@ -385,12 +384,7 @@ class TestNearestOccupied:
         gt = VoxelGrid(spec=spec, labels=(rng.random(tuple(spec.resolution)) < 0.13).astype(np.uint16))
         means = rng.uniform(spec.min_corner - 2.0, spec.max_corner + 2.0, size=(6400, 3))
         gs = set_at(means)
-        tracemalloc.start()
-        try:
-            value = mean_nearest_dist(gs, gt)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        value, peak = traced_peak(lambda: mean_nearest_dist(gs, gt))
         assert peak < 32 * 2**20
         assert value == float(np.mean(nearest_l1(gt, means)))
         np.testing.assert_array_equal(nearest_l1(gt, means[:200]), nearest_l1_oracle(gt, means[:200]))
@@ -749,12 +743,7 @@ class TestIndivOverlapPruning:
         # P=6400: the exhaustive row blocks peaked at 14.1 MB; the candidate
         # blocks and their kept pairs peak at 4.5 MB.
         gs = box_recipe_set(6400, 6400)
-        tracemalloc.start()
-        try:
-            value = indiv_overlap(gs)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        value, peak = traced_peak(lambda: indiv_overlap(gs))
         assert value > 1.0
         assert peak < 32 * 2**20
 

@@ -2,7 +2,6 @@
 per-primitive loop oracles."""
 
 import dataclasses
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp, softmax
 
+from gaussocc import field
 from gaussocc.core import MIN_SCALE, GaussianSet, mahalanobis_sq, rotation_matrices
 from gaussocc.field import (
     EvalOptions,
@@ -26,7 +26,7 @@ from gaussocc.fit import ParamVector, _loss_and_grad
 from gaussocc.grid import GridSpec, nuscenes_grid_spec, voxel_center, voxelize, voxelize_legacy
 from gaussocc.scenes import synth_scene
 
-from conftest import random_gaussian_set
+from conftest import random_gaussian_set, traced_peak
 from test_fit import fd_gradient, grad_errors
 
 CUTOFF = 25.0
@@ -298,9 +298,10 @@ def lattice_set(rng, spec: GridSpec, c=3) -> GaussianSet:
                        logits=np.concatenate([base.logits, rng.normal(0.0, 2.0, (extra, c))]))
 
 
-def lattice_candidates(gs: GaussianSet, spec: GridSpec, cutoff=CUTOFF, budget=1 << 17) -> list:
+def lattice_candidates(gs: GaussianSet, spec: GridSpec, cutoff=CUTOFF, budget=1 << 17, voxel_budget=1 << 17) -> list:
     """Per span: (first flat voxel, span centers, candidate pairs)."""
-    lattice = _VoxelLattice(gs.means, rotation_matrices(gs.rotations), gs.scales, cutoff, spec.centers(), budget)
+    lattice = _VoxelLattice(gs.means, rotation_matrices(gs.rotations), gs.scales, cutoff, spec.centers(), budget,
+                            voxel_budget)
     row = int(spec.resolution[1] * spec.resolution[2])
     return [(start * row, *lattice.span_pairs(start, stop)) for start, stop in lattice.spans]
 
@@ -312,17 +313,21 @@ def every_pair_d2(gs: GaussianSet, points: np.ndarray) -> np.ndarray:
     return np.sum(local**2, axis=1).reshape(len(gs), -1)
 
 
-def check_lattice(gs: GaussianSet, spec: GridSpec, cutoff=CUTOFF, budget=1 << 17) -> tuple[int, int]:
+def check_lattice(gs: GaussianSet, spec: GridSpec, cutoff=CUTOFF, budget=1 << 17,
+                  voxel_budget=1 << 17) -> tuple[int, int]:
     """Assert that the lattice lists every live pair once, grouped by
-    Gaussian, with the span's centers; return (candidates, live)."""
+    Gaussian, with the span's centers, in spans of at most
+    ``voxel_budget`` voxels or one x-row; return (candidates, live)."""
     centers = spec.all_centers()
     d2 = every_pair_d2(gs, centers)
     rot = rotation_matrices(gs.rotations)
+    row = int(spec.resolution[1] * spec.resolution[2])
     candidates, live, listed = set(), set(), 0
-    spans = lattice_candidates(gs, spec, cutoff, budget)
+    spans = lattice_candidates(gs, spec, cutoff, budget, voxel_budget)
     assert spans[0][0] == 0
     for (first, points, pairs), nxt in zip(spans, spans[1:] + [(spec.num_voxels,)]):
         np.testing.assert_array_equal(points, centers[first : nxt[0]])
+        assert points.shape[0] <= max(voxel_budget, row)
         assert np.all(np.diff(pairs.gauss) >= 0)
         np.testing.assert_array_equal(pairs.bounds, np.searchsorted(pairs.gauss, np.arange(len(gs) + 1)))
         assert np.all((pairs.point >= 0) & (pairs.point < points.shape[0]))
@@ -432,6 +437,49 @@ class TestVoxelLattice:
         np.testing.assert_array_equal(voxelize(gs, spec, EvalOptions(cutoff_mahalanobis_sq=None)).labels_flat,
                                       np.argmax(ev.compose(centers), axis=1))
 
+    # 30 voxels per x-row: spans of 12, 3 (12 = 4 * 3) and 5 (12 = 2 * 5 + 2)
+    # x-rows, and of one x-row for a budget below a row.
+    @pytest.mark.parametrize("voxel_budget", [1 << 17, 90, 150, 7])
+    def test_no_cutoff_spans_match_the_point_evaluation(self, voxel_budget, monkeypatch):
+        rng = np.random.default_rng(345)
+        spec = lattice_spec((12, 10, 3))
+        gs = lattice_set(rng, spec)
+        monkeypatch.setattr(field, "_SPAN_VOXELS", voxel_budget)
+        spans = field._row_spans(spec.resolution)
+        assert len(spans) == {1 << 17: 1, 90: 4, 150: 3, 7: 12}[voxel_budget]
+        opts = EvalOptions(cutoff_mahalanobis_sq=None)
+        ev = FieldEvaluator(gs, opts, chunk=64)
+        centers = spec.all_centers()
+        for method in (ev.alpha, ev.semantics, ev.compose, ev.legacy):
+            np.testing.assert_array_equal(method(spec.centers()), method(centers))
+        np.testing.assert_array_equal(voxelize(gs, spec, opts).labels_flat, np.argmax(ev.compose(centers), axis=1))
+
+    @pytest.mark.parametrize("voxel_budget", [1, 300, 1000])
+    def test_voxel_cap_on_a_sparse_set_matches_the_point_evaluation(self, voxel_budget, monkeypatch):
+        # Six Gaussians in one corner: their pair bound alone lets one span
+        # cover the grid, so the voxel cap alone cuts the spans.
+        rng = np.random.default_rng(346)
+        spec = lattice_spec()  # 140 voxels per x-row
+        vs = spec.voxel_size
+        p = 6
+        gs = GaussianSet(means=spec.min_corner + rng.uniform(0.0, 4.0, (p, 3)) * vs,
+                         scales=rng.uniform(0.5, 2.0, (p, 3)) * vs, rotations=rng.normal(size=(p, 4)),
+                         opacities=rng.uniform(0.5, 1.0, p), logits=rng.normal(0.0, 2.0, (p, 3)))
+        rot = rotation_matrices(gs.rotations)
+        assert _VoxelLattice(gs.means, rot, gs.scales, CUTOFF, spec.centers(), 1 << 17, 1 << 17).spans == [(0, 36)]
+        lattice = _VoxelLattice(gs.means, rot, gs.scales, CUTOFF, spec.centers(), 1 << 17, voxel_budget)
+        rows = max(1, voxel_budget // 140)
+        assert lattice.spans == [(x, min(x + rows, 36)) for x in range(0, 36, rows)]
+        check_lattice(gs, spec, voxel_budget=voxel_budget)
+        monkeypatch.setattr(field, "_SPAN_VOXELS", voxel_budget)
+        ev = FieldEvaluator(gs)
+        centers = spec.all_centers()
+        dense = ev.compose(centers)
+        want = np.argmax(dense, axis=1)
+        assert np.count_nonzero(want) > 20
+        np.testing.assert_array_equal(ev.compose(spec.centers()), dense)
+        np.testing.assert_array_equal(voxelize(gs, spec).labels_flat, want)
+
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_random_sets_and_grids(self, data):
@@ -452,7 +500,8 @@ class TestVoxelLattice:
                          rotations=rng.normal(size=(p, 4)), opacities=rng.uniform(0.1, 1.0, p),
                          logits=rng.normal(size=(p, 2)))
         cutoff = data.draw(st.sampled_from([CUTOFF, 6.251, 1.0]), label="cutoff")
-        check_lattice(gs, spec, cutoff, budget=data.draw(st.sampled_from([16, 1 << 17]), label="budget"))
+        check_lattice(gs, spec, cutoff, budget=data.draw(st.sampled_from([16, 1 << 17]), label="budget"),
+                      voxel_budget=data.draw(st.sampled_from([1, 30, 1 << 17]), label="voxel_budget"))
 
 
 def test_paper_scale_voxelize_memory_is_bounded():
@@ -470,11 +519,39 @@ def test_paper_scale_voxelize_memory_is_bounded():
                      scales=np.exp(rng.uniform(np.log(0.5), np.log(3.0), (p, 3))) * spec.voxel_size,
                      rotations=quats / np.linalg.norm(quats, axis=1, keepdims=True),
                      opacities=rng.uniform(0.1, 1.0, p), logits=rng.normal(size=(p, 4)))
-    tracemalloc.start()
-    try:
-        pred = voxelize(gs, spec)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    pred, peak = traced_peak(lambda: voxelize(gs, spec))
     assert np.count_nonzero(pred.labels) > 10_000
     assert peak < 32 * 2**20
+
+
+def corner_set(spec: GridSpec, p: int, seed: int) -> GaussianSet:
+    """``p`` Gaussians of 0.5-3 voxels within 8 voxels of the grid's first
+    corner."""
+    rng = np.random.default_rng(seed)
+    vs = spec.voxel_size
+    quats = rng.normal(size=(p, 4))
+    return GaussianSet(means=spec.min_corner + rng.uniform(0.0, 8.0, (p, 3)) * vs,
+                       scales=np.exp(rng.uniform(np.log(0.5), np.log(3.0), (p, 3))) * vs,
+                       rotations=quats / np.linalg.norm(quats, axis=1, keepdims=True),
+                       opacities=rng.uniform(0.5, 1.0, p), logits=rng.normal(size=(p, 4)))
+
+
+def test_sparse_corner_voxelize_memory_is_bounded():
+    # 16 Gaussians in one corner of the 200x200x16 grid: few pairs, so
+    # only the voxel cap keeps a span from covering the grid. One span of
+    # the whole grid peaked at 86 MB; spans of 40 x-rows peak at 19 MB.
+    spec = nuscenes_grid_spec(5)
+    gs = corner_set(spec, 16, 1)
+    pred, peak = traced_peak(lambda: voxelize(gs, spec))
+    assert 0 < np.count_nonzero(pred.labels) < 10_000
+    assert peak < 24 * 2**20
+
+
+def test_paper_scale_no_cutoff_voxelize_memory_is_bounded():
+    # Every pair of 4 Gaussians on the 200x200x16 grid. Building all
+    # 640,000 centers first peaked at 31 MB; spans of 40 x-rows peak at 7 MB.
+    spec = nuscenes_grid_spec(5)
+    gs = corner_set(spec, 4, 2)
+    pred, peak = traced_peak(lambda: voxelize(gs, spec, EvalOptions(cutoff_mahalanobis_sq=None)))
+    assert np.count_nonzero(pred.labels) > 0
+    assert peak < 16 * 2**20

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from gaussocc.grid import voxel_center
+from gaussocc import field
+from gaussocc.grid import GridSpec, kitti360_grid_spec, nuscenes_grid_spec, voxel_center
 from gaussocc.scenes import (
     RECIPES,
     Box,
@@ -14,6 +15,8 @@ from gaussocc.scenes import (
     rasterize,
     synth_scene,
 )
+
+from conftest import traced_peak
 
 
 class TestRecipes:
@@ -74,6 +77,64 @@ class TestRecipes:
     def test_empty_shape_list_rejected(self):
         with pytest.raises(ValueError, match="empty recipe"):
             rasterize([], default_grid_spec())
+
+
+def whole_grid_rasterize(shapes, spec: GridSpec) -> np.ndarray:
+    """The flat labels of every recipe's shapes over all voxel centers at
+    once, the centers built by meshgrid and stack from the grid's axes."""
+    ax, ay, az = spec.centers().axes()
+    centers = np.stack(np.meshgrid(ax, ay, az, indexing="ij"), axis=-1).reshape(-1, 3)
+    labels = np.zeros(spec.num_voxels, dtype=np.uint16)
+    for shape in shapes:
+        labels[shape.contains(centers)] = shape.label
+    return labels
+
+
+# 199 x-rows of 41 x 16 voxels fit in a span, so 203 x-rows leave a span
+# of 4.
+ODD_SPEC = GridSpec(min_corner=np.array([-10.0, -10.0, 0.0]), max_corner=np.array([10.0, 10.0, 8.0]),
+                    resolution=np.array([203, 41, 16]), num_classes_total=5)
+
+
+class TestSpans:
+    @pytest.mark.parametrize("recipe", sorted(RECIPES))
+    @pytest.mark.parametrize("make_spec", [default_grid_spec, nuscenes_grid_spec, kitti360_grid_spec, lambda: ODD_SPEC],
+                             ids=["default", "nuscenes", "kitti360", "odd"])
+    def test_labels_equal_the_whole_grid_rasterize(self, recipe, make_spec):
+        spec = make_spec()
+        shapes = RECIPES[recipe](np.random.Generator(np.random.Philox(key=np.uint64(3))), spec)
+        want = whole_grid_rasterize(shapes, spec)
+        assert np.count_nonzero(want) > 0
+        np.testing.assert_array_equal(rasterize(shapes, spec).labels_flat, want)
+
+    def test_odd_spec_ends_with_a_short_span(self):
+        assert field._row_spans(ODD_SPEC.resolution)[-2:] == [(0, 199), (199, 203)]
+        assert field._row_spans(default_grid_spec().resolution) == [(0, 40)]
+
+    @pytest.mark.parametrize("budget", [1, 2000, 6400])
+    def test_small_spans_give_the_same_labels(self, budget, monkeypatch):
+        # One x-row of 640 voxels per span, then 3 x-rows (40 = 13 * 3 + 1),
+        # then 10.
+        spec = default_grid_spec()
+        monkeypatch.setattr(field, "_SPAN_VOXELS", budget)
+        assert len(field._row_spans(spec.resolution)) == {1: 40, 2000: 14, 6400: 4}[budget]
+        for recipe in sorted(RECIPES):
+            shapes = RECIPES[recipe](np.random.Generator(np.random.Philox(key=np.uint64(4))), spec)
+            np.testing.assert_array_equal(rasterize(shapes, spec).labels_flat, whole_grid_rasterize(shapes, spec))
+
+    def test_bad_label_is_rejected_before_any_span(self):
+        shapes = [GroundPlane(z_top=1.0, label=1), Box(min_corner=(0, 0, 0), max_corner=(1, 1, 1), label=5)]
+        with pytest.raises(ValueError, match="shape label 5 outside grid classes"):
+            rasterize(shapes, default_grid_spec())
+
+    @pytest.mark.parametrize("make_spec, bound_mb", [(nuscenes_grid_spec, 12), (kitti360_grid_spec, 32)],
+                             ids=["nuscenes", "kitti360"])
+    def test_paper_scale_synth_memory_is_bounded(self, make_spec, bound_mb):
+        # The whole-grid centers and their meshgrid copies peaked at 36 MB
+        # (nuScenes) and 118 MB (KITTI-360); the labels take 1.3 and 4.2 MB.
+        (grid, _), peak = traced_peak(lambda: synth_scene(0, spec=make_spec()))
+        assert np.count_nonzero(grid.labels) > 10_000
+        assert peak < bound_mb * 2**20
 
 
 class TestShapes:
