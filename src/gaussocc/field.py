@@ -31,7 +31,9 @@ the kind of query points:
   ``voxelize_legacy``, ``gaussocc eval`` and the fit's evaluations pass):
   :class:`_VoxelLattice` lists, from voxel index ranges, the voxels whose
   centers lie in the cutoff ellipsoid, bounded in closed form per x-row
-  and per (x, y) column.
+  and per (x, y) column, and yields each pair's offset ``x - m`` from the
+  per-row, per-column and per-Gaussian differences it has already taken,
+  without building the centers.
 
 Both bound the ellipsoid from outside with a padded cutoff, and the pairs
 beyond the cutoff are then dropped by the same ``d2 <= cutoff`` test on
@@ -42,7 +44,10 @@ in the same order and gives the same bits. Without a cutoff every pair is
 visited, in chunks of bounded size. A pass over the voxel centers of a
 grid never builds them all at once: it takes spans of whole x-rows of at
 most :data:`_SPAN_VOXELS` voxels (or one x-row), with or without a cutoff.
-The fitting loss of :mod:`gaussocc.fit` runs on the same kernel.
+Voxel labels take the exact occupancy and semantics only at the voxels
+that a one-``exp``-per-pair upper bound on the occupancy leaves open
+(:meth:`FieldEvaluator._compose_label`). The fitting loss of
+:mod:`gaussocc.fit` runs on the same kernel.
 """
 
 from __future__ import annotations
@@ -70,6 +75,8 @@ _SPAN_PAIRS = 1 << 17
 _SPAN_VOXELS = 1 << 17
 # Voxels at or below this alpha are labelled empty without their semantics.
 _EMPTY_ALPHA = 0.5 - 1e-9
+# The unit roundoff of float64, in the margin of the label bound.
+_UNIT_ROUNDOFF = 2.0**-53
 # Relative padding of the cutoff boxes, far above the rounding error of d2,
 # so the cell join never drops a pair that the distance test would keep.
 _BOX_PAD = 1e-9
@@ -151,8 +158,17 @@ class _Pairs(NamedTuple):
         )
 
     def select(self, keep: np.ndarray) -> "_Pairs":
-        kept_before = np.concatenate([[0], np.cumsum(keep)])
-        return _Pairs(np.compress(keep, self.gauss), np.compress(keep, self.point), kept_before[self.bounds])
+        gauss = np.compress(keep, self.gauss)
+        return _Pairs(gauss, np.compress(keep, self.point), np.searchsorted(gauss, np.arange(self.bounds.size)))
+
+    def restrict(self, d2: np.ndarray, mask: np.ndarray) -> tuple["_Pairs", np.ndarray, np.ndarray]:
+        """The pairs of the points where ``mask`` holds, those points
+        renumbered ``0..k-1`` in order, with their ``d2`` and the points'
+        indices. Each point keeps its pairs in their order."""
+        keep = np.take(mask, self.point)
+        sub = self.select(keep)
+        rank = np.cumsum(mask) - 1
+        return sub._replace(point=np.take(rank, sub.point)), np.compress(keep, d2), np.flatnonzero(mask)
 
 
 def _runs(first: np.ndarray, count: np.ndarray) -> np.ndarray:
@@ -304,7 +320,12 @@ class _VoxelLattice:
     whose pairs, bounded before expansion by each row's column count times
     its Gaussian's z-box, stay within ``budget``; a span of one x-row may
     exceed either. One span is expanded to columns and pairs at a time.
-    Pairs are grouped by Gaussian within a span.
+    Pairs are grouped by Gaussian within a span, and each comes with its
+    offset ``x - m``: the x-row's ``dx``, the column's ``dy`` and the
+    ``az[iz] - m_z`` of a per-Gaussian table over its z-box, built once.
+    These are the subtractions that :func:`_offsets` makes on the centers,
+    so they give the same bits. A column's z-interval is clipped to its
+    Gaussian's z-box, which drops only pairs beyond the padded cutoff.
     """
 
     def __init__(self, means, rot, scales, cutoff: float, centers: VoxelCenters, budget: int, voxel_budget: int):
@@ -341,8 +362,11 @@ class _VoxelLattice:
         self.g, self.ix, self.dx, self.qx, self.y_off, self.y0, self.ny = (
             a[rows] for a in (g, ix, dx, qx, y_off, y0, ny)
         )
-        z0, z1 = self._range(2, means[:, 2], half[:, 2])
-        bound = np.bincount(self.ix, self.ny * np.maximum(z1 - z0 + 1, 0)[self.g], minlength=self.shape[0])
+        self.z0, self.z1 = self._range(2, means[:, 2], half[:, 2])
+        nz = np.maximum(self.z1 - self.z0 + 1, 0)
+        self.dz = self.axes[2][_runs(self.z0, nz)] - np.repeat(means[:, 2], nz)
+        self.dz_start = np.cumsum(nz) - nz - self.z0
+        bound = np.bincount(self.ix, self.ny * nz[self.g], minlength=self.shape[0])
         max_rows = max(1, voxel_budget // (self.shape[1] * self.shape[2]))
         self.spans = []
         start, total = 0, 0.0
@@ -365,8 +389,9 @@ class _VoxelLattice:
         return first.astype(np.int64), last.astype(np.int64)
 
     def span_pairs(self, start: int, stop: int) -> tuple[np.ndarray, _Pairs]:
-        """The centers of x-rows ``start:stop`` and their candidate pairs,
-        point indices counting from the span's first voxel."""
+        """The candidate pairs of x-rows ``start:stop``, point indices
+        counting from the span's first voxel, and their (M, 3) offsets
+        ``x - m``."""
         ny_all, nz_all = self.shape[1], self.shape[2]
         r = np.flatnonzero((self.ix >= start) & (self.ix < stop))
         ny = self.ny[r]
@@ -379,6 +404,7 @@ class _VoxelLattice:
             rem = self.reach - (self.qx[col] + t * t / self.var_y[g])
             z_mid = self.means[g, 2] + self.slope_zx[g] * self.dx[col] + self.slope_zy[g] * dy
             z0, z1 = self._range(2, z_mid, np.sqrt(self.var_z[g] * rem))
+        z0, z1 = np.maximum(z0, self.z0[g]), np.minimum(z1, self.z1[g])
         nz = np.where(rem < 0.0, 0, np.maximum(z1 - z0 + 1, 0))
         first = ((self.ix[col] - start) * ny_all + iy) * nz_all + z0
         per_gauss = np.bincount(g, nz, minlength=self.means.shape[0]).astype(np.int64)
@@ -387,7 +413,11 @@ class _VoxelLattice:
             _runs(first, nz),
             np.concatenate([[0], np.cumsum(per_gauss)]),
         )
-        return self.centers.rows(start, stop), pairs
+        offsets = np.empty((pairs.point.size, 3))
+        offsets[:, 0] = np.repeat(self.dx[col], nz)
+        offsets[:, 1] = np.repeat(dy, nz)
+        np.take(self.dz, _runs(self.dz_start[g] + z0, nz), out=offsets[:, 2])
+        return offsets, pairs
 
 
 def _cov_diag(rot: np.ndarray, scales: np.ndarray) -> np.ndarray:
@@ -397,30 +427,44 @@ def _cov_diag(rot: np.ndarray, scales: np.ndarray) -> np.ndarray:
         return np.einsum("pab,pb,pab->pa", rot, scales**2, rot)
 
 
-def _local_coords(points, pairs: _Pairs, means, rot, scales) -> np.ndarray:
-    """(M, 3) pair offsets in the scaled local frame, ``R^T (x - m) / s``;
-    a row's squared norm is the pair's d2. The shift and the scaling run
-    one column at a time against the per-pair repeat of that column, and
-    each Gaussian's segment is rotated by one matmul, so only the points
-    are gathered per pair. (``np.take`` and ``np.compress`` gather several
+def _offsets(points, pairs: _Pairs, means) -> np.ndarray:
+    """(M, 3) pair offsets ``x - m``: the points gathered per pair, then
+    shifted one column at a time against the per-pair repeat of that
+    column of the means. (``np.take`` and ``np.compress`` gather several
     times faster than indexing.)"""
     diff = np.take(points, pairs.point, axis=0)
     counts = np.diff(pairs.bounds)
     for a in range(3):
         np.subtract(diff[:, a], np.repeat(means[:, a], counts), out=diff[:, a])
+    return diff
+
+
+def _scaled_local(diff: np.ndarray, pairs: _Pairs, rot, scales) -> np.ndarray:
+    """(M, 3) pair offsets ``diff`` in the scaled local frame,
+    ``R^T (x - m) / s``; a row's squared norm is the pair's d2. Each
+    Gaussian's segment is rotated by one ``np.dot`` (the gemm of
+    ``np.matmul``, with less dispatch), and the scaling runs one column at
+    a time against the per-pair repeat of that column."""
+    counts = np.diff(pairs.bounds)
     local = np.empty_like(diff)
     b = pairs.bounds.tolist()
     for g in np.flatnonzero(counts).tolist():
-        np.matmul(diff[b[g] : b[g + 1]], rot[g], out=local[b[g] : b[g + 1]])
+        np.dot(diff[b[g] : b[g + 1]], rot[g], local[b[g] : b[g + 1]])
     for a in range(3):
         np.divide(local[:, a], np.repeat(scales[:, a], counts), out=local[:, a])
     return local
 
 
-def _squared_norms(local: np.ndarray) -> np.ndarray:
+def _local_coords(points, pairs: _Pairs, means, rot, scales) -> np.ndarray:
+    """(M, 3) pair offsets of query points in the scaled local frame."""
+    return _scaled_local(_offsets(points, pairs, means), pairs, rot, scales)
+
+
+def _squared_norms(local: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Row sums of squares, added in the order ``np.sum(local**2, axis=1)``
-    uses, without its per-row reduction overhead."""
-    sq = local * local
+    uses, without its per-row reduction overhead; the squares go to
+    ``out``, which may be ``local`` itself."""
+    sq = np.multiply(local, local, out=out)
     return sq[:, 0] + sq[:, 1] + sq[:, 2]
 
 
@@ -522,13 +566,15 @@ class FieldEvaluator:
 
     # -- low-level blocks --------------------------------------------------
 
-    def _d2(self, points: np.ndarray, pairs: _Pairs) -> np.ndarray:
-        """d2 of every candidate pair of one chunk, in the local-frame form
-        ``sum(((R^T (x - m)) / s)^2)`` of the primitive-level distance."""
-        return _squared_norms(_local_coords(points, pairs, self._means, self._rot, self._scales))
+    def _d2(self, diff: np.ndarray, pairs: _Pairs) -> np.ndarray:
+        """d2 of every candidate pair of one chunk from its offsets
+        ``x - m``, in the local-frame form ``sum(((R^T (x - m)) / s)^2)`` of
+        the primitive-level distance."""
+        local = _scaled_local(diff, pairs, self._rot, self._scales)
+        return _squared_norms(local, out=local)
 
-    def _live(self, points: np.ndarray, candidates: _Pairs) -> tuple[_Pairs, np.ndarray]:
-        d2 = self._d2(points, candidates)
+    def _live(self, candidates: _Pairs, d2: np.ndarray) -> tuple[_Pairs, np.ndarray]:
+        """The candidates within the cutoff, with their d2."""
         keep = d2 <= self._cutoff
         if np.all(keep):
             return candidates, d2
@@ -550,8 +596,12 @@ class FieldEvaluator:
         lattice = _VoxelLattice(self._means, self._rot, self._scales, self._cutoff, points, _SPAN_PAIRS,
                                 _SPAN_VOXELS)
         for start, stop in lattice.spans:
-            centers, candidates = lattice.span_pairs(start, stop)
-            yield slice(start * row, stop * row), *self._live(centers, candidates)
+            offsets, candidates = lattice.span_pairs(start, stop)
+            d2 = self._d2(offsets, candidates)
+            del offsets
+            pairs, d2 = self._live(candidates, d2)
+            del candidates
+            yield slice(start * row, stop * row), pairs, d2
 
     def _point_chunks(self, points: np.ndarray, first: int) -> Iterator[tuple[slice, _Pairs, np.ndarray]]:
         """:meth:`_chunks` over an (N, 3) array whose first row is query
@@ -559,10 +609,12 @@ class FieldEvaluator:
         for start in range(0, points.shape[0], self._step):
             chunk = points[start : start + self._step]
             if np.isfinite(self._cutoff):
-                pairs, d2 = self._live(chunk, self._index.pairs(chunk))
+                candidates = self._index.pairs(chunk)
+                pairs, d2 = self._live(candidates, self._d2(_offsets(chunk, candidates, self._means), candidates))
+                del candidates
             else:
                 pairs = _Pairs.every(len(self.gs), chunk.shape[0])
-                d2 = self._d2(chunk, pairs)
+                d2 = self._d2(_offsets(chunk, pairs, self._means), pairs)
             yield slice(first + start, first + start + chunk.shape[0]), pairs, d2
 
     def _fill(self, points, row_shape: tuple, rows_of, dtype=np.float64) -> np.ndarray:
@@ -595,16 +647,40 @@ class FieldEvaluator:
         return _composed(self._alpha(pairs, d2, n), self._semantics(pairs, d2, n))
 
     def _compose_label(self, pairs: _Pairs, d2: np.ndarray, n: int) -> np.ndarray:
-        """Argmax of :meth:`_compose`, with semantics only where alpha can
-        win: below 1/2 the empty class does, since ``1 - alpha > 1/2 >
-        alpha * e_k``; the margin covers ``e_k`` rounding above 1."""
-        a = self._alpha(pairs, d2, n)
+        """Argmax of :meth:`_compose`, with the exact terms only where the
+        label is open.
+
+        At or below :data:`_EMPTY_ALPHA` the empty class wins, since
+        ``1 - alpha > 1/2 > alpha * e_k``; the 1e-9 covers ``e_k`` rounding
+        above 1. With ``a_i = exp(-d2_i / 2)``, ``alpha = 1 - prod(1 - a_i)
+        <= sum a_i``, so the sum, one ``exp`` per pair and one bincount,
+        bounds alpha from above. Computed, it may fall below the computed
+        alpha by rounding, by at most a few ulps per term: with ``u =
+        2^-53`` and ``m <= P`` terms at a voxel, the sum and each ``exp``
+        lose at most ``(m + 1) u`` of the bound relatively. The log-survival
+        sum gains at most ``(m + 8) u`` relatively, from its additions and
+        the few ulps of each ``log1mexp`` term, and is at most ``ln 2``
+        where alpha is at most 1/2, so ``-expm1`` adds under ``(m + 8) u``
+        to alpha; the nearest-term guard is one of the summed terms. A
+        voxel whose sum is at most ``_EMPTY_ALPHA - 4 (P + 8) u`` therefore
+        has a computed alpha at most :data:`_EMPTY_ALPHA` and is empty; the
+        margin stays below 1e-9 for P up to about 10^6. Alpha is then
+        computed on the pairs of the open voxels, and the semantics on those
+        of the voxels it contests. Each voxel keeps its pairs in their
+        order, so both have the bits of the full evaluation.
+        """
         labels = np.zeros(n, dtype=np.int64)
+        bound = scatter_sum(pairs.point, np.exp(-0.5 * d2), n)
+        pairs, d2, open_ = pairs.restrict(d2, bound > _EMPTY_ALPHA - 4.0 * (len(self.gs) + 8) * _UNIT_ROUNDOFF)
+        del bound
+        a = self._alpha(pairs, d2, open_.size)
         contested = a > _EMPTY_ALPHA
-        if np.any(contested):
-            keep = contested[pairs.point]
-            e = self._semantics(pairs.select(keep), np.compress(keep, d2), n)
-            labels[contested] = np.argmax(_composed(a[contested], e[contested]), axis=1)
+        if not np.any(contested):
+            return labels
+        pairs, d2, won = pairs.restrict(d2, contested)
+        e = self._semantics(pairs, d2, won.size)
+        del pairs, d2
+        labels[open_[won]] = np.argmax(_composed(a[won], e), axis=1)
         return labels
 
     def _legacy(self, pairs: _Pairs, d2: np.ndarray, n: int) -> np.ndarray:

@@ -24,6 +24,9 @@ from .core import GaussianSet
 from .field import EvalOptions, FieldEvaluator, VoxelCenters
 
 _FLOAT_FMT = "%.17g"
+# Labels per bincount when counting classes: bincount copies its input to
+# int64, so counting in blocks bounds that copy.
+_COUNT_BLOCK = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -151,7 +154,11 @@ class VoxelGrid:
 
     def class_voxel_counts(self) -> np.ndarray:
         """(num_classes_total,) voxel count per class."""
-        return np.bincount(self.labels_flat, minlength=self.spec.num_classes_total)
+        flat, k = self.labels_flat, self.spec.num_classes_total
+        counts = np.zeros(k, dtype=np.intp)
+        for start in range(0, flat.size, _COUNT_BLOCK):
+            counts += np.bincount(flat[start : start + _COUNT_BLOCK], minlength=k)
+        return counts
 
     def labels_at_points(self, points: np.ndarray) -> np.ndarray:
         """Labels at arbitrary points; outside the grid reads as empty."""

@@ -166,16 +166,14 @@ def test_perfbench_wrapped_layers_record(monkeypatch, mini_street):
         assert abs(count["live"] - live) <= 0.01 * live
 
 
-@pytest.mark.parametrize("name", ["audit-paper", "fit-street"])
-def test_perfbench_reference_outputs_at_seed_0(monkeypatch, tmp_path, name):
-    # One repetition of the workload and its checks against the recorded
-    # reference: a change that moves a voxel label hash, a Monte Carlo hit
-    # count or a gradient fails here, not only in a benchmark run.
+def check_reference_outputs(monkeypatch, tmp_path, name: str, seed: int):
+    """One repetition of a workload and its checks against the reference
+    recorded for ``seed``."""
     monkeypatch.syspath_prepend(str(_PERFBENCH))
     workloads = importlib.import_module("workloads")
     spans = importlib.import_module("spans")
-    reference = json.loads((_PERFBENCH / "reference.json").read_text())[name]["0"]
-    ctx = workloads.Context(root=_SRC.parent, seed=0, tracer=spans.Tracer(enabled=False), workdir=tmp_path,
+    reference = json.loads((_PERFBENCH / "reference.json").read_text())[name][str(seed)]
+    ctx = workloads.Context(root=_SRC.parent, seed=seed, tracer=spans.Tracer(enabled=False), workdir=tmp_path,
                             reference=reference)
     workload = workloads.WORKLOADS[name]()
     inputs = workload.setup(ctx)
@@ -184,3 +182,16 @@ def test_perfbench_reference_outputs_at_seed_0(monkeypatch, tmp_path, name):
     checks = dict(workload.check(ctx, inputs, out, None))
     assert {f"reference-{key}" for key in reference} <= set(checks)
     assert {check: problem for check, problem in checks.items() if problem is not None} == {}
+
+
+@pytest.mark.parametrize("name", ["audit-paper", "fit-street"])
+def test_perfbench_reference_outputs_at_seed_0(monkeypatch, tmp_path, name):
+    # A change that moves a voxel label hash, a Monte Carlo hit count or a
+    # gradient fails here, not only in a benchmark run.
+    check_reference_outputs(monkeypatch, tmp_path, name, 0)
+
+
+def test_perfbench_audit_paper_reference_outputs_at_seed_1(monkeypatch, tmp_path):
+    # A second generated paper-scale set pins the voxel label hash and the
+    # Monte Carlo hits on other voxels.
+    check_reference_outputs(monkeypatch, tmp_path, "audit-paper", 1)

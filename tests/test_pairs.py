@@ -2,6 +2,9 @@
 per-primitive loop oracles."""
 
 import dataclasses
+import importlib
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +22,7 @@ from gaussocc.field import (
     _local_coords,
     _Pairs,
     _runs,
+    _scaled_local,
     _VoxelLattice,
     live_pairs,
 )
@@ -299,7 +303,7 @@ def lattice_set(rng, spec: GridSpec, c=3) -> GaussianSet:
 
 
 def lattice_candidates(gs: GaussianSet, spec: GridSpec, cutoff=CUTOFF, budget=1 << 17, voxel_budget=1 << 17) -> list:
-    """Per span: (first flat voxel, span centers, candidate pairs)."""
+    """Per span: (first flat voxel, pair offsets ``x - m``, candidate pairs)."""
     lattice = _VoxelLattice(gs.means, rotation_matrices(gs.rotations), gs.scales, cutoff, spec.centers(), budget,
                             voxel_budget)
     row = int(spec.resolution[1] * spec.resolution[2])
@@ -316,8 +320,9 @@ def every_pair_d2(gs: GaussianSet, points: np.ndarray) -> np.ndarray:
 def check_lattice(gs: GaussianSet, spec: GridSpec, cutoff=CUTOFF, budget=1 << 17,
                   voxel_budget=1 << 17) -> tuple[int, int]:
     """Assert that the lattice lists every live pair once, grouped by
-    Gaussian, with the span's centers, in spans of at most
-    ``voxel_budget`` voxels or one x-row; return (candidates, live)."""
+    Gaussian, with the offsets of the span's centers from the means bit
+    for bit, in spans of at most ``voxel_budget`` voxels or one x-row;
+    return (candidates, live)."""
     centers = spec.all_centers()
     d2 = every_pair_d2(gs, centers)
     rot = rotation_matrices(gs.rotations)
@@ -325,13 +330,14 @@ def check_lattice(gs: GaussianSet, spec: GridSpec, cutoff=CUTOFF, budget=1 << 17
     candidates, live, listed = set(), set(), 0
     spans = lattice_candidates(gs, spec, cutoff, budget, voxel_budget)
     assert spans[0][0] == 0
-    for (first, points, pairs), nxt in zip(spans, spans[1:] + [(spec.num_voxels,)]):
-        np.testing.assert_array_equal(points, centers[first : nxt[0]])
+    for (first, offsets, pairs), nxt in zip(spans, spans[1:] + [(spec.num_voxels,)]):
+        points = centers[first : nxt[0]]
         assert points.shape[0] <= max(voxel_budget, row)
         assert np.all(np.diff(pairs.gauss) >= 0)
         np.testing.assert_array_equal(pairs.bounds, np.searchsorted(pairs.gauss, np.arange(len(gs) + 1)))
         assert np.all((pairs.point >= 0) & (pairs.point < points.shape[0]))
-        span_d2 = np.sum(_local_coords(points, pairs, gs.means, rot, gs.scales) ** 2, axis=1)
+        assert offsets.tobytes() == (points[pairs.point] - gs.means[pairs.gauss]).tobytes()
+        span_d2 = np.sum(_scaled_local(offsets, pairs, rot, gs.scales) ** 2, axis=1)
         glob = zip(pairs.gauss.tolist(), (pairs.point + first).tolist())
         for pair, inside in zip(glob, (span_d2 <= cutoff).tolist()):
             candidates.add(pair)
@@ -399,8 +405,8 @@ class TestVoxelLattice:
                          rotations=quats / np.linalg.norm(quats, axis=1, keepdims=True),
                          opacities=rng.uniform(0.1, 1.0, p), logits=rng.normal(size=(p, 4)))
         n_candidates, n_live = 0, 0
-        for _, points, pairs in lattice_candidates(gs, spec):
-            d2 = np.sum(_local_coords(points, pairs, gs.means, rotation_matrices(gs.rotations), gs.scales) ** 2, axis=1)
+        for _, offsets, pairs in lattice_candidates(gs, spec):
+            d2 = np.sum(_scaled_local(offsets, pairs, rotation_matrices(gs.rotations), gs.scales) ** 2, axis=1)
             n_candidates += d2.size
             n_live += int(np.count_nonzero(d2 <= CUTOFF))
         assert n_live > 10_000
@@ -500,8 +506,86 @@ class TestVoxelLattice:
                          rotations=rng.normal(size=(p, 4)), opacities=rng.uniform(0.1, 1.0, p),
                          logits=rng.normal(size=(p, 2)))
         cutoff = data.draw(st.sampled_from([CUTOFF, 6.251, 1.0]), label="cutoff")
-        check_lattice(gs, spec, cutoff, budget=data.draw(st.sampled_from([16, 1 << 17]), label="budget"),
-                      voxel_budget=data.draw(st.sampled_from([1, 30, 1 << 17]), label="voxel_budget"))
+        budget = data.draw(st.sampled_from([16, 1 << 17]), label="budget")
+        voxel_budget = data.draw(st.sampled_from([1, 30, 1 << 17]), label="voxel_budget")
+        check_lattice(gs, spec, cutoff, budget=budget, voxel_budget=voxel_budget)
+        # The bound-first labels of the lattice spans equal the argmax of
+        # the full composed prediction at the centers.
+        ev = FieldEvaluator(gs, EvalOptions(cutoff_mahalanobis_sq=cutoff))
+        want = np.argmax(ev.compose(spec.all_centers()), axis=1)
+        with mock.patch.object(field, "_SPAN_PAIRS", budget), mock.patch.object(field, "_SPAN_VOXELS", voxel_budget):
+            np.testing.assert_array_equal(ev.compose_labels(spec.centers()), want)
+
+
+def unit_grid(n: int) -> GridSpec:
+    """An n x n x n grid of unit voxels with two classes besides empty."""
+    return GridSpec(min_corner=np.zeros(3), max_corner=np.full(3, float(n)), resolution=np.array([n, n, n]),
+                    num_classes_total=3)
+
+
+def isotropic_set(means: np.ndarray, scale: float = 1.0) -> GaussianSet:
+    """Unit-opacity Gaussians of one scale whose semantics are class 1
+    to within rounding."""
+    p = means.shape[0]
+    return GaussianSet(means=means, scales=np.full((p, 3), scale), rotations=np.tile([1.0, 0.0, 0.0, 0.0], (p, 1)),
+                       opacities=np.ones(p), logits=np.tile([40.0, 0.0], (p, 1)))
+
+
+class TestBoundFirstLabels:
+    """Voxel labels take the exact alpha only where the summed
+    single-Gaussian alphas reach 1/2 (less a rounding margin); these cases
+    sit on that bound."""
+
+    @pytest.mark.parametrize("count", [40, 61, 63, 80])
+    def test_many_weak_gaussians(self, count):
+        # ``count`` Gaussians at d2 = 9 of the middle voxel's center, each
+        # with alpha exp(-4.5) = 0.011 there: the summed alphas pass 1/2 from
+        # 46 Gaussians on, and the aggregate 1 - (1 - 0.011)^count from 63.
+        spec = unit_grid(5)
+        center = voxel_center(spec, 2, 2, 2)
+        k = np.arange(count) + 0.5
+        polar, azimuth = np.arccos(1.0 - 2.0 * k / count), np.pi * (1.0 + 5.0**0.5) * k
+        directions = np.column_stack([np.sin(polar) * np.cos(azimuth), np.sin(polar) * np.sin(azimuth), np.cos(polar)])
+        gs = isotropic_set(center + 3.0 * directions)
+        ev = FieldEvaluator(gs)
+        centers = spec.all_centers()
+        want = np.argmax(ev.compose(centers), axis=1)
+        middle = (2 * 5 + 2) * 5 + 2
+        terms = np.exp(-0.5 * every_pair_d2(gs, centers)[:, middle])
+        assert np.all(terms < 0.012) and (np.sum(terms) > 0.5) == (count >= 46)
+        assert want[middle] == (1 if count >= 63 else 0)
+        np.testing.assert_array_equal(voxelize(gs, spec).labels_flat, want)
+
+    @pytest.mark.parametrize("others", [0, 4])
+    def test_alpha_within_1e_12_of_one_half(self, others):
+        # One Gaussian slides along x away from the middle voxel's center,
+        # bisected until the aggregate alpha there lies within 1e-12 of 1/2
+        # on each side. Its semantics round to class 1 exactly, so the label
+        # flips with alpha at 1/2.
+        spec = unit_grid(3)
+        center = voxel_center(spec, 1, 1, 1)
+        fixed = center + np.array([[0.0, 2.5, 0.0], [0.0, -2.5, 0.0], [0.0, 0.0, 2.6], [0.0, 0.0, -2.6]])[:others]
+
+        def placed(t):
+            return isotropic_set(np.concatenate([center + [[t, 0.0, 0.0]], fixed]))
+
+        def alpha(t):
+            return FieldEvaluator(placed(t)).alpha(center[None, :])[0]
+
+        near, far = 0.0, 3.0
+        for _ in range(200):
+            if alpha(near) - 0.5 < 1e-12 and 0.5 - alpha(far) < 1e-12:
+                break
+            mid = 0.5 * (near + far)
+            near, far = (mid, far) if alpha(mid) > 0.5 else (near, mid)
+        assert 0.0 < alpha(near) - 0.5 < 1e-12 and 0.0 < 0.5 - alpha(far) < 1e-12
+        middle = (1 * 3 + 1) * 3 + 1
+        centers = spec.all_centers()
+        for t, label in ((near, 1), (far, 0)):
+            gs = placed(t)
+            want = np.argmax(FieldEvaluator(gs).compose(centers), axis=1)
+            assert want[middle] == label
+            np.testing.assert_array_equal(voxelize(gs, spec).labels_flat, want)
 
 
 def test_paper_scale_voxelize_memory_is_bounded():
@@ -522,6 +606,56 @@ def test_paper_scale_voxelize_memory_is_bounded():
     pred, peak = traced_peak(lambda: voxelize(gs, spec))
     assert np.count_nonzero(pred.labels) > 10_000
     assert peak < 32 * 2**20
+
+
+def test_bound_leaves_few_pairs_to_the_exact_alpha(monkeypatch, tmp_path):
+    # On the audit benchmark's set at seed 0, 17.5% of the live pairs of
+    # voxelize belong to voxels whose summed alphas reach 1/2, so only
+    # those reach log1mexp; without the bound every live pair would.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    workloads, spans = importlib.import_module("workloads"), importlib.import_module("spans")
+    ctx = workloads.Context(root=Path(__file__).resolve().parents[1], seed=0, tracer=spans.Tracer(enabled=False),
+                            workdir=tmp_path)
+    inputs = workloads.WORKLOADS["audit-paper"]().setup(ctx)
+    exact, live = [], []
+    log1mexp, compose_label = field.log1mexp, FieldEvaluator._compose_label
+
+    def counted_log1mexp(a):
+        exact.append(np.size(a))
+        return log1mexp(a)
+
+    def counted_compose_label(self, pairs, d2, n):
+        live.append(d2.size)
+        return compose_label(self, pairs, d2, n)
+
+    monkeypatch.setattr(field, "log1mexp", counted_log1mexp)
+    monkeypatch.setattr(FieldEvaluator, "_compose_label", counted_compose_label)
+    pred = voxelize(inputs["gs"], inputs["grid"].spec, EvalOptions(neighbor_index=True))
+    assert np.count_nonzero(pred.labels) > 10_000
+    assert sum(live) > 1_000_000
+    assert 0 < sum(exact) < 0.25 * sum(live)
+
+
+def test_dense_voxelize_memory_is_bounded(mini_street):
+    # 1024 Gaussians on occupied voxels of mini-street: 73% of the live
+    # pairs belong to voxels whose alpha passes 1/2, so the bound prunes
+    # little. Evaluating the exact terms on every pair peaked at 11.0 MB;
+    # the bound-first labels peak at 10.9 MB.
+    grid, _ = mini_street
+    spec = grid.spec
+    rng = np.random.default_rng(0)
+    occupied, labels = grid.occupied_centers(), grid.occupied_labels()
+    p = 1024
+    idx = rng.choice(occupied.shape[0], p, replace=False)
+    quats = rng.normal(size=(p, 4))
+    logits = rng.normal(size=(p, spec.num_classes_total - 1))
+    logits[np.arange(p), labels[idx] - 1] += 4.0
+    gs = GaussianSet(means=occupied[idx], scales=np.exp(rng.uniform(np.log(0.7), np.log(2.0), (p, 3))) * spec.voxel_size,
+                     rotations=quats / np.linalg.norm(quats, axis=1, keepdims=True),
+                     opacities=rng.uniform(0.5, 1.0, p), logits=logits)
+    pred, peak = traced_peak(lambda: voxelize(gs, spec))
+    assert np.count_nonzero(pred.labels) > 5000
+    assert peak < 11.0 * 2**20
 
 
 def corner_set(spec: GridSpec, p: int, seed: int) -> GaussianSet:

@@ -127,11 +127,14 @@ class TestSpans:
         with pytest.raises(ValueError, match="shape label 5 outside grid classes"):
             rasterize(shapes, default_grid_spec())
 
-    @pytest.mark.parametrize("make_spec, bound_mb", [(nuscenes_grid_spec, 12), (kitti360_grid_spec, 32)],
+    @pytest.mark.parametrize("make_spec, bound_mb", [(nuscenes_grid_spec, 12), (kitti360_grid_spec, 16)],
                              ids=["nuscenes", "kitti360"])
     def test_paper_scale_synth_memory_is_bounded(self, make_spec, bound_mb):
         # The whole-grid centers and their meshgrid copies peaked at 36 MB
         # (nuScenes) and 118 MB (KITTI-360); the labels take 1.3 and 4.2 MB.
+        # Counting the classes in one bincount copied the labels to int64,
+        # 16 MB on KITTI-360, which peaked at 20.0 MB; counting in blocks,
+        # it peaks at 11.1 MB.
         (grid, _), peak = traced_peak(lambda: synth_scene(0, spec=make_spec()))
         assert np.count_nonzero(grid.labels) > 10_000
         assert peak < bound_mb * 2**20
