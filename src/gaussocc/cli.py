@@ -26,7 +26,7 @@ from .fit import FitConfig, fit
 # one model dispatch. They stay importable from this module because the
 # benchmark's traced CLI run (perfbench/spans.py) wraps these names.
 from .grid import GridSpec, _voxelize_model, load_grid, save_grid, voxelize, voxelize_legacy  # noqa: F401
-from .metrics import ConfusionMatrix, iou, miou, utilization_report
+from .metrics import ConfusionMatrix, utilization_report
 from .rays import RaySampling, camera_rays, occupancy_labels
 from .scenes import RECIPES, default_grid_spec, synth_scene
 
@@ -137,11 +137,9 @@ def cmd_eval(args) -> int:
     gt = load_grid(args.gt)
     gs = io.load_gaussian_set(args.pred_gaussians)
     pred = _voxelize_model(gs, gt.spec)  # the channel count picks the model
-    report: dict[str, object] = {
-        "iou": iou(pred, gt),
-        "miou": miou(pred, gt),
-    }
-    per_class = ConfusionMatrix.from_grids(pred, gt).per_class_iou()
+    cm = ConfusionMatrix.from_grids(pred, gt)
+    report: dict[str, object] = {"iou": cm.iou(), "miou": cm.miou()}
+    per_class = cm.per_class_iou()
     for k in range(1, gt.spec.num_classes_total):
         report[f"iou_{k}"] = per_class[k]
     io.write_report(args.report, report)

@@ -7,10 +7,10 @@ the mean cross entropy between the composed field prediction and the
 one-hot grid label at sampled voxel centers; the additive baseline uses a
 softmax over its raw accumulated logits instead.
 
-Gradients are fully analytic, including the quaternion-normalization
-chain (so the gradient of a free quaternion is its tangent-space
-projection scaled by 1/norm) and the covariance chain through rotation
-and log-scales. Loss and gradient run on the field's sparse pair kernel:
+Gradients are fully analytic: the covariance chain runs through rotation
+and log-scales, and a free quaternion's gradient is the closed-form
+body-frame torque on its rotation, tangent to its sphere and scaled by
+1/norm. Loss and gradient run on the field's sparse pair kernel:
 only the (Gaussian, point) pairs within the cutoff are visited.
 Optimization is plain gradient descent with first/second moment
 accumulation, decoupled weight decay and a cosine step-size decay.
@@ -38,7 +38,7 @@ from .field import (
 )
 from .grid import VoxelGrid, _voxelize_model
 from .io import read_key_values
-from .metrics import iou, miou
+from .metrics import ConfusionMatrix
 
 _LOG_U_FLOOR = np.log(1e-15)  # floor on per-Gaussian log(1 - alpha_i) inside the loss
 _PRED_FLOOR = 1e-12  # floor on predicted class probability inside the log
@@ -349,20 +349,16 @@ def _initial_set(gt: VoxelGrid, cfg: FitConfig, means, scale, labels=None) -> Ga
 # -- fused loss and gradient ----------------------------------------------------
 
 
-def _rotation_quat_jacobian(qn: np.ndarray) -> np.ndarray:
-    """(P, 4, 3, 3) derivative of the rotation matrix w.r.t. each unit
-    quaternion component."""
-    w, x, y, z = qn[:, 0], qn[:, 1], qn[:, 2], qn[:, 3]
-    o = np.zeros_like(w)
-
-    def mat(*rows):
-        return np.stack([np.stack(r, axis=-1) for r in rows], axis=-2)
-
-    dw = mat((o, -z, y), (z, o, -x), (-y, x, o))
-    dx = mat((o, y, z), (y, -2 * x, -w), (z, w, -2 * x))
-    dy = mat((-2 * y, x, w), (x, o, z), (-w, z, -2 * y))
-    dz = mat((-2 * z, -w, x), (w, -2 * z, y), (x, y, o))
-    return 2.0 * np.stack([dw, dx, dy, dz], axis=1)
+def _quaternion_grad(k: np.ndarray, qn: np.ndarray, qnorm: np.ndarray) -> np.ndarray:
+    """(P, 4) gradient of the free quaternions qnorm * qn. The loss sees R only
+    through R^T dL/dR = 2K, K = diag(s) uu diag(s)^-1, so a body-frame turn
+    R (I + [theta]x) changes it by tau . theta, tau = 2 (K21 - K12, K02 - K20,
+    K10 - K01). qn = (w, v) then moves by qn (x) (0, theta) / 2: its gradient is
+    the tangent 2 qn (x) (0, tau) = 2 (-v . tau, w tau + v x tau), over qnorm."""
+    tau = 2.0 * (k - k.transpose(0, 2, 1))[:, (2, 0, 1), (1, 2, 0)]
+    w, v = qn[:, :1], qn[:, 1:]
+    g = np.concatenate([-np.sum(v * tau, axis=1, keepdims=True), w * tau + np.cross(v, tau)], axis=1)
+    return g * (2.0 / qnorm)[:, None]
 
 
 def _loss_and_grad(
@@ -488,10 +484,7 @@ def _loss_and_grad(
     # Each log-scale also enters the mixture weight through -log(det)/2.
     g_ls = -2.0 * np.diagonal(uu, axis1=1, axis2=2) - grad_log_a[:, None]
     g_ls *= s_active
-    grad_rot = 2.0 * rot @ (s[:, :, None] * uu / s[:, None, :])
-    jac = _rotation_quat_jacobian(qn)
-    g_qn = np.einsum("pab,piab->pi", grad_rot, jac)
-    g_quat = (g_qn - qn * np.sum(qn * g_qn, axis=1, keepdims=True)) / qnorm[:, None]
+    g_quat = _quaternion_grad(s[:, :, None] * uu / s[:, None, :], qn, qnorm)
     if model == "probabilistic":
         with np.errstate(invalid="ignore"):
             log_a_chain = np.where(opac > 0.0, sig / opac, 0.0)
@@ -590,8 +583,8 @@ def _require_finite(blk: np.ndarray, what: str, iteration: int) -> None:
 
 
 def _evaluate(gs: GaussianSet, gt: VoxelGrid, model: str, opts: EvalOptions) -> tuple[float, float]:
-    pred = _voxelize_model(gs, gt.spec, model, opts)
-    return iou(pred, gt), miou(pred, gt)
+    cm = ConfusionMatrix.from_grids(_voxelize_model(gs, gt.spec, model, opts), gt)
+    return cm.iou(), cm.miou()
 
 
 def fit(gt: VoxelGrid, cfg: FitConfig) -> FitResult:

@@ -154,11 +154,7 @@ class VoxelGrid:
 
     def class_voxel_counts(self) -> np.ndarray:
         """(num_classes_total,) voxel count per class."""
-        flat, k = self.labels_flat, self.spec.num_classes_total
-        counts = np.zeros(k, dtype=np.intp)
-        for start in range(0, flat.size, _COUNT_BLOCK):
-            counts += np.bincount(flat[start : start + _COUNT_BLOCK], minlength=k)
-        return counts
+        return _label_counts(self.spec.num_classes_total, self.labels_flat)
 
     def labels_at_points(self, points: np.ndarray) -> np.ndarray:
         """Labels at arbitrary points; outside the grid reads as empty."""
@@ -167,6 +163,21 @@ class VoxelGrid:
         out = self.labels_flat[(ix * ny + iy) * nz + iz].astype(np.int64)
         out[~inside] = 0
         return out
+
+
+def _label_counts(k: int, *flats: np.ndarray) -> np.ndarray:
+    """(k,) * len(flats) voxel counts of the joint labels of equally long flat
+    label arrays: entry [a, b] counts the voxels labelled a in the first and b
+    in the second. The keys ``a * k + b`` are counted per :data:`_COUNT_BLOCK`."""
+    counts = np.zeros(k ** len(flats), dtype=np.intp)
+    for start in range(0, flats[0].size, _COUNT_BLOCK):
+        block = slice(start, start + _COUNT_BLOCK)
+        key = flats[0][block].astype(np.intp)
+        for flat in flats[1:]:
+            key *= k
+            key += flat[block]
+        counts += np.bincount(key, minlength=counts.size)
+    return counts.reshape((k,) * len(flats))
 
 
 def voxel_center(spec: GridSpec, ix: int, iy: int, iz: int) -> np.ndarray:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .core import GaussianPrimitive, GaussianSet, build_covariance, covariance_matrices, seeded_stream
 from .field import EvalOptions, FieldEvaluator, scatter_sum
-from .grid import VoxelGrid
+from .grid import VoxelGrid, _label_counts
 
 # Chi-square critical value at 90% for three degrees of freedom; the
 # Mahalanobis ball d2 <= CHI2 is the 90% confidence ellipsoid.
@@ -65,10 +65,7 @@ class ConfusionMatrix:
     def from_grids(cls, pred: VoxelGrid, gt: VoxelGrid) -> "ConfusionMatrix":
         if not pred.spec.describes_same_grid(gt.spec):
             raise ValueError("prediction and ground-truth grids must share one spec")
-        k = gt.spec.num_classes_total
-        joint = gt.labels_flat.astype(np.int64) * k + pred.labels_flat.astype(np.int64)
-        counts = np.bincount(joint, minlength=k * k).reshape(k, k)
-        return cls(counts=counts)
+        return cls(counts=_label_counts(gt.spec.num_classes_total, gt.labels_flat, pred.labels_flat))
 
     @property
     def total(self) -> int:
@@ -81,36 +78,32 @@ class ConfusionMatrix:
         with np.errstate(invalid="ignore"):
             return np.where(union > 0, tp / union, np.nan)
 
+    def iou(self) -> float:
+        """Binary occupied-vs-empty IoU; two entirely empty grids score 1."""
+        union = self.total - int(self.counts[0, 0])
+        return int(self.counts[1:, 1:].sum()) / union if union else 1.0
+
+    def miou(self, include_absent: bool = False) -> float:
+        """Mean IoU over the non-empty classes. A class absent from both grids
+        (IoU 0/0) is left out, or counts as 0 with ``include_absent``; with no
+        class left the grids agree on emptiness and score 1."""
+        per_class = self.per_class_iou()[1:]
+        if include_absent:
+            per_class = np.nan_to_num(per_class, nan=0.0)
+        defined = per_class[~np.isnan(per_class)]
+        if defined.size == 0:
+            return 1.0
+        return float(defined.mean())
+
 
 def iou(pred: VoxelGrid, gt: VoxelGrid) -> float:
-    """Binary occupied-vs-empty IoU; two entirely empty grids score 1."""
-    if not pred.spec.describes_same_grid(gt.spec):
-        raise ValueError("prediction and ground-truth grids must share one spec")
-    p = pred.occupied_mask
-    g = gt.occupied_mask
-    tp = int(np.count_nonzero(p & g))
-    union = int(np.count_nonzero(p | g))
-    if union == 0:
-        return 1.0
-    return tp / union
+    """:meth:`ConfusionMatrix.iou` of two grids."""
+    return ConfusionMatrix.from_grids(pred, gt).iou()
 
 
 def miou(pred: VoxelGrid, gt: VoxelGrid, include_absent: bool = False) -> float:
-    """Mean IoU over the non-empty classes.
-
-    Classes absent from both grids have an undefined 0/0 IoU and are
-    excluded from the mean by default; ``include_absent`` counts them as 0
-    instead. If every semantic class is absent from both grids the two
-    grids agree perfectly on emptiness and the result is 1.
-    """
-    cm = ConfusionMatrix.from_grids(pred, gt)
-    per_class = cm.per_class_iou()[1:]
-    if include_absent:
-        per_class = np.nan_to_num(per_class, nan=0.0)
-    defined = per_class[~np.isnan(per_class)]
-    if defined.size == 0:
-        return 1.0
-    return float(defined.mean())
+    """:meth:`ConfusionMatrix.miou` of two grids."""
+    return ConfusionMatrix.from_grids(pred, gt).miou(include_absent)
 
 
 def perc_correct(gs: GaussianSet, gt: VoxelGrid) -> float:

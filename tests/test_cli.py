@@ -16,7 +16,7 @@ from gaussocc.io import (
     save_gaussian_set,
     write_key_values,
 )
-from gaussocc.metrics import iou, miou, utilization_report
+from gaussocc.metrics import ConfusionMatrix, iou, miou, utilization_report
 from gaussocc.rays import CameraModel, RaySampling, camera_rays, occupancy_labels
 from gaussocc.grid import voxelize, voxelize_legacy
 from gaussocc.fit import FitConfig, init_from_grid
@@ -298,6 +298,21 @@ class TestEval:
         pred = voxelize(gs, gt.spec)
         assert float(values["iou"]) == iou(pred, gt)
         assert float(values["miou"]) == miou(pred, gt)
+
+    def test_eval_builds_one_confusion_matrix(self, scene_file, tmp_path, monkeypatch):
+        gt = load_grid(scene_file)
+        set_path = tmp_path / "init.gsocc"
+        save_gaussian_set(set_path, init_from_grid(gt, FitConfig(num_gaussians=64, iterations=1, seed=4)))
+        real = ConfusionMatrix.from_grids
+        calls = []
+
+        def counting(pred, gt):
+            calls.append(1)
+            return real(pred, gt)
+
+        monkeypatch.setattr(ConfusionMatrix, "from_grids", staticmethod(counting))
+        assert run("eval", "--pred-gaussians", set_path, "--gt", scene_file, "--report", tmp_path / "r.txt") == 0
+        assert len(calls) == 1
 
     def test_channel_count_picks_the_additive_model(self, scene_file, tmp_path):
         gt = load_grid(scene_file)

@@ -17,6 +17,7 @@ from gaussocc.fit import (
     FitConfig,
     ParamVector,
     _loss_and_grad,
+    _quaternion_grad,
     fit,
     fit_grad,
     fit_loss,
@@ -25,6 +26,7 @@ from gaussocc.fit import (
     random_init,
 )
 from gaussocc.grid import GridSpec, VoxelGrid
+from gaussocc.metrics import ConfusionMatrix
 
 from conftest import random_gaussian_set
 
@@ -60,6 +62,53 @@ def grad_errors(analytic, numeric):
     scale = np.maximum(np.abs(analytic), np.abs(numeric))
     abs_err = np.abs(analytic - numeric)
     return abs_err, abs_err / np.where(scale > 0, scale, 1.0)
+
+
+def _rotation_quat_jacobian(qn):
+    """(P, 4, 3, 3) derivative of the rotation matrix w.r.t. each unit
+    quaternion component: the reference for the closed-form torque."""
+    w, x, y, z = qn[:, 0], qn[:, 1], qn[:, 2], qn[:, 3]
+    o = np.zeros_like(w)
+
+    def mat(*rows):
+        return np.stack([np.stack(r, axis=-1) for r in rows], axis=-2)
+
+    dw = mat((o, -z, y), (z, o, -x), (-y, x, o))
+    dx = mat((o, y, z), (y, -2 * x, -w), (z, w, -2 * x))
+    dy = mat((-2 * y, x, w), (x, o, z), (-w, z, -2 * y))
+    dz = mat((-2 * z, -w, x), (w, -2 * z, y), (x, y, o))
+    return 2.0 * np.stack([dw, dx, dy, dz], axis=1)
+
+
+def jacobian_quaternion_grad(k, qn, qnorm):
+    """The quaternion gradient through the full rotation Jacobian, in
+    extended precision: dL/dR = 2 R K, contracted with dR/dq, projected
+    onto the tangent space of the unit quaternion and divided by the raw
+    norm. Returns the (P, 4) gradient as float64 and, per row, the size of
+    the unprojected contraction over the norm, from which the projection
+    cancels (the path's own rounding scales with it)."""
+    k, qn, qnorm = (np.asarray(a, dtype=np.longdouble) for a in (k, qn, qnorm))
+    # Renormalized in extended precision: the Jacobian path turns a float64
+    # unit quaternion's one-ulp norm error into an error of about an ulp of
+    # its unprojected contraction, which the torque form does not have.
+    qn = qn / np.sqrt(np.sum(qn * qn, axis=1, keepdims=True))
+    w, x, y, z = qn.T
+    rot = np.stack([
+        np.stack([1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)], axis=-1),
+        np.stack([2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)], axis=-1),
+        np.stack([2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)], axis=-1),
+    ], axis=-2)
+    g_qn = np.einsum("pab,piab->pi", 2 * rot @ k, _rotation_quat_jacobian(qn))
+    g = (g_qn - qn * np.sum(qn * g_qn, axis=1, keepdims=True)) / qnorm[:, None]
+    scale = np.max(np.abs(g_qn), axis=1) / qnorm
+    return g.astype(np.float64), scale.astype(np.float64)
+
+
+# The torque form must match the Jacobian path within this fraction of the
+# largest entry; the reference's own rounding, a few extended-precision
+# ulps of its unprojected contraction, is allowed on top.
+QUAT_GRAD_RTOL = 4e-15
+_LD_EPS = float(np.finfo(np.longdouble).eps)
 
 
 class TestParamVector:
@@ -450,6 +499,84 @@ class TestGradient:
         assert successes >= 95
 
 
+class TestQuaternionGradient:
+    @staticmethod
+    def random_k(rng, p):
+        a = rng.normal(size=(p, 3, 3))
+        uu = a + a.transpose(0, 2, 1)
+        s = 10.0 ** rng.uniform(-3, 3, size=(p, 3))
+        return s[:, :, None] * uu / s[:, None, :]
+
+    @staticmethod
+    def assert_matches_jacobian_path(k, q):
+        qnorm = np.linalg.norm(q, axis=1)
+        qn = q / qnorm[:, None]
+        got = _quaternion_grad(k, qn, qnorm)
+        want, scale = jacobian_quaternion_grad(k, qn, qnorm)
+        tol = QUAT_GRAD_RTOL * np.max(np.abs(want), axis=1) + 8 * _LD_EPS * scale
+        err = np.max(np.abs(got - want), axis=1)
+        assert np.all(err <= tol), np.max(err / np.where(tol > 0, tol, 1.0))
+
+    def test_equals_the_jacobian_path(self):
+        rng = np.random.default_rng(180)
+        p = 2000
+        q = rng.normal(size=(p, 4))
+        q *= (10.0 ** rng.uniform(-3, 3, size=p) / np.linalg.norm(q, axis=1))[:, None]
+        self.assert_matches_jacobian_path(self.random_k(rng, p), q)
+
+    @pytest.mark.parametrize("quat", [
+        (0.0, 0.3, -0.5, 0.8),   # w = 0
+        (1.0, 0.0, 0.0, 0.0),    # w = 1
+        (-1.0, 0.0, 0.0, 0.0),   # w = -1
+        (0.0, 1.0, 0.0, 0.0),    # one non-zero vector component
+        (0.0, 0.0, -1.0, 0.0),
+        (0.0, 0.0, 0.0, 1.0),
+    ])
+    @pytest.mark.parametrize("norm", [1e-3, 1.0, 1e3])
+    def test_degenerate_quaternions(self, quat, norm):
+        rng = np.random.default_rng(181)
+        p = 64
+        q = np.tile(np.array(quat) / np.linalg.norm(quat) * norm, (p, 1))
+        self.assert_matches_jacobian_path(self.random_k(rng, p), q)
+
+    @pytest.mark.parametrize("model", ["probabilistic", "additive"])
+    @pytest.mark.parametrize("cutoff", [25.0, np.inf])
+    def test_loss_and_grad_against_the_jacobian_path(self, model, cutoff, monkeypatch):
+        # The torque form moves the quaternion columns by rounding only;
+        # the loss and every other gradient entry keep their bits.
+        module = importlib.import_module("gaussocc.fit")
+        c = 4
+        ch = c - 1 if model == "probabilistic" else c
+        for seed in range(26):
+            rng = np.random.default_rng([183, seed])
+            p, n = int(rng.integers(4, 64)), int(rng.integers(64, 384))
+            blk = np.empty((p, 11 + ch))
+            blk[:, 0:3] = rng.uniform(-4, 4, size=(p, 3))
+            blk[:, 3:6] = np.log(rng.uniform(0.2, 2.0, size=(p, 3)))
+            q = rng.normal(size=(p, 4))
+            blk[:, 6:10] = q * (10.0 ** rng.uniform(-3, 3, size=p) / np.linalg.norm(q, axis=1))[:, None]
+            blk[:, 10] = rng.normal(size=p)
+            blk[:, 11:] = rng.normal(0, 2, size=(p, ch))
+            args = (blk.reshape(-1), p, ch, rng.uniform(-5, 5, size=(n, 3)), rng.integers(0, c, size=n),
+                    model, cutoff)
+            loss, grad = _loss_and_grad(*args)
+            scales = []
+            with monkeypatch.context() as m:
+                def reference(k, qn, qnorm):
+                    g, scale = jacobian_quaternion_grad(k, qn, qnorm)
+                    scales.append(scale)
+                    return g
+
+                m.setattr(module, "_quaternion_grad", reference)
+                want_loss, want = _loss_and_grad(*args)
+            assert loss == want_loss
+            grad, want = grad.reshape(p, -1), want.reshape(p, -1)
+            other = np.r_[0:6, 10 : 11 + ch]
+            assert grad[:, other].tobytes() == want[:, other].tobytes()
+            tol = QUAT_GRAD_RTOL * np.max(np.abs(want)) + 8 * _LD_EPS * np.max(scales[0]) / n
+            assert np.max(np.abs(grad[:, 6:10] - want[:, 6:10])) <= tol
+
+
 class TestFitLoop:
     def test_reproducible_loss_trace(self, mini_street):
         grid, _ = mini_street
@@ -476,6 +603,49 @@ class TestFitLoop:
             assert np.array_equal(theta, snapshot)
         for (a, _), (b, _) in combinations(passed, 2):
             assert not np.shares_memory(a, b)
+
+    # Recorded before the quaternion gradient took its closed torque form:
+    # (model, cutoff) -> losses at iterations 1, 10, 20 and 30, final IoU
+    # and final mIoU of a seed-3 fit of 32 Gaussians.
+    TRAJECTORIES = {
+        ("probabilistic", 25.0): ((6.024854559928512, 3.5708725795968914, 2.370592278097475, 2.362982426189037),
+                                  0.08068158489016629, 0.11637828258119354),
+        ("probabilistic", None): ((4.569105462724702, 3.153762337320798, 2.3776576285159194, 2.3391725945173105),
+                                  0.0740968801313629, 0.1132100062247121),
+        ("additive", 25.0): ((1.5381180901387632, 1.4934835948878868, 1.4470238871358092, 1.4568687694141562),
+                             0.37190915432912175, 0.2000037937106271),
+        ("additive", None): ((1.5381176188195558, 1.4934819022025407, 1.4470207891742701, 1.4568658495413613),
+                             0.18984375, 0.10710931836197048),
+    }
+
+    @pytest.mark.parametrize("model, cutoff", list(TRAJECTORIES), ids=lambda v: str(v))
+    def test_short_fit_trajectory_is_pinned(self, mini_street, model, cutoff):
+        grid, _ = mini_street
+        cfg = FitConfig(num_gaussians=32, iterations=30, eval_every=10, seed=3, model=model,
+                        cutoff_mahalanobis_sq=cutoff)
+        result = fit(grid, cfg)
+        losses, final_iou, final_miou = self.TRAJECTORIES[model, cutoff]
+        np.testing.assert_allclose(result.loss_trace[[0, 9, 19, 29]], losses, rtol=1e-9)
+        np.testing.assert_allclose([result.final_iou, result.final_miou], [final_iou, final_miou], rtol=1e-9)
+
+    def test_each_evaluation_builds_one_confusion_matrix(self, mini_street, monkeypatch):
+        grid, _ = mini_street
+        module = importlib.import_module("gaussocc.fit")
+        real_cm, real_eval = ConfusionMatrix.from_grids, module._evaluate
+        calls = {"cm": 0, "eval": 0}
+
+        def counting_cm(pred, gt):
+            calls["cm"] += 1
+            return real_cm(pred, gt)
+
+        def counting_eval(*args):
+            calls["eval"] += 1
+            return real_eval(*args)
+
+        monkeypatch.setattr(ConfusionMatrix, "from_grids", staticmethod(counting_cm))
+        monkeypatch.setattr(module, "_evaluate", counting_eval)
+        fit(grid, FitConfig(num_gaussians=8, iterations=6, batch_points=64, seed=2, eval_every=2))
+        assert calls == {"cm": 4, "eval": 4}
 
     def test_quaternion_gradient_is_tangent(self):
         # The analytic gradient of a free quaternion lies in the tangent

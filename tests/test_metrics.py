@@ -1,5 +1,6 @@
 """Grid metrics and the utilization audit against independent oracles."""
 
+import importlib
 import warnings
 
 import numpy as np
@@ -16,7 +17,7 @@ from gaussocc.core import (
     covariance_matrices,
     rotation_matrices,
 )
-from gaussocc.grid import GridSpec, VoxelGrid, nuscenes_grid_spec
+from gaussocc.grid import GridSpec, VoxelGrid, kitti360_grid_spec, nuscenes_grid_spec
 from gaussocc.metrics import (
     CHI2_3DOF_90,
     ConfusionMatrix,
@@ -33,6 +34,8 @@ from gaussocc.metrics import (
 )
 
 from conftest import random_gaussian_set, traced_peak
+
+grid_module = importlib.import_module("gaussocc.grid")
 
 
 def grid_of(labels, classes=4):
@@ -224,6 +227,41 @@ class TestConfusionMatrix:
         cm = ConfusionMatrix.from_grids(pred, gt)
         assert cm.counts[1, 2] == 8
         assert cm.counts[2, 1] == 0
+
+    def test_scores_equal_the_grid_functions_and_oracles(self):
+        rng = np.random.default_rng(48)
+        for _ in range(25):
+            pred, gt = random_grid(rng), random_grid(rng)
+            cm = ConfusionMatrix.from_grids(pred, gt)
+            assert cm.iou() == iou(pred, gt) == iou_oracle(pred, gt)
+            assert cm.miou() == miou(pred, gt) == miou_oracle(pred, gt, 4)
+            assert cm.miou(include_absent=True) == miou(pred, gt, include_absent=True)
+
+    def test_empty_grids_score_one(self):
+        empty = grid_of(np.zeros((2, 2, 2)))
+        cm = ConfusionMatrix.from_grids(empty, empty)
+        assert cm.iou() == 1.0
+        assert cm.miou() == 1.0
+
+    def test_blocked_counts_equal_one_bincount(self, monkeypatch):
+        # 17 * 13 * 11 voxels is not a multiple of the block.
+        monkeypatch.setattr(grid_module, "_COUNT_BLOCK", 1000)
+        rng = np.random.default_rng(49)
+        k = 7
+        pred, gt = random_grid(rng, classes=k, res=(17, 13, 11)), random_grid(rng, classes=k, res=(17, 13, 11))
+        joint = gt.labels_flat.astype(np.int64) * k + pred.labels_flat
+        want = np.bincount(joint, minlength=k * k).reshape(k, k)
+        np.testing.assert_array_equal(ConfusionMatrix.from_grids(pred, gt).counts, want)
+        np.testing.assert_array_equal(gt.class_voxel_counts(), np.bincount(gt.labels_flat, minlength=k))
+
+    def test_counting_memory_is_bounded_at_paper_scale(self):
+        spec = kitti360_grid_spec()
+        rng = np.random.default_rng(50)
+        pred, gt = (VoxelGrid(spec=spec, labels=rng.integers(0, spec.num_classes_total, size=tuple(spec.resolution),
+                                                             dtype=np.uint16)) for _ in range(2))
+        score, peak = traced_peak(lambda: miou(pred, gt))
+        assert 0.0 <= score <= 1.0
+        assert peak <= 4 * 2**20, f"{peak / 2**20:.1f} MB traced"
 
 
 class TestPositionMetrics:
