@@ -19,14 +19,14 @@ point farther than the Mahalanobis cutoff from every Gaussian contributes
 no term, so its aggregate is exactly 0.
 
 Every evaluation runs on a list of (Gaussian, point) pairs grouped by
-Gaussian, and per-point and per-Gaussian sums run over that list. With a
-finite cutoff, one of two generators lists the candidate pairs, chosen by
-the kind of query points:
+Gaussian, and per-point and per-Gaussian sums run over that list. One of
+two generators lists the candidate pairs, chosen by the kind of query
+points:
 
 * arbitrary points (Monte Carlo samples, fit batches, the public
   :class:`FieldEvaluator` methods on an array): a cell join
   (:class:`_CellIndex`) lists the pairs inside each Gaussian's cutoff
-  bounding box;
+  bounding box, or every pair is listed when there is no cutoff;
 * the voxel centers of a grid (:class:`VoxelCenters`, which ``voxelize``,
   ``voxelize_legacy``, ``gaussocc eval`` and the fit's evaluations pass):
   :class:`_VoxelLattice` lists, from voxel index ranges, the voxels whose
@@ -35,15 +35,15 @@ the kind of query points:
   per-row, per-column and per-Gaussian differences it has already taken,
   without building the centers.
 
-Both bound the ellipsoid from outside with a padded cutoff, and the pairs
-beyond the cutoff are then dropped by the same ``d2 <= cutoff`` test on
-the same local-frame d2, so both give the same live pairs and skip only
-terms that are exactly zero. Each point's pairs come in ascending Gaussian
-order from either generator, so every per-point sum adds the same values
-in the same order and gives the same bits. Without a cutoff every pair is
-visited, in chunks of bounded size. A pass over the voxel centers of a
-grid never builds them all at once: it takes spans of whole x-rows of at
-most :data:`_SPAN_VOXELS` voxels (or one x-row), with or without a cutoff.
+Both bound the ellipsoid from outside with a padded cutoff (without one,
+every pair is a candidate), and the pairs beyond the cutoff are then
+dropped by the same ``d2 <= cutoff`` test on the same local-frame d2, so
+both give the same live pairs and skip only terms that are exactly zero.
+Each point's pairs come in ascending Gaussian order from either
+generator, so every per-point sum adds the same values in the same order
+and gives the same bits. With or without a cutoff, a pass runs in chunks
+of about :data:`_SPAN_PAIRS` pairs: over the voxel centers of a grid, in
+spans of whole x-rows of at most :data:`_SPAN_VOXELS` voxels (or one x-row).
 Voxel labels take the exact occupancy and semantics only at the voxels
 that a one-``exp``-per-pair upper bound on the occupancy leaves open
 (:meth:`FieldEvaluator._compose_label`). The fitting loss of
@@ -52,6 +52,7 @@ that a one-``exp``-per-pair upper bound on the occupancy leaves open
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, NamedTuple, Optional
@@ -67,9 +68,8 @@ GMM_DENOMINATOR_FLOOR = 1e-300
 _LOG_GMM_FLOOR = np.log(GMM_DENOMINATOR_FLOOR)
 _LOG_2PI = np.log(2.0 * np.pi)
 _DEFAULT_CHUNK = 8192
-# Pairs per chunk when every (Gaussian, point) pair is visited (no cutoff).
-_PAIR_BUDGET = 1 << 20
-# Candidate pairs per lattice span, bounded before the span is expanded.
+# Candidate pairs per lattice span, bounded before the span is expanded,
+# and per chunk of arbitrary points when every pair is visited (no cutoff).
 _SPAN_PAIRS = 1 << 17
 # Voxels per span of whole x-rows, in every pass over a grid's centers.
 _SPAN_VOXELS = 1 << 17
@@ -107,8 +107,8 @@ class EvalOptions:
 
     ``cutoff_mahalanobis_sq`` drops any Gaussian whose squared Mahalanobis
     distance to the query point exceeds it (contribution exactly zero);
-    ``None`` or ``inf`` disables the cutoff. A finite cutoff always runs on
-    the sparse pair kernel. ``neighbor_index`` is still accepted but no
+    ``None`` or ``inf`` disables the cutoff: every pair is a candidate of
+    the same pair kernel. ``neighbor_index`` is still accepted but no
     longer changes speed or results. Where the mixture denominator
     vanishes, the semantics are the uniform class distribution (see
     :func:`gmm_expectation`).
@@ -312,8 +312,8 @@ class _VoxelLattice:
     digits to cancellation. Every interval is taken at the cutoff padded
     as the cell join's boxes are (``cutoff (1 + _BOX_PAD)^2``), far above
     the rounding error of d2 and of the bounds, so no pair within the
-    cutoff is missed. An interval that is not finite (an overflow) covers
-    its whole axis.
+    cutoff is missed. An interval that is not finite (an overflow, or an
+    infinite cutoff) covers its whole axis.
 
     Only the per-(Gaussian, x-row) stage is built for the whole grid. The
     x-rows are cut into spans that hold at most ``voxel_budget`` voxels and
@@ -326,6 +326,9 @@ class _VoxelLattice:
     These are the subtractions that :func:`_offsets` makes on the centers,
     so they give the same bits. A column's z-interval is clipped to its
     Gaussian's z-box, which drops only pairs beyond the padded cutoff.
+    At an infinite cutoff the per-(Gaussian, x-row) stage has all P X rows,
+    tens of MB for P = 6400 on the nuScenes grid, where the pass visits
+    P 640,000 pairs.
     """
 
     def __init__(self, means, rot, scales, cutoff: float, centers: VoxelCenters, budget: int, voxel_budget: int):
@@ -336,9 +339,9 @@ class _VoxelLattice:
         self.reach = cutoff * (1.0 + _BOX_PAD) ** 2
         p = means.shape[0]
         cov_diag = _cov_diag(rot, scales)
-        half = _cutoff_boxes(means, cov_diag, cutoff)
-        s2 = scales**2
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            s2 = scales**2
+            half_z = np.sqrt(cutoff * cov_diag[:, 2]) * (1.0 + _BOX_PAD)
             sxx = cov_diag[:, 0]
             slope_y = np.einsum("pk,pk,pk->p", rot[:, 0], rot[:, 1], s2) / sxx
             self.var_y = np.einsum("pk,pk->p", rot[:, 2] ** 2, s2[:, [1, 2, 0]] * s2[:, [2, 0, 1]]) / sxx
@@ -362,7 +365,7 @@ class _VoxelLattice:
         self.g, self.ix, self.dx, self.qx, self.y_off, self.y0, self.ny = (
             a[rows] for a in (g, ix, dx, qx, y_off, y0, ny)
         )
-        self.z0, self.z1 = self._range(2, means[:, 2], half[:, 2])
+        self.z0, self.z1 = self._range(2, means[:, 2], half_z)
         nz = np.maximum(self.z1 - self.z0 + 1, 0)
         self.dz = self.axes[2][_runs(self.z0, nz)] - np.repeat(means[:, 2], nz)
         self.dz_start = np.cumsum(nz) - nz - self.z0
@@ -421,8 +424,8 @@ class _VoxelLattice:
 
 
 def _cov_diag(rot: np.ndarray, scales: np.ndarray) -> np.ndarray:
-    """(P, 3) diagonals of the covariances ``R diag(s^2) R^T``; an overflow
-    here is rejected by the cell join."""
+    """(P, 3) diagonals of the covariances ``R diag(s^2) R^T``; with a
+    finite cutoff, an overflow here is rejected by :func:`_cutoff_boxes`."""
     with np.errstate(over="ignore"):
         return np.einsum("pab,pb,pab->pa", rot, scales**2, rot)
 
@@ -471,14 +474,13 @@ def _squared_norms(local: np.ndarray, out: np.ndarray | None = None) -> np.ndarr
 def live_pairs(points, means, rot, scales, cutoff: float) -> tuple[_Pairs, np.ndarray, np.ndarray]:
     """The pairs within the cutoff (every pair for an infinite cutoff),
     with their local offsets and d2."""
-    if not np.isfinite(cutoff):
-        pairs = _Pairs.every(means.shape[0], points.shape[0])
-        local = _local_coords(points, pairs, means, rot, scales)
-        return pairs, local, _squared_norms(local)
-    pairs = _CellIndex(means, _cov_diag(rot, scales), cutoff).pairs(points)
+    pairs = (_CellIndex(means, _cov_diag(rot, scales), cutoff).pairs(points) if np.isfinite(cutoff)
+             else _Pairs.every(means.shape[0], points.shape[0]))
     local = _local_coords(points, pairs, means, rot, scales)
     d2 = _squared_norms(local)
     keep = d2 <= cutoff
+    if np.all(keep):
+        return pairs, local, d2
     return pairs.select(keep), np.compress(keep, local, axis=0), np.compress(keep, d2)
 
 
@@ -537,12 +539,10 @@ class FieldEvaluator:
     once, and checks that every cutoff box is finite. All methods take an
     (N, 3) array of query points or the :class:`VoxelCenters` of a grid
     and are pure. Arbitrary points are evaluated in chunks of ``chunk``
-    points (fewer without a cutoff, where every pair is visited) through
-    the cell join, which is built on first use. Voxel centers are built
-    and evaluated one span of whole x-rows at a time: with a cutoff the
-    spans and their pairs come from :class:`_VoxelLattice`, without one
-    each :func:`_row_spans` span is cut into chunks as arbitrary points
-    are.
+    points (an integer >= 1; fewer without a cutoff, to stay within
+    :data:`_SPAN_PAIRS` pairs) through the cell join, which is built on
+    first use, or every pair. Voxel centers are evaluated one span of whole
+    x-rows at a time, from the spans and pairs of :class:`_VoxelLattice`.
     """
 
     def __init__(self, gs: GaussianSet, opts: EvalOptions | None = None, chunk: int = _DEFAULT_CHUNK):
@@ -554,11 +554,13 @@ class FieldEvaluator:
         self._log_weight = log_mixture_weights(gs.opacities, gs.scales)
         self._sem_t = np.ascontiguousarray(softmax(gs.logits).T)
         self._cutoff = self.opts.cutoff
+        if not hasattr(type(chunk), "__index__") or operator.index(chunk) < 1:
+            raise ValueError(f"chunk must be an integer >= 1, got {chunk!r}")
+        self._step = operator.index(chunk)
         if np.isfinite(self._cutoff):
             _cutoff_boxes(self._means, _cov_diag(self._rot, self._scales), self._cutoff)
-            self._step = int(chunk)
         else:
-            self._step = max(1, min(int(chunk), _PAIR_BUDGET // len(gs)))
+            self._step = max(1, min(self._step, _SPAN_PAIRS // len(gs)))
 
     @cached_property
     def _index(self) -> _CellIndex:
@@ -583,39 +585,32 @@ class FieldEvaluator:
     def _chunks(self, points) -> Iterator[tuple[slice, _Pairs, np.ndarray]]:
         """Yield (rows, live pairs, their d2) per chunk of query points;
         pair point indices count from the chunk's first row. Voxel centers
-        with a cutoff take the lattice spans, other points the cell join,
-        and without a cutoff every pair is visited."""
-        if not isinstance(points, VoxelCenters):
-            yield from self._point_chunks(points, 0)
-            return
-        row = int(points.resolution[1] * points.resolution[2])
-        if not np.isfinite(self._cutoff):
-            for start, stop in _row_spans(points.resolution):
-                yield from self._point_chunks(points.rows(start, stop), start * row)
-            return
-        lattice = _VoxelLattice(self._means, self._rot, self._scales, self._cutoff, points, _SPAN_PAIRS,
-                                _SPAN_VOXELS)
-        for start, stop in lattice.spans:
-            offsets, candidates = lattice.span_pairs(start, stop)
+        take the lattice spans, other points :meth:`_point_pairs`, and every
+        chunk then takes the same d2 and cutoff test. The generators hold
+        no reference to a chunk's offsets or candidates once yielded, so
+        each is freed as soon as it is used."""
+        if isinstance(points, VoxelCenters):
+            row = int(points.resolution[1] * points.resolution[2])
+            lattice = _VoxelLattice(self._means, self._rot, self._scales, self._cutoff, points, _SPAN_PAIRS,
+                                    _SPAN_VOXELS)
+            chunks = ((slice(start * row, stop * row), *lattice.span_pairs(start, stop))
+                      for start, stop in lattice.spans)
+        else:
+            n, step = points.shape[0], self._step
+            chunks = ((slice(start, min(start + step, n)), *self._point_pairs(points[start : start + step]))
+                      for start in range(0, n, step))
+        for rows, offsets, candidates in chunks:
             d2 = self._d2(offsets, candidates)
             del offsets
             pairs, d2 = self._live(candidates, d2)
             del candidates
-            yield slice(start * row, stop * row), pairs, d2
+            yield rows, pairs, d2
 
-    def _point_chunks(self, points: np.ndarray, first: int) -> Iterator[tuple[slice, _Pairs, np.ndarray]]:
-        """:meth:`_chunks` over an (N, 3) array whose first row is query
-        point ``first``."""
-        for start in range(0, points.shape[0], self._step):
-            chunk = points[start : start + self._step]
-            if np.isfinite(self._cutoff):
-                candidates = self._index.pairs(chunk)
-                pairs, d2 = self._live(candidates, self._d2(_offsets(chunk, candidates, self._means), candidates))
-                del candidates
-            else:
-                pairs = _Pairs.every(len(self.gs), chunk.shape[0])
-                d2 = self._d2(_offsets(chunk, pairs, self._means), pairs)
-            yield slice(first + start, first + start + chunk.shape[0]), pairs, d2
+    def _point_pairs(self, points: np.ndarray) -> tuple[np.ndarray, _Pairs]:
+        """The (M, 3) offsets ``x - m`` and candidate pairs of a chunk of
+        points: the cell join's, or every pair without a cutoff."""
+        pairs = self._index.pairs(points) if np.isfinite(self._cutoff) else _Pairs.every(len(self.gs), points.shape[0])
+        return _offsets(points, pairs, self._means), pairs
 
     def _fill(self, points, row_shape: tuple, rows_of, dtype=np.float64) -> np.ndarray:
         """(N, *row_shape) array of ``rows_of(pairs, d2, n)`` over the chunks

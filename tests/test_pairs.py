@@ -26,7 +26,7 @@ from gaussocc.field import (
     _VoxelLattice,
     live_pairs,
 )
-from gaussocc.fit import ParamVector, _loss_and_grad
+from gaussocc.fit import FitConfig, ParamVector, _loss_and_grad, fit
 from gaussocc.grid import GridSpec, nuscenes_grid_spec, voxel_center, voxelize, voxelize_legacy
 from gaussocc.scenes import synth_scene
 
@@ -212,9 +212,20 @@ class TestFieldAgainstLoopOracle:
         gs = mixed_set(rng, p=10, c=2)
         points = query_points(rng, gs, n=100)
         opts = EvalOptions(cutoff_mahalanobis_sq=cutoff)
-        whole, pieces = FieldEvaluator(gs, opts), FieldEvaluator(gs, opts, chunk=7)
-        np.testing.assert_array_equal(pieces.compose(points), whole.compose(points))
-        np.testing.assert_array_equal(pieces.legacy(points), whole.legacy(points))
+        whole = FieldEvaluator(gs, opts)
+        for chunk in (1, 7, np.int64(7)):
+            pieces = FieldEvaluator(gs, opts, chunk=chunk)
+            np.testing.assert_array_equal(pieces.compose(points), whole.compose(points))
+            np.testing.assert_array_equal(pieces.legacy(points), whole.legacy(points))
+            np.testing.assert_array_equal(pieces.compose_labels(points), whole.compose_labels(points))
+
+    @pytest.mark.parametrize("cutoff", [CUTOFF, None])
+    @pytest.mark.parametrize("chunk", [0, -1, 2.5, "8"])
+    def test_chunk_must_be_a_positive_integer(self, cutoff, chunk):
+        # A negative chunk once left the output as uninitialized memory.
+        gs = mixed_set(np.random.default_rng(322), p=10, c=2)
+        with pytest.raises(ValueError, match="chunk must be an integer >= 1"):
+            FieldEvaluator(gs, EvalOptions(cutoff_mahalanobis_sq=cutoff), chunk=chunk)
 
 
 def oracle_loss(pv: ParamVector, points, labels, model, cutoff=CUTOFF) -> float:
@@ -443,22 +454,75 @@ class TestVoxelLattice:
         np.testing.assert_array_equal(voxelize(gs, spec, EvalOptions(cutoff_mahalanobis_sq=None)).labels_flat,
                                       np.argmax(ev.compose(centers), axis=1))
 
-    # 30 voxels per x-row: spans of 12, 3 (12 = 4 * 3) and 5 (12 = 2 * 5 + 2)
-    # x-rows, and of one x-row for a budget below a row.
-    @pytest.mark.parametrize("voxel_budget", [1 << 17, 90, 150, 7])
-    def test_no_cutoff_spans_match_the_point_evaluation(self, voxel_budget, monkeypatch):
+    # 29 Gaussians and 30 voxels per x-row: every x-row bounds 870 pairs.
+    # Spans of 12, 3 (12 = 4 * 3) and 5 (12 = 2 * 5 + 2) x-rows, of one
+    # x-row for a budget below a row, and of the x-rows whose pairs fit
+    # the pair budget (2 for 2000, 4 for 4000).
+    @pytest.mark.parametrize("budget, voxel_budget, spans", [
+        (1 << 17, 1 << 17, 1), (1 << 17, 90, 4), (1 << 17, 150, 3), (1 << 17, 7, 12),
+        (2000, 1 << 17, 6), (4000, 150, 3), (100, 1 << 17, 12),
+    ], ids=["131072", "90", "150", "7", "pairs-2000", "pairs-4000-voxels-150", "pairs-100"])
+    def test_no_cutoff_spans_match_the_point_evaluation(self, budget, voxel_budget, spans, monkeypatch):
         rng = np.random.default_rng(345)
         spec = lattice_spec((12, 10, 3))
         gs = lattice_set(rng, spec)
+        assert len(gs) == 29
+        check_lattice(gs, spec, np.inf, budget=budget, voxel_budget=voxel_budget)
+        monkeypatch.setattr(field, "_SPAN_PAIRS", budget)
         monkeypatch.setattr(field, "_SPAN_VOXELS", voxel_budget)
-        spans = field._row_spans(spec.resolution)
-        assert len(spans) == {1 << 17: 1, 90: 4, 150: 3, 7: 12}[voxel_budget]
+        listed = []
+        span_pairs = _VoxelLattice.span_pairs
+        monkeypatch.setattr(_VoxelLattice, "span_pairs",
+                            lambda self, start, stop: listed.append((start, stop)) or span_pairs(self, start, stop))
         opts = EvalOptions(cutoff_mahalanobis_sq=None)
         ev = FieldEvaluator(gs, opts, chunk=64)
         centers = spec.all_centers()
-        for method in (ev.alpha, ev.semantics, ev.compose, ev.legacy):
+        for method in (ev.alpha, ev.semantics, ev.compose, ev.legacy, ev.compose_labels, ev.legacy_labels):
+            listed.clear()
             np.testing.assert_array_equal(method(spec.centers()), method(centers))
+            assert len(listed) == spans
+            assert [start for start, _ in listed] == [0] + [stop for _, stop in listed[:-1]]
+            assert listed[-1][1] == 12
         np.testing.assert_array_equal(voxelize(gs, spec, opts).labels_flat, np.argmax(ev.compose(centers), axis=1))
+
+    def test_no_cutoff_overflowing_covariances_span_every_axis(self):
+        # Scales of 1e200 overflow the covariance: the lattice's intervals
+        # are then inf or NaN, and each must cover its whole axis, so every
+        # pair is still listed once.
+        rng = np.random.default_rng(347)
+        spec = lattice_spec((12, 10, 3))
+        base = lattice_set(rng, spec)
+        scales, rotations = base.scales.copy(), base.rotations.copy()
+        scales[0] = 1e200
+        scales[1, 0] = scales[2, 2] = 1e200
+        rotations[1:3] = [1.0, 0.0, 0.0, 0.0]
+        gs = dataclasses.replace(base, scales=scales, rotations=rotations)
+        lattice = _VoxelLattice(gs.means, rotation_matrices(gs.rotations), gs.scales, np.inf, spec.centers(),
+                                1 << 17, 1 << 17)
+        assert np.isnan(lattice.var_y[:3]).all() and np.isnan(lattice.slope_zx[[0, 2]]).all()
+        assert np.isinf(lattice.var_z[[0, 2]]).all()
+        assert check_lattice(gs, spec, np.inf) == (len(gs) * spec.num_voxels,) * 2
+        ev = FieldEvaluator(gs, EvalOptions(cutoff_mahalanobis_sq=None))
+        centers = spec.all_centers()
+        for method in (ev.alpha, ev.semantics, ev.compose, ev.legacy, ev.compose_labels, ev.legacy_labels):
+            np.testing.assert_array_equal(method(spec.centers()), method(centers))
+
+    def test_no_cutoff_voxelize_never_builds_the_centers(self, monkeypatch):
+        rng = np.random.default_rng(345)
+        spec = lattice_spec((12, 10, 3))
+        gs = lattice_set(rng, spec)
+        additive = lattice_set(rng, spec, c=4)
+        opts = EvalOptions(cutoff_mahalanobis_sq=None)
+        centers = spec.all_centers()
+        want = np.argmax(FieldEvaluator(gs, opts).compose(centers), axis=1)
+        want_legacy = np.argmax(FieldEvaluator(additive, opts).legacy(centers), axis=1)
+
+        def rows(self, start, stop):
+            raise AssertionError("the centers of a grid were built")
+
+        monkeypatch.setattr(field.VoxelCenters, "rows", rows)
+        np.testing.assert_array_equal(voxelize(gs, spec, opts).labels_flat, want)
+        np.testing.assert_array_equal(voxelize_legacy(additive, spec, opts).labels_flat, want_legacy)
 
     @pytest.mark.parametrize("voxel_budget", [1, 300, 1000])
     def test_voxel_cap_on_a_sparse_set_matches_the_point_evaluation(self, voxel_budget, monkeypatch):
@@ -683,9 +747,34 @@ def test_sparse_corner_voxelize_memory_is_bounded():
 
 def test_paper_scale_no_cutoff_voxelize_memory_is_bounded():
     # Every pair of 4 Gaussians on the 200x200x16 grid. Building all
-    # 640,000 centers first peaked at 31 MB; spans of 40 x-rows peak at 7 MB.
+    # 640,000 centers first peaked at 31 MB; lattice spans of 10 x-rows
+    # (about 2^17 pairs) peak at 13 MB.
     spec = nuscenes_grid_spec(5)
     gs = corner_set(spec, 4, 2)
     pred, peak = traced_peak(lambda: voxelize(gs, spec, EvalOptions(cutoff_mahalanobis_sq=None)))
     assert np.count_nonzero(pred.labels) > 0
     assert peak < 16 * 2**20
+
+
+def test_no_cutoff_memory_at_the_fit_scale(mini_street):
+    # Without a cutoff, every pass takes spans or chunks of about 2^17
+    # pairs. Separate 2^20-pair chunks for this mode peaked at 96.7 MB
+    # (voxelize), 112.7 MB (voxelize_legacy) and 113.4 MB (compose on a
+    # third of the centers); these peak at 15-18 MB. The sets are fitted
+    # for 40 iterations at P=256.
+    grid, _ = mini_street
+    spec = grid.spec
+    fitted = {model: fit(grid, FitConfig(num_gaussians=256, iterations=40, seed=0, eval_every=40,
+                                         model=model)).gaussians
+              for model in ("probabilistic", "additive")}
+    opts = EvalOptions(cutoff_mahalanobis_sq=None)
+    pred, peak = traced_peak(lambda: voxelize(fitted["probabilistic"], spec, opts))
+    assert np.count_nonzero(pred.labels) > 1000
+    assert peak < 24 * 2**20
+    pred, peak = traced_peak(lambda: voxelize_legacy(fitted["additive"], spec, opts))
+    assert np.count_nonzero(pred.labels) > 1000
+    assert peak < 24 * 2**20
+    points = spec.all_centers()[::3]
+    composed, peak = traced_peak(lambda: FieldEvaluator(fitted["probabilistic"], opts).compose(points))
+    assert composed.shape == (points.shape[0], spec.num_classes_total)
+    assert peak < 24 * 2**20
