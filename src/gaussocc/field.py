@@ -71,7 +71,7 @@ _DEFAULT_CHUNK = 8192
 # Candidate pairs per lattice span, bounded before the span is expanded,
 # and per chunk of arbitrary points when every pair is visited (no cutoff).
 _SPAN_PAIRS = 1 << 17
-# Voxels per span of whole x-rows, in every pass over a grid's centers.
+# Voxels per span of whole x-rows when voxelization lists a grid's lattice pairs.
 _SPAN_VOXELS = 1 << 17
 # Voxels at or below this alpha are labelled empty without their semantics.
 _EMPTY_ALPHA = 0.5 - 1e-9
@@ -267,29 +267,10 @@ class VoxelCenters(NamedTuple):
         """The center coordinates along each axis."""
         return [self.min_corner[a] + (np.arange(self.resolution[a]) + 0.5) * self.voxel_size[a] for a in range(3)]
 
-    def rows(self, start: int, stop: int) -> np.ndarray:
-        """(N, 3) centers of the x-rows ``start:stop``, in flat order,
-        written in place from the three axes."""
-        ax, ay, az = self.axes()
-        ax = ax[start:stop]
-        out = np.empty((ax.size, ay.size, az.size, 3))
-        out[..., 0] = ax[:, None, None]
-        out[..., 1] = ay[:, None]
-        out[..., 2] = az
-        return out.reshape(-1, 3)
-
     def take(self, flat: np.ndarray) -> np.ndarray:
         """(N, 3) centers of the voxels with the given flat indices."""
         idx = np.unravel_index(flat, tuple(int(n) for n in self.resolution))
         return np.stack([ax[i] for ax, i in zip(self.axes(), idx)], axis=-1)
-
-
-def _row_spans(resolution) -> list[tuple[int, int]]:
-    """The spans ``(start, stop)`` of whole x-rows, of at most
-    :data:`_SPAN_VOXELS` voxels each or one x-row, that cover a grid."""
-    x, per_row = int(resolution[0]), int(resolution[1]) * int(resolution[2])
-    step = max(1, _SPAN_VOXELS // per_row)
-    return [(start, min(start + step, x)) for start in range(0, x, step)]
 
 
 class _VoxelLattice:
@@ -538,11 +519,13 @@ class FieldEvaluator:
     Precomputes the rotations, log mixture weights and softmaxed semantics
     once, and checks that every cutoff box is finite. All methods take an
     (N, 3) array of query points or the :class:`VoxelCenters` of a grid
-    and are pure. Arbitrary points are evaluated in chunks of ``chunk``
-    points (an integer >= 1; fewer without a cutoff, to stay within
-    :data:`_SPAN_PAIRS` pairs) through the cell join, which is built on
-    first use, or every pair. Voxel centers are evaluated one span of whole
-    x-rows at a time, from the spans and pairs of :class:`_VoxelLattice`.
+    and are pure; an array that is not (N, 3) or holds a non-finite
+    coordinate raises ValueError. Arbitrary points are evaluated in chunks
+    of ``chunk`` points (an integer >= 1; fewer without a cutoff, to stay
+    within :data:`_SPAN_PAIRS` pairs) through the cell join, which is built
+    on first use, or every pair. Voxel centers are evaluated one span of
+    whole x-rows at a time, from the spans and pairs of
+    :class:`_VoxelLattice`.
     """
 
     def __init__(self, gs: GaussianSet, opts: EvalOptions | None = None, chunk: int = _DEFAULT_CHUNK):
@@ -618,7 +601,7 @@ class FieldEvaluator:
         if isinstance(points, VoxelCenters):
             n = points.num_voxels
         else:
-            points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+            points = _query_points(points)
             n = points.shape[0]
         out = np.empty((n,) + row_shape, dtype=dtype)
         for rows, pairs, d2 in self._chunks(points):
@@ -713,6 +696,19 @@ class FieldEvaluator:
     def legacy_labels(self, points) -> np.ndarray:
         """(N,) uint16 argmax of :meth:`legacy`."""
         return self._fill(points, (), lambda pairs, d2, n: np.argmax(self._legacy(pairs, d2, n), axis=1), np.uint16)
+
+
+def _query_points(points) -> np.ndarray:
+    """``points`` as a float64 (N, 3) array of finite points (one point may
+    come as a 3-vector); raises ValueError naming the first bad row."""
+    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    if points.ndim != 2 or points.shape[1] != 3:
+        raise ValueError(f"query points must be an (N, 3) array, got shape {points.shape}")
+    finite = np.isfinite(points).all(axis=1)
+    if not finite.all():
+        row = int(np.argmin(finite))
+        raise ValueError(f"query point {row} is not finite: {points[row].tolist()}")
+    return points
 
 
 def _composed(alpha: np.ndarray, e: np.ndarray) -> np.ndarray:

@@ -164,14 +164,10 @@ class FitConfig:
             if key not in fields:
                 raise ValueError(f"unknown fit config key {key!r}")
             try:
-                if key in ("model", "init"):
-                    kwargs[key] = value
-                elif key == "cutoff_mahalanobis_sq":
-                    kwargs[key] = None if value.lower() in ("none", "inf") else float(value)
-                elif key in ("num_gaussians", "iterations", "batch_points", "seed", "eval_every"):
-                    kwargs[key] = int(value)
+                if key == "cutoff_mahalanobis_sq" and value.lower() in ("none", "inf"):
+                    kwargs[key] = None
                 else:
-                    kwargs[key] = float(value)
+                    kwargs[key] = type(getattr(cls, key))(value)
             except ValueError as exc:
                 raise ValueError(f"{key}: {exc}") from None
         return cls(**kwargs)  # type: ignore[arg-type]

@@ -76,10 +76,12 @@ class GridSpec:
         return VoxelCenters(self.min_corner, self.voxel_size, self.resolution)
 
     def all_centers(self) -> np.ndarray:
-        """All voxel centers, (X*Y*Z, 3), in flat-layout order. Nothing in
-        the package calls this: its passes over a grid take
-        ``centers().rows()`` one span of x-rows at a time."""
-        return self.centers().rows(0, int(self.resolution[0]))
+        """All voxel centers, (X*Y*Z, 3), in flat-layout order, stacked in
+        one allocation from the broadcast axes of :meth:`centers`. Nothing
+        in the package calls this: rasterization tests the shapes on the
+        axes, and voxelization lists its pairs from voxel index ranges."""
+        axes = np.ix_(*self.centers().axes())
+        return np.stack(np.broadcast_arrays(*axes), axis=-1).reshape(-1, 3)
 
     def point_to_voxel(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Map points to integer voxel indices.
@@ -181,11 +183,11 @@ def _label_counts(k: int, *flats: np.ndarray) -> np.ndarray:
 
 
 def voxel_center(spec: GridSpec, ix: int, iy: int, iz: int) -> np.ndarray:
-    """Center of voxel (ix, iy, iz): ``min + (index + 0.5) * voxel_size``."""
+    """Center of voxel (ix, iy, iz), read off the axes of ``spec.centers()``."""
     idx = np.array([ix, iy, iz], dtype=np.int64)
     if np.any(idx < 0) or np.any(idx >= spec.resolution):
         raise IndexError(f"voxel index {(ix, iy, iz)} outside resolution {tuple(spec.resolution)}")
-    return spec.min_corner + (idx + 0.5) * spec.voxel_size
+    return np.array([axis[i] for axis, i in zip(spec.centers().axes(), idx)])
 
 
 def voxelize(

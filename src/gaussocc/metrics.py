@@ -214,8 +214,11 @@ def ellipsoid_volume_90(g: GaussianPrimitive) -> float:
 def _bbox_arrays(scene_bbox) -> tuple[np.ndarray, np.ndarray]:
     lo = np.asarray(scene_bbox[0], dtype=np.float64)
     hi = np.asarray(scene_bbox[1], dtype=np.float64)
-    if lo.shape != (3,) or hi.shape != (3,) or not np.all(hi > lo):
-        raise ValueError("scene_bbox must be (min, max) 3-vectors with max > min")
+    with np.errstate(over="ignore", invalid="ignore"):
+        ok = lo.shape == hi.shape == (3,) and np.all(np.isfinite(hi - lo) & (hi > lo))
+    if not ok:
+        raise ValueError("scene_bbox must be (min, max) 3-vectors with finite corners, a finite extent "
+                         f"and max > min, got {lo.tolist()}, {hi.tolist()}")
     return lo, hi
 
 

@@ -9,6 +9,9 @@ last shape containing its center. Built-in recipes:
   poles, with seed-jittered placement.
 
 Class indices are fixed per recipe and listed in the returned metadata.
+A shape's ``contains(x, y, z)`` takes coordinate arrays that broadcast
+together, such as the grid's axes under ``np.ix_`` or the columns of an
+(N, 3) array, and returns a mask of their broadcast shape.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .field import _row_spans
 from .grid import GridSpec, VoxelGrid
 
 DEFAULT_CLASS_NAMES = ("empty", "ground", "car", "building", "pole")
@@ -31,8 +33,8 @@ class GroundPlane:
     z_top: float
     label: int
 
-    def contains(self, points: np.ndarray) -> np.ndarray:
-        return points[:, 2] < self.z_top
+    def contains(self, x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
+        return z < self.z_top
 
 
 @dataclass(frozen=True)
@@ -41,10 +43,9 @@ class Box:
     max_corner: tuple[float, float, float]
     label: int
 
-    def contains(self, points: np.ndarray) -> np.ndarray:
-        lo = np.asarray(self.min_corner)
-        hi = np.asarray(self.max_corner)
-        return np.all((points >= lo) & (points < hi), axis=1)
+    def contains(self, x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
+        (x0, y0, z0), (x1, y1, z1) = self.min_corner, self.max_corner
+        return ((x >= x0) & (x < x1)) & ((y >= y0) & (y < y1)) & ((z >= z0) & (z < z1))
 
 
 @dataclass(frozen=True)
@@ -57,10 +58,10 @@ class Cylinder:
     z_max: float
     label: int
 
-    def contains(self, points: np.ndarray) -> np.ndarray:
-        dx = points[:, 0] - self.center_xy[0]
-        dy = points[:, 1] - self.center_xy[1]
-        in_z = (points[:, 2] >= self.z_min) & (points[:, 2] < self.z_max)
+    def contains(self, x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
+        dx = x - self.center_xy[0]
+        dy = y - self.center_xy[1]
+        in_z = (z >= self.z_min) & (z < self.z_max)
         return in_z & (dx * dx + dy * dy < self.radius**2)
 
 
@@ -70,9 +71,9 @@ class Sphere:
     radius: float
     label: int
 
-    def contains(self, points: np.ndarray) -> np.ndarray:
-        d = points - np.asarray(self.center)
-        return np.sum(d * d, axis=1) < self.radius**2
+    def contains(self, x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
+        dx, dy, dz = x - self.center[0], y - self.center[1], z - self.center[2]
+        return (dx * dx + dy * dy) + dz * dz < self.radius**2
 
 
 Shape = GroundPlane | Box | Cylinder | Sphere
@@ -161,22 +162,18 @@ RECIPES: dict[str, Callable[[np.random.Generator, GridSpec], list[Shape]]] = {
 def rasterize(shapes: Sequence[Shape], spec: GridSpec) -> VoxelGrid:
     """Label voxel centers by the last containing shape.
 
-    The centers are built one span of whole x-rows at a time (at most
-    2^17 voxels, or one x-row), and the shapes, in recipe order, label
-    that span's slice of the flat labels."""
+    Each shape is tested once on the grid's axes, broadcast as
+    ``np.ix_(ax, ay, az)``; its mask broadcasts to (X, Y, Z), and the
+    shapes write their labels in recipe order."""
     if not shapes:
         raise ValueError("empty recipe: no shapes to rasterize")
     for shape in shapes:
         if not 0 < shape.label < spec.num_classes_total:
             raise ValueError(f"shape label {shape.label} outside grid classes")
-    centers = spec.centers()
-    row = int(spec.resolution[1] * spec.resolution[2])
-    labels = np.zeros(spec.num_voxels, dtype=np.uint16)
-    for start, stop in _row_spans(spec.resolution):
-        points = centers.rows(start, stop)
-        span = labels[start * row : stop * row]
-        for shape in shapes:
-            span[shape.contains(points)] = shape.label
+    x, y, z = np.ix_(*spec.centers().axes())
+    labels = np.zeros(spec.resolution, dtype=np.uint16)
+    for shape in shapes:
+        np.copyto(labels, shape.label, where=shape.contains(x, y, z))
     return VoxelGrid(spec=spec, labels=labels)
 
 

@@ -261,6 +261,41 @@ class TestNeighborIndex:
         )
 
 
+class TestQueryPoints:
+    METHODS = ("alpha", "semantics", "compose", "legacy", "compose_labels", "legacy_labels")
+
+    @pytest.mark.parametrize("opts", [EvalOptions(), NO_CUTOFF], ids=["cutoff", "no-cutoff"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_point_names_its_row(self, opts, bad):
+        ev = FieldEvaluator(random_gaussian_set(np.random.default_rng(3), 4, 3), opts)
+        points = np.zeros((5, 3))
+        points[2, 1] = bad
+        points[4, 0] = bad
+        for method in self.METHODS:
+            with pytest.raises(ValueError, match=r"query point 2 is not finite"):
+                getattr(ev, method)(points)
+
+    @pytest.mark.parametrize("opts", [EvalOptions(), NO_CUTOFF], ids=["cutoff", "no-cutoff"])
+    @pytest.mark.parametrize("shape", [(4, 2), (4, 4), (2, 4, 3), (0,)])
+    def test_points_must_be_n_by_3(self, opts, shape):
+        ev = FieldEvaluator(random_gaussian_set(np.random.default_rng(3), 4, 3), opts)
+        for method in self.METHODS:
+            with pytest.raises(ValueError, match=r"query points must be an \(N, 3\) array"):
+                getattr(ev, method)(np.zeros(shape))
+
+    def test_one_point_and_no_points_are_accepted(self):
+        ev = FieldEvaluator(random_gaussian_set(np.random.default_rng(3), 4, 3))
+        assert ev.alpha(np.zeros(3)).shape == (1,)
+        assert ev.compose(np.zeros((0, 3))).shape == (0, 4)
+
+    def test_single_point_helpers_reject_a_bad_point(self):
+        gs = random_gaussian_set(np.random.default_rng(3), 4, 3)
+        with pytest.raises(ValueError, match="query point 0 is not finite"):
+            aggregate_geometry([0.0, np.nan, 0.0], gs)
+        with pytest.raises(ValueError, match=r"\(N, 3\)"):
+            compose_occupancy([0.0, 0.0], gs)
+
+
 class TestEvalOptions:
     def test_cutoff_must_be_positive(self):
         with pytest.raises(ValueError):

@@ -508,6 +508,14 @@ class TestOverallOverlap:
         assert 0 < hits <= n and (hits == n) == covering
         assert mc_coverage_volume(gs, self.BBOX, n, seed) == 1000.0 * hits / n
 
+    @pytest.mark.parametrize("lo, hi", [([-np.inf, 0, 0], [1, 1, 1]), ([0, 0, 0], [1, np.inf, 1]),
+                                        ([0, np.nan, 0], [1, 1, 1]), ([-1e308, 0, 0], [1e308, 1, 1])],
+                             ids=["-inf", "inf", "nan", "overflowing-extent"])
+    def test_non_finite_box_rejected(self, lo, hi):
+        gs = GaussianSet.from_primitives([isotropic((0, 0, 0))])
+        with pytest.raises(ValueError, match="scene_bbox must be .* finite corners, a finite extent"):
+            mc_coverage_volume(gs, (lo, hi), 1000, 0)
+
     def test_volume_sum_overflow_is_infinite(self):
         gs = GaussianSet.from_primitives([isotropic((0, 0, 0), scale=1e102)] * 3)
         assert overall_overlap(gs, self.BBOX, 1000, seed=0) == np.inf
