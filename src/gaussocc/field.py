@@ -18,10 +18,11 @@ to -inf, forcing the aggregate to exactly 1) and in the far field. A query
 point farther than the Mahalanobis cutoff from every Gaussian contributes
 no term, so its aggregate is exactly 0.
 
-Every evaluation runs on a list of (Gaussian, point) pairs grouped by
-Gaussian, and per-point and per-Gaussian sums run over that list. One of
-two generators lists the candidate pairs, chosen by the kind of query
-points:
+Every evaluation runs on a list of (Gaussian, point) pairs, and per-point
+and per-Gaussian sums run over that list. A pair list stores each pair's
+point and each Gaussian's segment bounds; a pair's Gaussian is implied by
+its segment. One of two generators lists the candidate pairs, chosen by
+the kind of query points:
 
 * arbitrary points (Monte Carlo samples, fit batches, the public
   :class:`FieldEvaluator` methods on an array): a cell join
@@ -141,25 +142,35 @@ class FieldSample:
 
 
 class _Pairs(NamedTuple):
-    """(Gaussian, point) pairs grouped by Gaussian: the pairs of Gaussian
-    ``g`` are the slice ``bounds[g]:bounds[g + 1]`` of ``gauss`` and
-    ``point``."""
+    """(Gaussian, point) pairs grouped by Gaussian. A pair list stores each
+    pair's point and each Gaussian's segment bounds; a pair's Gaussian is
+    implied by its segment: Gaussian ``g`` has ``point[bounds[g]:bounds[g + 1]]``."""
 
-    gauss: np.ndarray
     point: np.ndarray
     bounds: np.ndarray
 
     @classmethod
     def every(cls, num_gaussians: int, num_points: int) -> "_Pairs":
-        return cls(
-            np.repeat(np.arange(num_gaussians), num_points),
-            np.tile(np.arange(num_points), num_gaussians),
-            np.arange(num_gaussians + 1) * num_points,
-        )
+        return cls(np.tile(np.arange(num_points), num_gaussians), np.arange(num_gaussians + 1) * num_points)
+
+    @property
+    def counts(self) -> np.ndarray:
+        """(P,) pairs per Gaussian."""
+        return np.diff(self.bounds)
+
+    def spread(self, per_gaussian: np.ndarray, axis: int = 0) -> np.ndarray:
+        """Each pair's entry of ``per_gaussian`` along ``axis`` (a repeat: faster than a gather)."""
+        return np.repeat(per_gaussian, self.counts, axis=axis)
 
     def select(self, keep: np.ndarray) -> "_Pairs":
-        gauss = np.compress(keep, self.gauss)
-        return _Pairs(gauss, np.compress(keep, self.point), np.searchsorted(gauss, np.arange(self.bounds.size)))
+        return _Pairs(np.compress(keep, self.point), np.searchsorted(np.flatnonzero(keep), self.bounds))
+
+    def within(self, d2: np.ndarray, cutoff: float, *per_pair: np.ndarray) -> tuple:
+        """``(pairs, *per_pair, d2)`` of the pairs with ``d2 <= cutoff``."""
+        keep = d2 <= cutoff
+        if np.all(keep):
+            return (self, *per_pair, d2)
+        return (self.select(keep), *(np.compress(keep, a, axis=0) for a in (*per_pair, d2)))
 
     def restrict(self, d2: np.ndarray, mask: np.ndarray) -> tuple["_Pairs", np.ndarray, np.ndarray]:
         """The pairs of the points where ``mask`` holds, those points
@@ -223,7 +234,7 @@ class _CellIndex:
         self.cell = cell
         self.shape = last.max(axis=0) + 1
         self.column_bounds = np.concatenate([[0], np.cumsum(columns)])
-        self.column_gauss = g = np.repeat(np.arange(p), columns)
+        g = np.repeat(np.arange(p), columns)
         j = _runs(np.zeros_like(columns), columns)
         ix = first[g, 0] + j // span[g, 1]
         iy = first[g, 1] + j % span[g, 1]
@@ -242,11 +253,7 @@ class _CellIndex:
         start = np.searchsorted(keys, self.key_lo)
         count = np.searchsorted(keys, self.key_hi) - start
         pair_ends = np.concatenate([[0], np.cumsum(count)])
-        return _Pairs(
-            np.repeat(self.column_gauss, count),
-            inside[order[_runs(start, count)]],
-            pair_ends[self.column_bounds],
-        )
+        return _Pairs(inside[order[_runs(start, count)]], pair_ends[self.column_bounds])
 
 
 class VoxelCenters(NamedTuple):
@@ -263,14 +270,18 @@ class VoxelCenters(NamedTuple):
     def num_voxels(self) -> int:
         return int(np.prod(self.resolution))
 
+    def _coordinate(self, a: int, index) -> np.ndarray:
+        """Center coordinates along axis ``a`` of the voxel indices ``index``."""
+        return self.min_corner[a] + (index + 0.5) * self.voxel_size[a]
+
     def axes(self) -> list[np.ndarray]:
         """The center coordinates along each axis."""
-        return [self.min_corner[a] + (np.arange(self.resolution[a]) + 0.5) * self.voxel_size[a] for a in range(3)]
+        return [self._coordinate(a, np.arange(self.resolution[a])) for a in range(3)]
 
     def take(self, flat: np.ndarray) -> np.ndarray:
         """(N, 3) centers of the voxels with the given flat indices."""
         idx = np.unravel_index(flat, tuple(int(n) for n in self.resolution))
-        return np.stack([ax[i] for ax, i in zip(self.axes(), idx)], axis=-1)
+        return np.stack([self._coordinate(a, i) for a, i in enumerate(idx)], axis=-1)
 
 
 class _VoxelLattice:
@@ -392,11 +403,7 @@ class _VoxelLattice:
         nz = np.where(rem < 0.0, 0, np.maximum(z1 - z0 + 1, 0))
         first = ((self.ix[col] - start) * ny_all + iy) * nz_all + z0
         per_gauss = np.bincount(g, nz, minlength=self.means.shape[0]).astype(np.int64)
-        pairs = _Pairs(
-            np.repeat(g, nz),
-            _runs(first, nz),
-            np.concatenate([[0], np.cumsum(per_gauss)]),
-        )
+        pairs = _Pairs(_runs(first, nz), np.concatenate([[0], np.cumsum(per_gauss)]))
         offsets = np.empty((pairs.point.size, 3))
         offsets[:, 0] = np.repeat(self.dx[col], nz)
         offsets[:, 1] = np.repeat(dy, nz)
@@ -413,13 +420,12 @@ def _cov_diag(rot: np.ndarray, scales: np.ndarray) -> np.ndarray:
 
 def _offsets(points, pairs: _Pairs, means) -> np.ndarray:
     """(M, 3) pair offsets ``x - m``: the points gathered per pair, then
-    shifted one column at a time against the per-pair repeat of that
+    shifted one column at a time against the per-pair spread of that
     column of the means. (``np.take`` and ``np.compress`` gather several
     times faster than indexing.)"""
     diff = np.take(points, pairs.point, axis=0)
-    counts = np.diff(pairs.bounds)
     for a in range(3):
-        np.subtract(diff[:, a], np.repeat(means[:, a], counts), out=diff[:, a])
+        np.subtract(diff[:, a], pairs.spread(means[:, a]), out=diff[:, a])
     return diff
 
 
@@ -428,20 +434,14 @@ def _scaled_local(diff: np.ndarray, pairs: _Pairs, rot, scales) -> np.ndarray:
     ``R^T (x - m) / s``; a row's squared norm is the pair's d2. Each
     Gaussian's segment is rotated by one ``np.dot`` (the gemm of
     ``np.matmul``, with less dispatch), and the scaling runs one column at
-    a time against the per-pair repeat of that column."""
-    counts = np.diff(pairs.bounds)
+    a time against the per-pair spread of that column."""
     local = np.empty_like(diff)
     b = pairs.bounds.tolist()
-    for g in np.flatnonzero(counts).tolist():
+    for g in np.flatnonzero(pairs.counts).tolist():
         np.dot(diff[b[g] : b[g + 1]], rot[g], local[b[g] : b[g + 1]])
     for a in range(3):
-        np.divide(local[:, a], np.repeat(scales[:, a], counts), out=local[:, a])
+        np.divide(local[:, a], pairs.spread(scales[:, a]), out=local[:, a])
     return local
-
-
-def _local_coords(points, pairs: _Pairs, means, rot, scales) -> np.ndarray:
-    """(M, 3) pair offsets of query points in the scaled local frame."""
-    return _scaled_local(_offsets(points, pairs, means), pairs, rot, scales)
 
 
 def _squared_norms(local: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -457,12 +457,8 @@ def live_pairs(points, means, rot, scales, cutoff: float) -> tuple[_Pairs, np.nd
     with their local offsets and d2."""
     pairs = (_CellIndex(means, _cov_diag(rot, scales), cutoff).pairs(points) if np.isfinite(cutoff)
              else _Pairs.every(means.shape[0], points.shape[0]))
-    local = _local_coords(points, pairs, means, rot, scales)
-    d2 = _squared_norms(local)
-    keep = d2 <= cutoff
-    if np.all(keep):
-        return pairs, local, d2
-    return pairs.select(keep), np.compress(keep, local, axis=0), np.compress(keep, d2)
+    local = _scaled_local(_offsets(points, pairs, means), pairs, rot, scales)
+    return pairs.within(_squared_norms(local), cutoff, local)
 
 
 def scatter_sum(index: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
@@ -509,8 +505,8 @@ def gmm_expectation(w, point, values, n: int, num_classes: int) -> tuple[np.ndar
 def additive_logits(pairs: _Pairs, d2: np.ndarray, opacities, logits, n: int) -> np.ndarray:
     """(n, channels) additive-model outputs: per point the sum of
     ``opacity * exp(-d2 / 2) * logits`` over its pairs."""
-    g = opacities[pairs.gauss] * np.exp(-0.5 * d2)
-    return scatter_sum(pairs.point, g * np.take(np.ascontiguousarray(logits.T), pairs.gauss, axis=1), n)
+    g = pairs.spread(opacities) * np.exp(-0.5 * d2)
+    return scatter_sum(pairs.point, g * pairs.spread(logits.T, axis=1), n)
 
 
 class FieldEvaluator:
@@ -537,9 +533,7 @@ class FieldEvaluator:
         self._log_weight = log_mixture_weights(gs.opacities, gs.scales)
         self._sem_t = np.ascontiguousarray(softmax(gs.logits).T)
         self._cutoff = self.opts.cutoff
-        if not hasattr(type(chunk), "__index__") or operator.index(chunk) < 1:
-            raise ValueError(f"chunk must be an integer >= 1, got {chunk!r}")
-        self._step = operator.index(chunk)
+        self._step = _count(chunk, "chunk")
         if np.isfinite(self._cutoff):
             _cutoff_boxes(self._means, _cov_diag(self._rot, self._scales), self._cutoff)
         else:
@@ -557,13 +551,6 @@ class FieldEvaluator:
         the primitive-level distance."""
         local = _scaled_local(diff, pairs, self._rot, self._scales)
         return _squared_norms(local, out=local)
-
-    def _live(self, candidates: _Pairs, d2: np.ndarray) -> tuple[_Pairs, np.ndarray]:
-        """The candidates within the cutoff, with their d2."""
-        keep = d2 <= self._cutoff
-        if np.all(keep):
-            return candidates, d2
-        return candidates.select(keep), np.compress(keep, d2)
 
     def _chunks(self, points) -> Iterator[tuple[slice, _Pairs, np.ndarray]]:
         """Yield (rows, live pairs, their d2) per chunk of query points;
@@ -585,7 +572,7 @@ class FieldEvaluator:
         for rows, offsets, candidates in chunks:
             d2 = self._d2(offsets, candidates)
             del offsets
-            pairs, d2 = self._live(candidates, d2)
+            pairs, d2 = candidates.within(d2, self._cutoff)
             del candidates
             yield rows, pairs, d2
 
@@ -617,9 +604,8 @@ class FieldEvaluator:
         return np.clip(np.maximum(alpha, np.exp(-0.5 * nearest)), 0.0, 1.0)
 
     def _semantics(self, pairs: _Pairs, d2: np.ndarray, n: int) -> np.ndarray:
-        w = self._log_weight[pairs.gauss] - 0.5 * d2
-        sem = np.take(self._sem_t, pairs.gauss, axis=1)
-        return gmm_expectation(w, pairs.point, sem, n, self.gs.num_classes)[0]
+        w = pairs.spread(self._log_weight) - 0.5 * d2
+        return gmm_expectation(w, pairs.point, pairs.spread(self._sem_t, axis=1), n, self.gs.num_classes)[0]
 
     def _compose(self, pairs: _Pairs, d2: np.ndarray, n: int) -> np.ndarray:
         return _composed(self._alpha(pairs, d2, n), self._semantics(pairs, d2, n))
@@ -696,6 +682,13 @@ class FieldEvaluator:
     def legacy_labels(self, points) -> np.ndarray:
         """(N,) uint16 argmax of :meth:`legacy`."""
         return self._fill(points, (), lambda pairs, d2, n: np.argmax(self._legacy(pairs, d2, n), axis=1), np.uint16)
+
+
+def _count(value, name: str) -> int:
+    """``value`` as an int; raises unless it is an integer >= 1 (not a bool)."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__") or operator.index(value) < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    return operator.index(value)
 
 
 def _query_points(points) -> np.ndarray:

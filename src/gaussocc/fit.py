@@ -397,7 +397,7 @@ def _loss_and_grad(
     # Only the pairs within the cutoff contribute; every array below is per
     # live pair, per point or per Gaussian.
     pairs, local, d2 = live_pairs(points, means, rot, s, cutoff)
-    gauss, point = pairs.gauss, pairs.point
+    gauss, point = pairs.spread(np.arange(p)), pairs.point
     alpha_i = np.exp(-0.5 * d2)
     loss_terms = np.empty(n)
     grad_logits = np.zeros((p, ch))
@@ -454,9 +454,9 @@ def _loss_and_grad(
             d_loss_dz = np.exp(z - lse[:, None])
             d_loss_dz[np.arange(n), labels] -= 1.0
             d_loss_dz[p_floor] = 0.0
-            g_vals = opac[gauss] * alpha_i
+            g_vals = pairs.spread(opac) * alpha_i
             dz = np.take(np.ascontiguousarray(d_loss_dz.T), point, axis=1)  # (ch, M)
-            g_gv = np.einsum("cm,cm->m", np.take(np.ascontiguousarray(logits.T), gauss, axis=1), dz)
+            g_gv = np.einsum("cm,cm->m", pairs.spread(logits.T, axis=1), dz)
             grad_d2 = -0.5 * g_gv * g_vals
             grad_logits = scatter_sum(gauss, g_vals * dz, p)
             grad_a_direct = scatter_sum(gauss, g_gv * alpha_i, p)

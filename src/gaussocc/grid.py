@@ -132,8 +132,10 @@ class VoxelGrid:
             labels = labels.reshape(expected)
         if labels.shape != expected:
             raise ValueError(f"labels must have shape {expected} or be flat, got {labels.shape}")
-        if labels.min() < 0 or labels.max() >= self.spec.num_classes_total:
-            raise ValueError("labels must lie in [0, num_classes_total)")
+        k = self.spec.num_classes_total
+        if labels.min() < 0 or labels.max() >= k:
+            bad = tuple(int(i) for i in np.unravel_index(np.argmax((labels < 0) | (labels >= k)), expected))
+            raise ValueError(f"labels must lie in [0, num_classes_total) = [0, {k}), got {labels[bad]} at voxel {bad}")
         labels = labels.astype(np.uint16)
         labels.setflags(write=False)
         object.__setattr__(self, "labels", labels)
@@ -183,11 +185,12 @@ def _label_counts(k: int, *flats: np.ndarray) -> np.ndarray:
 
 
 def voxel_center(spec: GridSpec, ix: int, iy: int, iz: int) -> np.ndarray:
-    """Center of voxel (ix, iy, iz), read off the axes of ``spec.centers()``."""
+    """Center of voxel (ix, iy, iz), by the formula of ``spec.centers()``."""
     idx = np.array([ix, iy, iz], dtype=np.int64)
     if np.any(idx < 0) or np.any(idx >= spec.resolution):
         raise IndexError(f"voxel index {(ix, iy, iz)} outside resolution {tuple(spec.resolution)}")
-    return np.array([axis[i] for axis, i in zip(spec.centers().axes(), idx)])
+    centers = spec.centers()
+    return np.array([centers._coordinate(a, idx[a]) for a in range(3)])
 
 
 def voxelize(
@@ -304,7 +307,10 @@ def load_grid(path) -> VoxelGrid:
         labels = np.frombuffer(body, dtype="<u2").astype(np.uint16)
     else:
         raise ValueError(f"{path}: body is neither {count} text labels nor {2 * count} bytes")
-    return VoxelGrid(spec=spec, labels=labels)
+    try:
+        return VoxelGrid(spec=spec, labels=labels)
+    except ValueError as exc:  # a label at or above num_classes_total
+        raise ValueError(f"{path}: {exc}") from None
 
 
 # -- benchmark grid conventions ----------------------------------------------

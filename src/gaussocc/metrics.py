@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import GaussianPrimitive, GaussianSet, build_covariance, covariance_matrices, seeded_stream
-from .field import EvalOptions, FieldEvaluator, scatter_sum
+from .field import EvalOptions, FieldEvaluator, _count, scatter_sum
 from .grid import VoxelGrid, _label_counts
 
 # Chi-square critical value at 90% for three degrees of freedom; the
@@ -232,8 +232,7 @@ def mc_coverage_volume(gs: GaussianSet, scene_bbox, mc_samples: int, seed: int) 
     Raises when not a single sample lands inside.
     """
     lo, hi = _bbox_arrays(scene_bbox)
-    if mc_samples < 1:
-        raise ValueError("mc_samples must be >= 1")
+    mc_samples = _count(mc_samples, "mc_samples")
     ev = FieldEvaluator(gs, EvalOptions(cutoff_mahalanobis_sq=CHI2_3DOF_90))
     n_in = 0
     for chunk_index, done in enumerate(range(0, mc_samples, _MC_CHUNK)):
@@ -434,6 +433,7 @@ def utilization_report(
     ``mc_stderr`` is the binomial standard error ``sqrt(f (1 - f) / n)`` of
     the coverage estimate's hit fraction ``f`` over ``n = mc_samples``.
     """
+    mc_samples = _count(mc_samples, "mc_samples")
     bbox = (gt.spec.min_corner, gt.spec.max_corner)
     pc = perc_correct(gs, gt)
     dist = mean_nearest_dist(gs, gt)
@@ -447,6 +447,6 @@ def utilization_report(
         mean_dist=dist,
         overall_overlap=_summed_volume_90(gs) / coverage,
         indiv_overlap=indiv_overlap(gs),
-        mc_samples=int(mc_samples),
+        mc_samples=mc_samples,
         mc_stderr=math.sqrt(hit_frac * (1.0 - hit_frac) / mc_samples),
     )

@@ -605,3 +605,24 @@ class TestSlice:
             == 1
         )
         assert "outside" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("binary", [False, True])
+    def test_out_of_range_label_names_the_file_and_the_label(self, tmp_path, capsys, binary):
+        from gaussocc.grid import GridSpec, VoxelGrid
+
+        spec = GridSpec(min_corner=np.zeros(3), max_corner=np.array([3.0, 2.0, 2.0]),
+                        resolution=np.array([3, 2, 2]), num_classes_total=3)
+        gt_path = tmp_path / "grid.ogrid"
+        save_grid(gt_path, VoxelGrid(spec=spec, labels=np.zeros(12, dtype=np.uint16)), binary=binary)
+        # Labels 7 and then 3 at flat voxels 5 and 9: (1, 0, 1) names the first.
+        data = bytearray(gt_path.read_bytes())
+        header_end = data.index(b"\n") + 1
+        if binary:
+            data[header_end + 10 : header_end + 12] = (7).to_bytes(2, "little")
+            data[header_end + 18 : header_end + 20] = (3).to_bytes(2, "little")
+        else:
+            data[header_end:] = b"0 0 0 0 0 7 0 0 0 3 0 0\n"
+        gt_path.write_bytes(bytes(data))
+        assert run("slice", "--grid", gt_path, "--axis", "z", "--index", 0, "--out", tmp_path / "x.ppm") == 1
+        err = capsys.readouterr().err
+        assert f"{gt_path}: labels must lie in [0, num_classes_total) = [0, 3), got 7 at voxel (1, 0, 1)" in err

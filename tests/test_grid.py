@@ -63,6 +63,22 @@ class TestVoxelCenter:
                     flat = (ix * 3 + iy) * 4 + iz
                     np.testing.assert_allclose(centers[flat], voxel_center(spec, ix, iy, iz))
 
+    @pytest.mark.parametrize("spec", [
+        nuscenes_grid_spec(),
+        kitti360_grid_spec(),
+        GridSpec(min_corner=np.array([-10.3, -4.1, 0.0]), max_corner=np.array([10.0, 4.1, 8.0]),
+                 resolution=np.array([203, 41, 15]), num_classes_total=5),
+    ], ids=["nuscenes", "kitti360", "odd"])
+    def test_take_and_voxel_center_equal_all_centers(self, spec):
+        # Both compute only the centers asked for, with the bits of the
+        # whole-grid stack.
+        flat = np.random.default_rng(7).integers(0, spec.num_voxels, size=500)
+        flat[:2] = [0, spec.num_voxels - 1]
+        want = spec.all_centers()[flat]
+        assert spec.centers().take(flat).tobytes() == want.tobytes()
+        got = [voxel_center(spec, *np.unravel_index(f, tuple(spec.resolution))) for f in flat[:50].tolist()]
+        assert np.array(got).tobytes() == want[:50].tobytes()
+
     @pytest.mark.parametrize("start, stop", [(0, 7), (2, 5), (6, 7), (3, 3)])
     def test_rows_equal_the_meshgrid_stack(self, start, stop):
         spec = GridSpec(min_corner=np.array([-1.3, 0.2, -7.0]), max_corner=np.array([2.9, 1.7, 3.1]),

@@ -516,6 +516,21 @@ class TestOverallOverlap:
         with pytest.raises(ValueError, match="scene_bbox must be .* finite corners, a finite extent"):
             mc_coverage_volume(gs, (lo, hi), 1000, 0)
 
+    @pytest.mark.parametrize("mc_samples", [1000.0, True, 0, -5, "1000"])
+    def test_sample_count_must_be_a_positive_integer(self, mc_samples):
+        # 1000.0 once failed inside numpy's range() with a TypeError, and
+        # True ran one sample.
+        gs = GaussianSet.from_primitives([isotropic((0, 0, 0))])
+        with pytest.raises(ValueError, match="mc_samples must be an integer >= 1"):
+            mc_coverage_volume(gs, self.BBOX, mc_samples, 0)
+        with pytest.raises(ValueError, match="mc_samples must be an integer >= 1"):
+            utilization_report(gs, grid_of(np.ones((4, 4, 4))), mc_samples=mc_samples, seed=0)
+
+    def test_numpy_integer_sample_count_is_accepted(self):
+        gs = GaussianSet.from_primitives([isotropic((0, 0, 0))])
+        assert mc_coverage_volume(gs, self.BBOX, np.int64(1000), 0) == mc_coverage_volume(gs, self.BBOX, 1000, 0)
+        assert utilization_report(gs, grid_of(np.ones((4, 4, 4))), mc_samples=np.int32(500)).mc_samples == 500
+
     def test_volume_sum_overflow_is_infinite(self):
         gs = GaussianSet.from_primitives([isotropic((0, 0, 0), scale=1e102)] * 3)
         assert overall_overlap(gs, self.BBOX, 1000, seed=0) == np.inf

@@ -1,0 +1,55 @@
+"""The output-hash tool: two runs on one tree agree, and a compare names
+what differs."""
+
+import base64
+import copy
+import importlib.util
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+_TOOL = Path(__file__).resolve().parents[1] / "tools" / "output_hashes.py"
+
+
+@pytest.fixture(scope="module")
+def tool():
+    spec = importlib.util.spec_from_file_location("output_hashes", _TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_two_runs_agree_and_a_compare_finds_no_difference(tool, tmp_path, capsys):
+    # The hashes depend on the BLAS, so they are compared with each other,
+    # never pinned.
+    paths = [tmp_path / "a.json", tmp_path / "b.json"]
+    for path in paths:
+        assert tool.main(["--size", "small", "--out", str(path)]) == 0
+    a, b = (json.loads(p.read_text()) for p in paths)
+    assert a == b
+    names = a["entries"]
+    for prefix in ("synth/odd/", "synth/kitti360/", "voxelize/none", "voxelize_legacy/25", "field/none/points/",
+                   "field/25/centers/legacy_labels", "utilization_report", "loss/additive/none/",
+                   "grad/probabilistic/25/", "fit/additive/25/"):
+        assert any(name.startswith(prefix) for name in names), prefix
+    assert set(a["gradients"]) == {name for name in names if name.startswith("grad/")}
+    assert tool.main(["--compare", *map(str, paths)]) == 0
+    assert capsys.readouterr().out.strip() == f"0 of {len(names)} entries differ"
+
+
+def test_compare_lists_changed_and_missing_entries(tool):
+    grad = np.array([4.0, -2.0, 1.0])
+    a = {"size": "small", "numpy": "x", "entries": {"loss/x": "0x1p+0", "grad/x": "h", "field/x": "h"},
+         "gradients": {"grad/x": base64.b64encode(grad.tobytes()).decode()}}
+    b = copy.deepcopy(a)
+    b["entries"]["grad/x"] = "other"
+    b["gradients"]["grad/x"] = base64.b64encode((grad + [0.0, 0.002, 0.0]).tobytes()).decode()
+    del b["entries"]["field/x"]
+    b["entries"]["loss/x"] = "0x1.0000000000001p+0"
+    assert tool.compare(a, b) == [
+        "field/x: only in the first file",
+        "grad/x: differs (max |a - b| / max |a| = 5.000e-04)",
+        "loss/x: differs",
+    ]

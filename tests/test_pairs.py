@@ -19,7 +19,7 @@ from gaussocc.field import (
     FieldEvaluator,
     _CellIndex,
     _cov_diag,
-    _local_coords,
+    _offsets,
     _Pairs,
     _runs,
     _scaled_local,
@@ -66,8 +66,13 @@ def query_points(rng, gs: GaussianSet, n=300) -> np.ndarray:
     return np.concatenate([rng.uniform(-9.0, 9.0, size=(n, 3)), near_tiny, gs.means[:2], far])
 
 
+def gauss_of(pairs: _Pairs) -> np.ndarray:
+    """Each pair's Gaussian, implied by its segment."""
+    return pairs.spread(np.arange(pairs.bounds.size - 1))
+
+
 def pair_set(pairs) -> set:
-    return set(zip(pairs.gauss.tolist(), pairs.point.tolist()))
+    return set(zip(gauss_of(pairs).tolist(), pairs.point.tolist()))
 
 
 _RUNS_RNG = np.random.default_rng(12)
@@ -91,6 +96,56 @@ def test_runs_equal_concatenated_ranges(first, count):
     np.testing.assert_array_equal(got, want)
 
 
+def assert_same_bytes(got: np.ndarray, want: np.ndarray):
+    assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def assert_segments(pairs: _Pairs, gauss: np.ndarray, point: np.ndarray, p: int):
+    """``pairs`` holds the pairs ``(gauss[i], point[i])``, grouped by Gaussian."""
+    assert_same_bytes(pairs.point, point)
+    assert_same_bytes(pairs.bounds, np.searchsorted(gauss, np.arange(p + 1)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(counts=st.lists(st.integers(0, 5), max_size=12), num_points=st.integers(1, 9),
+       mode=st.sampled_from(["random", "none", "all"]), seed=st.integers(0, 2**32 - 1))
+def test_segments_equal_an_explicit_gaussian_column(counts, num_points, mode, seed):
+    # The reference keeps each pair's Gaussian in an explicit column, as
+    # pair lists once did; the segment format implies it from the bounds.
+    rng = np.random.default_rng(seed)
+    p = len(counts)
+    gauss = np.array([g for g, c in enumerate(counts) for _ in range(c)], dtype=np.int64)
+    m = gauss.size
+    point = rng.integers(0, num_points, size=m)
+    pairs = _Pairs(point, np.concatenate([[0], np.cumsum(counts, dtype=np.int64)]))
+    assert_segments(pairs, gauss, point, p)
+    assert_same_bytes(pairs.counts, np.array(counts, dtype=np.int64).reshape(p))
+
+    per_gaussian = rng.normal(size=p)
+    assert_same_bytes(pairs.spread(per_gaussian), per_gaussian[gauss])
+    rows = rng.normal(size=(3, p))
+    assert_same_bytes(pairs.spread(rows, axis=1), np.take(rows, gauss, axis=1))
+
+    keep = {"random": rng.random(m) < 0.5, "none": np.zeros(m, bool), "all": np.ones(m, bool)}[mode]
+    assert_segments(pairs.select(keep), gauss[keep], point[keep], p)
+
+    d2 = np.where(keep, rng.uniform(0.0, 1.0, m), rng.uniform(1.5, 2.0, m))
+    local = rng.normal(size=(m, 3))
+    live, live_local, live_d2 = pairs.within(d2, 1.0, local)
+    assert_segments(live, gauss[keep], point[keep], p)
+    assert_same_bytes(live_d2, d2[keep])
+    assert_same_bytes(live_local, local[keep])
+
+    mask = {"random": rng.random(num_points) < 0.5, "none": np.zeros(num_points, bool),
+            "all": np.ones(num_points, bool)}[mode]
+    sub, sub_d2, points = pairs.restrict(d2, mask)
+    kept = mask[point]
+    rank = np.cumsum(mask) - 1
+    assert_segments(sub, gauss[kept], rank[point[kept]], p)
+    assert_same_bytes(sub_d2, d2[kept])
+    assert_same_bytes(points, np.flatnonzero(mask))
+
+
 class TestCellJoin:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_live_pairs_equal_brute_force(self, seed):
@@ -104,12 +159,12 @@ class TestCellJoin:
         rot = rotation_matrices(gs.rotations)
         pairs, local, kept_d2 = live_pairs(points, gs.means, rot, gs.scales, CUTOFF)
         assert pair_set(pairs) == set(zip(*np.nonzero(d2 <= CUTOFF)))
-        assert len(pair_set(pairs)) == pairs.gauss.size  # no pair listed twice
-        assert all(np.any(pairs.gauss == g) for g in range(4))  # the tiny Gaussians see points
-        np.testing.assert_allclose(kept_d2, d2[pairs.gauss, pairs.point], rtol=1e-9, atol=1e-12)
+        assert len(pair_set(pairs)) == gauss_of(pairs).size  # no pair listed twice
+        assert all(np.any(gauss_of(pairs) == g) for g in range(4))  # the tiny Gaussians see points
+        np.testing.assert_allclose(kept_d2, d2[gauss_of(pairs), pairs.point], rtol=1e-9, atol=1e-12)
         np.testing.assert_array_equal(kept_d2, np.sum(local**2, axis=1))
         # The wide Gaussian sees every point but the far ones; nothing sees those.
-        assert set(pairs.point[pairs.gauss == 4].tolist()) == set(range(points.shape[0] - 5))
+        assert set(pairs.point[gauss_of(pairs) == 4].tolist()) == set(range(points.shape[0] - 5))
         assert not np.any(pairs.point >= points.shape[0] - 5)
 
     @pytest.mark.parametrize("cutoff", [CUTOFF, np.inf])
@@ -122,8 +177,9 @@ class TestCellJoin:
         points = query_points(rng, gs)
         pairs, _, d2 = live_pairs(points, gs.means, rotation_matrices(gs.rotations), gs.scales, cutoff)
         prims = [gs.primitive(g) for g in range(len(gs))]
-        expected = [mahalanobis_sq(points[j], prims[g]) for g, j in zip(pairs.gauss.tolist(), pairs.point.tolist())]
-        assert pairs.gauss.size >= (500 if np.isfinite(cutoff) else len(gs) * points.shape[0])
+        gauss = gauss_of(pairs)
+        expected = [mahalanobis_sq(points[j], prims[g]) for g, j in zip(gauss.tolist(), pairs.point.tolist())]
+        assert gauss.size >= (500 if np.isfinite(cutoff) else len(gs) * points.shape[0])
         np.testing.assert_array_equal(d2, expected)
 
     def test_candidates_are_grouped_by_gaussian(self):
@@ -132,15 +188,15 @@ class TestCellJoin:
         points = query_points(rng, gs)
         rot = rotation_matrices(gs.rotations)
         pairs = _CellIndex(gs.means, _cov_diag(rot, gs.scales), CUTOFF).pairs(points)
-        assert np.all(np.diff(pairs.gauss) >= 0)
+        assert np.all(np.diff(gauss_of(pairs)) >= 0)
         for g in range(len(gs)):
-            np.testing.assert_array_equal(pairs.gauss[pairs.bounds[g] : pairs.bounds[g + 1]], g)
-        assert pairs.bounds[-1] == pairs.gauss.size
+            np.testing.assert_array_equal(gauss_of(pairs)[pairs.bounds[g] : pairs.bounds[g + 1]], g)
+        assert pairs.bounds[-1] == gauss_of(pairs).size
         # Candidates may exceed the live pairs, never miss one.
-        d2 = np.sum(_local_coords(points, pairs, gs.means, rot, gs.scales) ** 2, axis=1)
+        d2 = np.sum(_scaled_local(_offsets(points, pairs, gs.means), pairs, rot, gs.scales) ** 2, axis=1)
         live, _, _ = live_pairs(points, gs.means, rot, gs.scales, CUTOFF)
         assert pair_set(live) <= pair_set(pairs)
-        assert np.count_nonzero(d2 <= CUTOFF) == live.gauss.size
+        assert np.count_nonzero(d2 <= CUTOFF) == gauss_of(live).size
 
     def test_many_wide_gaussians_grow_the_cells(self):
         # Every box spans the whole cloud, so cells at half the median
@@ -324,7 +380,7 @@ def lattice_candidates(gs: GaussianSet, spec: GridSpec, cutoff=CUTOFF, budget=1 
 def every_pair_d2(gs: GaussianSet, points: np.ndarray) -> np.ndarray:
     """(P, N) d2 of every pair, by the kernel's own local-frame formula."""
     every = _Pairs.every(len(gs), points.shape[0])
-    local = _local_coords(points, every, gs.means, rotation_matrices(gs.rotations), gs.scales)
+    local = _scaled_local(_offsets(points, every, gs.means), every, rotation_matrices(gs.rotations), gs.scales)
     return np.sum(local**2, axis=1).reshape(len(gs), -1)
 
 
@@ -344,17 +400,17 @@ def check_lattice(gs: GaussianSet, spec: GridSpec, cutoff=CUTOFF, budget=1 << 17
     for (first, offsets, pairs), nxt in zip(spans, spans[1:] + [(spec.num_voxels,)]):
         points = centers[first : nxt[0]]
         assert points.shape[0] <= max(voxel_budget, row)
-        assert np.all(np.diff(pairs.gauss) >= 0)
-        np.testing.assert_array_equal(pairs.bounds, np.searchsorted(pairs.gauss, np.arange(len(gs) + 1)))
+        assert np.all(np.diff(gauss_of(pairs)) >= 0)
+        np.testing.assert_array_equal(pairs.bounds, np.searchsorted(gauss_of(pairs), np.arange(len(gs) + 1)))
         assert np.all((pairs.point >= 0) & (pairs.point < points.shape[0]))
-        assert offsets.tobytes() == (points[pairs.point] - gs.means[pairs.gauss]).tobytes()
+        assert offsets.tobytes() == (points[pairs.point] - gs.means[gauss_of(pairs)]).tobytes()
         span_d2 = np.sum(_scaled_local(offsets, pairs, rot, gs.scales) ** 2, axis=1)
-        glob = zip(pairs.gauss.tolist(), (pairs.point + first).tolist())
+        glob = zip(gauss_of(pairs).tolist(), (pairs.point + first).tolist())
         for pair, inside in zip(glob, (span_d2 <= cutoff).tolist()):
             candidates.add(pair)
             if inside:
                 live.add(pair)
-        listed += pairs.gauss.size
+        listed += gauss_of(pairs).size
     assert listed == len(candidates)  # no pair listed twice
     want = set(zip(*np.nonzero(d2 <= cutoff)))
     assert live == want
@@ -374,7 +430,7 @@ class TestVoxelLattice:
         joined, _, _ = live_pairs(centers, gs.means, rotation_matrices(gs.rotations), gs.scales, CUTOFF)
         d2 = every_pair_d2(gs, centers)
         assert pair_set(joined) == set(zip(*np.nonzero(d2 <= CUTOFF)))  # the lattice's live pairs
-        assert n_live == joined.gauss.size
+        assert n_live == gauss_of(joined).size
         # The thin Gaussians on a voxel center and a face see their voxels;
         # the ones outside the grid see none.
         assert np.all(np.count_nonzero(d2[24:27] <= CUTOFF, axis=1) > 0)
