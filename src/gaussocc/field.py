@@ -21,8 +21,10 @@ no term, so its aggregate is exactly 0.
 Every evaluation runs on a list of (Gaussian, point) pairs, and per-point
 and per-Gaussian sums run over that list. A pair list stores each pair's
 point and each Gaussian's segment bounds; a pair's Gaussian is implied by
-its segment. One of two generators lists the candidate pairs, chosen by
-the kind of query points:
+its segment. Per-point sums scatter onto the pairs' points
+(:func:`scatter_sum`); per-Gaussian sums, which the fit's backward pass
+takes, are segment sums (:meth:`_Pairs.sum`). One of two generators lists
+the candidate pairs, chosen by the kind of query points:
 
 * arbitrary points (Monte Carlo samples, fit batches, the public
   :class:`FieldEvaluator` methods on an array): a cell join
@@ -161,6 +163,18 @@ class _Pairs(NamedTuple):
     def spread(self, per_gaussian: np.ndarray, axis: int = 0) -> np.ndarray:
         """Each pair's entry of ``per_gaussian`` along ``axis`` (a repeat: faster than a gather)."""
         return np.repeat(per_gaussian, self.counts, axis=axis)
+
+    def sum(self, values: np.ndarray) -> np.ndarray:
+        """Per-Gaussian sums of per-pair ``values`` along the last axis:
+        (M,) -> (P,), or (k, M) -> (k, P). One ``np.add.reduceat`` over the
+        non-empty segments; an empty segment sums to 0 (``reduceat`` would
+        return the next pair's value)."""
+        counts = self.counts
+        out = np.zeros(values.shape[:-1] + counts.shape)
+        full = np.flatnonzero(counts)
+        if full.size:
+            out[..., full] = np.add.reduceat(values, self.bounds[full], axis=-1)
+        return out
 
     def select(self, keep: np.ndarray) -> "_Pairs":
         return _Pairs(np.compress(keep, self.point), np.searchsorted(np.flatnonzero(keep), self.bounds))
@@ -462,8 +476,10 @@ def live_pairs(points, means, rot, scales, cutoff: float) -> tuple[_Pairs, np.nd
 
 
 def scatter_sum(index: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
-    """Sum pair values onto the point or Gaussian each pair names:
-    (M,) -> (n,), or (k, M) -> (n, k)."""
+    """Sum pair values onto the point each pair names, or onto another
+    per-pair index that is not a segment (an endpoint of the audit's
+    Gaussian pairs, the fit's flat (Gaussian, class) key): (M,) -> (n,), or
+    (k, M) -> (n, k). Per-Gaussian sums of a pair list are :meth:`_Pairs.sum`."""
     if values.ndim == 2:
         return np.stack([scatter_sum(index, row, n) for row in values], axis=1)
     # bincount returns integers when there is nothing to sum.
@@ -500,13 +516,6 @@ def gmm_expectation(w, point, values, n: int, num_classes: int) -> tuple[np.ndar
     e = scatter_sum(point, rho * values, n)
     e[undefined] = 1.0 / num_classes
     return e, rho, undefined
-
-
-def additive_logits(pairs: _Pairs, d2: np.ndarray, opacities, logits, n: int) -> np.ndarray:
-    """(n, channels) additive-model outputs: per point the sum of
-    ``opacity * exp(-d2 / 2) * logits`` over its pairs."""
-    g = pairs.spread(opacities) * np.exp(-0.5 * d2)
-    return scatter_sum(pairs.point, g * pairs.spread(logits.T, axis=1), n)
 
 
 class FieldEvaluator:
@@ -648,7 +657,10 @@ class FieldEvaluator:
         return labels
 
     def _legacy(self, pairs: _Pairs, d2: np.ndarray, n: int) -> np.ndarray:
-        return additive_logits(pairs, d2, self.gs.opacities, self.gs.logits, n)
+        """(n, channels) additive-model outputs: per point the sum of
+        ``opacity * exp(-d2 / 2) * logits`` over its pairs."""
+        g = pairs.spread(self.gs.opacities) * np.exp(-0.5 * d2)
+        return scatter_sum(pairs.point, g * pairs.spread(self.gs.logits.T, axis=1), n)
 
     def _require_opacity(self):
         if not np.any(self.gs.opacities > 0.0):

@@ -28,7 +28,7 @@ import numpy as np
 from .core import MIN_SCALE, GaussianSet, rotation_matrices, seeded_stream as _stream
 from .field import (
     EvalOptions,
-    additive_logits,
+    _query_points,
     gmm_expectation,
     live_pairs,
     log1mexp,
@@ -395,9 +395,10 @@ def _loss_and_grad(
         raise ValueError(f"labels must lie in [0, {max_label}] for the {model} model")
 
     # Only the pairs within the cutoff contribute; every array below is per
-    # live pair, per point or per Gaussian.
+    # live pair, per point or per Gaussian. Per-point sums scatter onto the
+    # pairs' points; per-Gaussian sums are the pair list's segment sums.
     pairs, local, d2 = live_pairs(points, means, rot, s, cutoff)
-    gauss, point = pairs.spread(np.arange(p)), pairs.point
+    point = pairs.point
     alpha_i = np.exp(-0.5 * d2)
     loss_terms = np.empty(n)
     grad_logits = np.zeros((p, ch))
@@ -416,10 +417,12 @@ def _loss_and_grad(
         log_alpha = np.where(alpha_floor, _LOG_PRED_FLOOR, log_alpha_raw)
         # Mixture posterior over the live pairs of occupied points.
         sem = softmax(logits)
-        occ_pairs = np.flatnonzero(occ[point])
-        g_occ, pt_occ = gauss[occ_pairs], point[occ_pairs]
-        w = log_mixture_weights(opac, s)[g_occ] - 0.5 * d2[occ_pairs]
-        gk_occ = g_occ * ch + (labels - 1)[pt_occ]  # flat (Gaussian, label class) index
+        occ_pairs = occ[point]
+        occ_sub = pairs.select(occ_pairs)
+        pt_occ = occ_sub.point
+        w = occ_sub.spread(log_mixture_weights(opac, s)) - 0.5 * np.compress(occ_pairs, d2)
+        # Flat (Gaussian, label class) index into the (P, ch) logits.
+        gk_occ = occ_sub.spread(np.arange(0, p * ch, ch)) + (labels - 1)[pt_occ]
         sem_y = np.take(sem, gk_occ)
         e_y, rho, fallback = gmm_expectation(w, pt_occ, sem_y, n, ch)
         e_floor = e_y < _PRED_FLOOR
@@ -439,11 +442,14 @@ def _loss_and_grad(
             d_loss_dw = np.where(dead, 0.0, rho - beta)
             live_beta = np.where(dead, 0.0, beta)
             grad_d2[occ_pairs] -= 0.5 * d_loss_dw
-            grad_log_a = scatter_sum(g_occ, d_loss_dw, p)
-            grad_logits = sem * scatter_sum(g_occ, live_beta, p)[:, None]
+            grad_log_a = occ_sub.sum(d_loss_dw)
+            grad_logits = sem * occ_sub.sum(live_beta)[:, None]
             grad_logits -= scatter_sum(gk_occ, live_beta, p * ch).reshape(p, ch)
     else:  # additive baseline
-        z = additive_logits(pairs, d2, opac, logits, n)
+        # Each pair's weight opacity * exp(-d2 / 2) and its Gaussian's logits.
+        g_vals = pairs.spread(opac) * alpha_i
+        pair_logits = pairs.spread(logits.T, axis=1)  # (ch, M)
+        z = scatter_sum(point, g_vals * pair_logits, n)
         zmax = z.max(axis=1)
         lse = zmax + np.log(np.exp(z - zmax[:, None]).sum(axis=1))
         log_p = z[np.arange(n), labels] - lse
@@ -454,12 +460,12 @@ def _loss_and_grad(
             d_loss_dz = np.exp(z - lse[:, None])
             d_loss_dz[np.arange(n), labels] -= 1.0
             d_loss_dz[p_floor] = 0.0
-            g_vals = pairs.spread(opac) * alpha_i
             dz = np.take(np.ascontiguousarray(d_loss_dz.T), point, axis=1)  # (ch, M)
-            g_gv = np.einsum("cm,cm->m", pairs.spread(logits.T, axis=1), dz)
+            g_gv = np.einsum("cm,cm->m", pair_logits, dz)
+            del pair_logits  # before the (ch, M) product below: it would set the call's peak
             grad_d2 = -0.5 * g_gv * g_vals
-            grad_logits = scatter_sum(gauss, g_vals * dz, p)
-            grad_a_direct = scatter_sum(gauss, g_gv * alpha_i, p)
+            grad_logits = pairs.sum(g_vals * dz).T
+            grad_a_direct = pairs.sum(g_gv * alpha_i)
 
     loss = float(loss_terms.mean())
     if not want_grad:
@@ -472,10 +478,10 @@ def _loss_and_grad(
     # component rows, uu from its 6 unique entries.
     u = np.ascontiguousarray(local.T)
     gu = grad_d2 * u
-    t = scatter_sum(gauss, gu, p)
+    t = pairs.sum(gu).T
     uu = np.empty((p, 3, 3))
     for i, j in combinations_with_replacement(range(3), 2):
-        uu[:, i, j] = uu[:, j, i] = scatter_sum(gauss, gu[i] * u[j], p)
+        uu[:, i, j] = uu[:, j, i] = pairs.sum(gu[i] * u[j])
     g_means = -2.0 * np.einsum("pab,pb->pa", rot, t / s)
     # Each log-scale also enters the mixture weight through -log(det)/2.
     g_ls = -2.0 * np.diagonal(uu, axis1=1, axis2=2) - grad_log_a[:, None]
@@ -498,13 +504,17 @@ def _loss_and_grad(
 
 
 def _params_loss_and_grad(params, gt, sample_points, model, opts, want_grad):
-    """:func:`_loss_and_grad` of a ParamVector at grid-labelled points."""
+    """:func:`_loss_and_grad` of a ParamVector at grid-labelled points; the
+    points are checked as the field's query points are, and must not be empty."""
+    points = _query_points(sample_points)
+    if points.shape[0] == 0:
+        raise ValueError("sample_points must hold at least one point, got shape (0, 3)")
     return _loss_and_grad(
         np.asarray(params.values, dtype=np.float64),
         params.num_gaussians,
         params.num_channels,
-        np.atleast_2d(np.asarray(sample_points, dtype=np.float64)),
-        gt.labels_at_points(sample_points),
+        points,
+        gt.labels_at_points(points),
         model,
         (opts or EvalOptions()).cutoff,
         want_grad=want_grad,

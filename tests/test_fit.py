@@ -411,17 +411,32 @@ class TestGradient:
             )
         return np.concatenate(blocks)
 
-    @pytest.mark.parametrize("model,ch", [("probabilistic", 3), ("additive", 4)])
-    def test_matches_finite_differences(self, model, ch):
+    @pytest.mark.parametrize(
+        "model,ch,cutoff",
+        [
+            pytest.param("probabilistic", 3, np.inf, id="probabilistic-3"),
+            pytest.param("additive", 4, np.inf, id="additive-4"),
+            # Five Gaussians, of which the first, the middle and the last sit
+            # far from every point: their pair segments are empty, between
+            # non-empty ones.
+            pytest.param("probabilistic", 3, 16.0, id="probabilistic-3-empty-segments"),
+            pytest.param("additive", 4, 16.0, id="additive-4-empty-segments"),
+        ],
+    )
+    def test_matches_finite_differences(self, model, ch, cutoff):
         rng = np.random.default_rng(77)
-        p, n = 4, 8
+        p, n = (4, 8) if np.isinf(cutoff) else (5, 8)
         theta = self.random_theta(rng, p, ch)
         pts = rng.uniform(-2, 2, (n, 3))
         labs = rng.integers(0, (ch if model == "probabilistic" else ch - 1) + 1, n)
-        _, grad = _loss_and_grad(theta, p, ch, pts, labs, model, np.inf)
-        fd = fd_gradient(theta, p, ch, pts, labs, model, np.inf)
+        dead = [0, 2, 4] if np.isfinite(cutoff) else []
+        theta.reshape(p, -1)[dead, 0:3] += 50.0
+        _, grad = _loss_and_grad(theta, p, ch, pts, labs, model, cutoff)
+        fd = fd_gradient(theta, p, ch, pts, labs, model, cutoff)
         abs_err, rel_err = grad_errors(grad, fd)
         assert np.all((rel_err <= 1e-4) | (abs_err <= 1e-7))
+        live = np.any(grad.reshape(p, -1) != 0.0, axis=1)
+        np.testing.assert_array_equal(live, ~np.isin(np.arange(p), dead))
 
     def test_single_gaussian(self):
         rng = np.random.default_rng(78)
@@ -481,6 +496,23 @@ class TestGradient:
         )
         assert loss == core_loss
         np.testing.assert_array_equal(grad, core_grad)
+
+    @pytest.mark.parametrize("wrapper", [fit_loss, fit_grad], ids=["fit_loss", "fit_grad"])
+    @pytest.mark.parametrize(
+        "points,message",
+        [
+            ([[0.0, 0.0, np.nan], [1.0, 1.0, 1.0]], r"query point 0 is not finite: \[0.0, 0.0, nan\]"),
+            ([[1.0, 1.0, 1.0], [1.0, -np.inf, 1.0]], r"query point 1 is not finite"),
+            (np.ones((4, 2)), r"query points must be an \(N, 3\) array, got shape \(4, 2\)"),
+            (np.empty((0, 3)), r"sample_points must hold at least one point"),
+        ],
+        ids=["nan-row", "inf-row", "shape-4x2", "empty"],
+    )
+    def test_bad_sample_points_rejected(self, wrapper, points, message):
+        gt = tiny_grid([((3, 3, 3), 1), ((5, 5, 5), 2)])
+        pv = ParamVector.encode(random_gaussian_set(np.random.default_rng(82), 16, 3, spread=3.0))
+        with pytest.raises(ValueError, match=message):
+            wrapper(pv, gt, points)
 
     def test_descent_step_reduces_loss(self):
         successes = 0

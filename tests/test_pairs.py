@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp, softmax
 
@@ -144,6 +144,28 @@ def test_segments_equal_an_explicit_gaussian_column(counts, num_points, mode, se
     assert_segments(sub, gauss[kept], rank[point[kept]], p)
     assert_same_bytes(sub_d2, d2[kept])
     assert_same_bytes(points, np.flatnonzero(mask))
+
+
+@settings(max_examples=200, deadline=None)
+@given(counts=st.lists(st.integers(0, 5), max_size=12), rows=st.sampled_from([None, 1, 3]),
+       seed=st.integers(0, 2**32 - 1))
+@example(counts=[0, 2, 0, 3, 0], rows=None, seed=0)  # empty first, middle and last segments
+@example(counts=[0, 2, 0, 3, 0], rows=3, seed=0)
+@example(counts=[0, 0, 0], rows=None, seed=0)  # no pairs at all
+@example(counts=[0, 0, 0], rows=3, seed=0)
+@example(counts=[0, 1, 0], rows=None, seed=0)  # one pair
+@example(counts=[1], rows=1, seed=0)
+def test_segment_sums_equal_a_bincount_over_the_gaussian_column(counts, rows, seed):
+    # Integer-valued floats sum exactly in any order, so both sums agree to the bit.
+    rng = np.random.default_rng(seed)
+    p = len(counts)
+    pairs = _Pairs(rng.integers(0, 9, size=sum(counts)), np.concatenate([[0], np.cumsum(counts, dtype=np.int64)]))
+    shape = (sum(counts),) if rows is None else (rows, sum(counts))
+    values = rng.integers(-1000, 1000, size=shape).astype(np.float64)
+    want = np.array([np.bincount(gauss_of(pairs), row, minlength=p) for row in np.atleast_2d(values)])
+    got = pairs.sum(values)
+    assert got.dtype == np.float64 and got.shape == shape[:-1] + (p,)
+    np.testing.assert_array_equal(got, want.reshape(got.shape))
 
 
 class TestCellJoin:
