@@ -202,34 +202,85 @@ class FitResult:
 # -- farthest point sampling ---------------------------------------------------
 
 
+_FPS_BLOCK = 256  # candidates per block of farthest-point sampling's running maxima
+_FPS_PAD = 1.0 + 1e-9  # slab half-width over the farthest distance: covers its rounding
+
+
 def _greedy_fps(points: np.ndarray, k: int, first: int) -> np.ndarray:
     """Greedy farthest-point picks from an (n, 3) cloud, starting at ``first``.
 
-    The coordinates are copied once into three contiguous columns and the
-    n-long buffers are allocated once. Each step computes the distance to
-    the newest pick as ``sqrt((dx*dx + dy*dy) + dz*dz)``, the summation
-    order of ``np.linalg.norm(points - points[nxt], axis=1)``, so every
-    distance, and hence every pick, carries the same bits as that loop.
+    The cloud is sorted once (stably) along its widest axis into three
+    contiguous coordinate columns. Every distance is computed as
+    ``sqrt((dx*dx + dy*dy) + dz*dz)``, the summation order of
+    ``np.linalg.norm(points - points[nxt], axis=1)``, so each distance, and
+    hence each pick, carries the bits of the loop that re-measures the whole
+    cloud at every pick.
+
+    A pick's min-distance ``r`` is the largest of all, so the update can only
+    lower points closer than ``r`` to it. It re-measures the slab whose sort
+    coordinate lies within ``h = fl(r * (1 + 1e-9))`` of the pick's ``c``.
+    ``r`` was computed as ``fl(sqrt(S))`` from a rounded sum of squares
+    ``S``, so ``h^2 > S``. A point outside the slab has ``|x - c| >= h``
+    exactly (a float beyond ``fl(c + h)`` is beyond ``c + h``), so its
+    rounded ``|dx| >= h``, its rounded sum of squares is at least
+    ``fl(h^2) >= S`` and its distance at least ``fl(sqrt(S)) = r``: its
+    min-distance cannot change. Rounding is monotone, so this holds for
+    subnormal squares too.
+
+    The next pick is the largest of per-block maxima, of which only the
+    blocks the slab touches are refreshed. Among equally far points the
+    lowest index wins. When the sort leaves the cloud in place (voxel
+    centers come ordered along x) that is the first maximum in sorted order;
+    otherwise the blocks holding the maximum are searched for the lowest
+    original index.
     """
-    cols = np.ascontiguousarray(points.T)
+    n = points.shape[0]
+    b = _FPS_BLOCK
     chosen = np.empty(k, dtype=np.int64)
     chosen[0] = first
-    dist = np.full(points.shape[0], np.inf)
-    new = np.empty_like(dist)
-    tmp = np.empty_like(dist)
+    axis = int(np.argmax(np.ptp(points, axis=0)))
+    in_order = bool(np.all(points[1:, axis] >= points[:-1, axis]))
+    nb = -(-n // b)
+    if in_order:  # the stable sort is the identity
+        s = first
+        cols = np.ascontiguousarray(points.T)
+    else:
+        order = np.argsort(points[:, axis], kind="stable")
+        s = int(np.flatnonzero(order == first)[0])
+        cols = np.ascontiguousarray(points[order].T)
+        rank = np.full(nb * b, n)
+        rank[:n] = order
+        rank = rank.reshape(nb, b)
+    key = cols[axis]
+    dist = np.full(nb * b, -1.0)  # the padding never wins
+    dist[:n] = np.inf
+    blocks = dist.reshape(nb, b)
+    peak = np.full(nb, np.inf)
+    sq = np.empty((3, n))
+    r = np.inf
     for i in range(1, k):
-        x, y, z = cols[:, chosen[i - 1]]
-        np.subtract(cols[0], x, out=new)
-        np.multiply(new, new, out=new)
-        np.subtract(cols[1], y, out=tmp)
-        np.multiply(tmp, tmp, out=tmp)
-        np.add(new, tmp, out=new)
-        np.subtract(cols[2], z, out=tmp)
-        np.multiply(tmp, tmp, out=tmp)
-        np.add(new, tmp, out=new)
-        np.sqrt(new, out=new)
-        np.minimum(dist, new, out=dist)
-        chosen[i] = np.argmax(dist)
+        h = r * _FPS_PAD
+        c = key[s]
+        lo = int(key.searchsorted(c - h, "left"))
+        hi = int(key.searchsorted(c + h, "right"))
+        d = sq[:, : hi - lo]
+        np.subtract(cols[:, lo:hi], cols[:, s : s + 1], out=d)
+        np.multiply(d, d, out=d)
+        d = np.add(d[0], d[1], out=d[0])
+        np.add(d, sq[2, : hi - lo], out=d)
+        np.sqrt(d, out=d)
+        np.minimum(dist[lo:hi], d, out=dist[lo:hi])
+        b0, b1 = lo // b, (hi - 1) // b + 1
+        blocks[b0:b1].max(axis=1, out=peak[b0:b1])
+        top = int(peak.argmax())
+        r = peak[top]
+        if in_order:
+            s = chosen[i] = top * b + int(blocks[top].argmax())
+        else:
+            hold = np.flatnonzero(peak == r)
+            j = int(np.where(blocks[hold] == r, rank[hold], n).argmin())
+            s = int(hold[j // b]) * b + j % b
+            chosen[i] = order[s]
     return chosen
 
 
@@ -240,9 +291,20 @@ def fps_init(candidates: np.ndarray, k: int, seed: int, batched: bool = False) -
     minimum distance to the chosen set; among equally far points the
     lowest index wins. The batched variant splits the cloud into octants
     around the bounding-box midpoint, runs greedy sampling per octant with
-    proportional quotas and concatenates. The cost is one pass over an
-    octant's candidates (the whole cloud when not batched) per pick from
-    that octant, so about k passes in all.
+    proportional quotas and concatenates.
+
+    Each cloud (each octant when batched) is sorted once along its widest
+    axis. A pick then re-measures only the slab of candidates within the
+    current farthest distance ``r`` of it on that axis, padded to
+    ``r * (1 + 1e-9)``: a point outside the padded slab is at least ``r``
+    away even in rounded arithmetic, and ``r`` bounds every point's
+    min-distance, so its min-distance cannot change. The next pick comes
+    from per-block maxima, refreshed only where the slab touched them.
+    Ties go to the lowest index: with no search when the candidates
+    already come ordered along the sort axis (as ``occupied_centers()``
+    does along x), else by searching the blocks that hold the maximum.
+    The picks carry the bits of the loop that re-measures every candidate
+    at every pick.
 
     ``candidates`` must be a finite (N, 3) array and ``k`` an integer in
     [1, N]; anything else raises ``ValueError``.

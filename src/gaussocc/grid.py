@@ -120,7 +120,12 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class VoxelGrid:
-    """A grid spec plus one label per voxel, stored as (X, Y, Z) uint16."""
+    """A grid spec plus one label per voxel, stored as (X, Y, Z) uint16.
+
+    The labels are read-only. A C-contiguous uint16 array that no one can
+    write (it and every array it views are read-only) is kept as is; any
+    other is copied, so a caller's writable array never changes a grid.
+    """
 
     spec: GridSpec
     labels: np.ndarray
@@ -136,8 +141,9 @@ class VoxelGrid:
         if labels.min() < 0 or labels.max() >= k:
             bad = tuple(int(i) for i in np.unravel_index(np.argmax((labels < 0) | (labels >= k)), expected))
             raise ValueError(f"labels must lie in [0, num_classes_total) = [0, {k}), got {labels[bad]} at voxel {bad}")
-        labels = labels.astype(np.uint16)
-        labels.setflags(write=False)
+        if labels.dtype != np.uint16 or not labels.flags.c_contiguous or not _frozen(labels):
+            labels = labels.astype(np.uint16)
+            labels.setflags(write=False)
         object.__setattr__(self, "labels", labels)
 
     @property
@@ -167,6 +173,16 @@ class VoxelGrid:
         out = self.labels_flat[(ix * ny + iy) * nz + iz].astype(np.int64)
         out[~inside] = 0
         return out
+
+
+def _frozen(a: np.ndarray) -> bool:
+    """Whether neither ``a`` nor any array it views can be written. An array
+    over a buffer numpy does not own (bytes, a memoryview) does not count."""
+    while isinstance(a, np.ndarray):
+        if a.flags.writeable:
+            return False
+        a = a.base
+    return a is None
 
 
 def _label_counts(k: int, *flats: np.ndarray) -> np.ndarray:
@@ -247,6 +263,7 @@ def _voxelize_model(gs: GaussianSet, spec: GridSpec, model: str | None = None,
     if gs.num_classes != semantic + extra:
         raise ValueError(f"{model} set needs {semantic + extra} channels ({layout}), got {gs.num_classes}")
     labels = getattr(FieldEvaluator(gs, opts), method)(spec.centers())
+    labels.setflags(write=False)
     return VoxelGrid(spec=spec, labels=labels)
 
 
@@ -307,6 +324,7 @@ def load_grid(path) -> VoxelGrid:
         labels = np.frombuffer(body, dtype="<u2").astype(np.uint16)
     else:
         raise ValueError(f"{path}: body is neither {count} text labels nor {2 * count} bytes")
+    labels.setflags(write=False)
     try:
         return VoxelGrid(spec=spec, labels=labels)
     except ValueError as exc:  # a label at or above num_classes_total

@@ -174,6 +174,7 @@ def rasterize(shapes: Sequence[Shape], spec: GridSpec) -> VoxelGrid:
     labels = np.zeros(spec.resolution, dtype=np.uint16)
     for shape in shapes:
         np.copyto(labels, shape.label, where=shape.contains(x, y, z))
+    labels.setflags(write=False)
     return VoxelGrid(spec=spec, labels=labels)
 
 

@@ -25,8 +25,9 @@ from gaussocc.fit import (
     init_from_grid,
     random_init,
 )
-from gaussocc.grid import GridSpec, VoxelGrid
+from gaussocc.grid import GridSpec, VoxelGrid, nuscenes_grid_spec
 from gaussocc.metrics import ConfusionMatrix
+from gaussocc.scenes import synth_scene
 
 from conftest import random_gaussian_set
 
@@ -153,6 +154,26 @@ class TestParamVector:
             ParamVector(values=np.zeros(10), num_gaussians=2, num_channels=3)
 
 
+def norm_loop(points, k, first):
+    """The greedy loop that re-measures the whole cloud at every pick."""
+    chosen = np.empty(k, dtype=np.int64)
+    chosen[0] = first
+    dist = np.linalg.norm(points - points[first], axis=1)
+    for i in range(1, k):
+        nxt = int(np.argmax(dist))
+        chosen[i] = nxt
+        dist = np.minimum(dist, np.linalg.norm(points - points[nxt], axis=1))
+    return chosen
+
+
+def assert_picks_match_the_norm_loop(pts, k, seed, batched):
+    got = fps_init(pts, k, seed, batched=batched)
+    with mock.patch.object(importlib.import_module("gaussocc.fit"), "_greedy_fps", norm_loop):
+        expected = fps_init(pts, k, seed, batched=batched)
+    assert got.dtype == expected.dtype
+    np.testing.assert_array_equal(got, expected)
+
+
 class TestFps:
     def test_full_selection(self):
         rng = np.random.default_rng(71)
@@ -223,16 +244,6 @@ class TestFps:
         batched=st.booleans(),
     )
     def test_picks_match_the_norm_loop(self, kind, n, data_seed, k_frac, seed, batched):
-        def norm_loop(points, k, first):  # the greedy loop the column kernel replaced
-            chosen = np.empty(k, dtype=np.int64)
-            chosen[0] = first
-            dist = np.linalg.norm(points - points[first], axis=1)
-            for i in range(1, k):
-                nxt = int(np.argmax(dist))
-                chosen[i] = nxt
-                dist = np.minimum(dist, np.linalg.norm(points - points[nxt], axis=1))
-            return chosen
-
         rng = np.random.default_rng(data_seed)
         if kind == "uniform":
             pts = rng.uniform(-5.0, 5.0, size=(n, 3))
@@ -245,11 +256,46 @@ class TestFps:
             base = rng.normal(size=(max(1, n // 4), 3)) * rng.uniform(1e-3, 1e3)
             pts = base[rng.integers(0, len(base), size=n)]
         k = 1 + int(k_frac * (n - 1))
-        got = fps_init(pts, k, seed, batched=batched)
-        with mock.patch.object(importlib.import_module("gaussocc.fit"), "_greedy_fps", norm_loop):
-            expected = fps_init(pts, k, seed, batched=batched)
-        assert got.dtype == expected.dtype
-        np.testing.assert_array_equal(got, expected)
+        assert_picks_match_the_norm_loop(pts, k, seed, batched)
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        n=st.integers(2, 2500),
+        data_seed=st.integers(0, 2**32 - 1),
+        long_axis=st.integers(0, 2),
+        voxels=st.booleans(),
+        log_scale=st.floats(-3.0, 3.0),
+        offset=st.sampled_from((0.0, 1e3, -1e5, 1e7)),
+        shuffled=st.booleans(),
+        seed=st.integers(0, 2**64 - 1),
+        batched=st.booleans(),
+        data=st.data(),
+    )
+    def test_picks_match_the_norm_loop_where_the_slab_culls(
+        self, n, data_seed, long_axis, voxels, log_scale, offset, shuffled, seed, batched, data
+    ):
+        # Elongated clouds, where each pick re-measures a thin slab of the
+        # long axis. Sorted input takes the tie rule's no-search path,
+        # shuffled input the search of the blocks that hold the maximum.
+        rng = np.random.default_rng(data_seed)
+        if voxels:  # most of a thin voxel lattice: distances tie at the maximum on most picks
+            cells = np.ones(3, dtype=np.int64)
+            cells[np.arange(3) != long_axis] = rng.integers(1, 5, size=2)
+            cells[long_axis] = np.ceil(n / np.prod(cells) / rng.uniform(0.5, 1.0))
+            flat = rng.choice(np.prod(cells), size=n, replace=False)
+            pts = (np.stack(np.unravel_index(flat, cells), axis=1) + 0.5) * rng.choice([0.1, 0.2, 0.3, 0.7])
+        else:
+            extent = np.ones(3)
+            extent[long_axis] = rng.uniform(4.0, 40.0)
+            pts = rng.uniform(0.0, extent, size=(n, 3))
+        pts = offset + pts * 10.0**log_scale
+        order = rng.permutation(n) if shuffled else np.argsort(pts[:, long_axis], kind="stable")
+        k = data.draw(st.integers(1, n), label="k")
+        assert_picks_match_the_norm_loop(pts[order], k, seed, batched)
+
+    def test_paper_grid_picks_match_the_norm_loop(self):
+        grid, _ = synth_scene(0, spec=nuscenes_grid_spec(5))
+        assert_picks_match_the_norm_loop(grid.occupied_centers(), 2048, 0, batched=True)
 
     @pytest.mark.parametrize("batched", [False, True])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -262,6 +262,42 @@ class TestOgridFiles:
             load_grid(path)
 
 
+class TestLabelOwnership:
+    @staticmethod
+    def _frozen(a):
+        a.setflags(write=False)
+        return a
+
+    @pytest.mark.parametrize("source", ["writable", "writable int64", "read-only view", "read-only view of a view",
+                                        "read-only bytearray buffer"])
+    def test_a_callers_writable_array_never_changes_the_grid(self, source):
+        spec = small_spec(classes=5, res=(6, 5, 4))
+        base = np.ones(spec.num_voxels, dtype=np.int64 if source == "writable int64" else np.uint16)
+        if source.startswith("writable"):
+            labels = base
+        elif source == "read-only view":
+            labels = self._frozen(base.reshape(6, 5, 4))
+        elif source == "read-only view of a view":
+            labels = self._frozen(self._frozen(base[:]).reshape(6, 5, 4))
+        else:
+            buffer = bytearray(base.tobytes())
+            labels = np.frombuffer(memoryview(buffer).toreadonly(), dtype=np.uint16)
+            base = np.frombuffer(buffer, dtype=np.uint16)
+        assert not labels.flags.writeable or source.startswith("writable")
+        grid = VoxelGrid(spec=spec, labels=labels)
+        base[:] = 2
+        assert np.all(grid.labels == 1)
+        assert grid.labels.dtype == np.uint16 and not grid.labels.flags.writeable
+
+    @pytest.mark.parametrize("shape", [(120,), (6, 5, 4)])
+    def test_a_frozen_uint16_array_is_kept(self, shape):
+        spec = small_spec(classes=5, res=(6, 5, 4))
+        labels = self._frozen(np.arange(120, dtype=np.uint16).reshape(shape) % 5)
+        grid = VoxelGrid(spec=spec, labels=labels)
+        assert np.shares_memory(grid.labels, labels)
+        np.testing.assert_array_equal(grid.labels_flat, np.arange(120) % 5)
+
+
 class TestSpecValidation:
     def test_inverted_bounds_rejected(self):
         with pytest.raises(ValueError):

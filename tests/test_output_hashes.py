@@ -30,9 +30,9 @@ def test_two_runs_agree_and_a_compare_finds_no_difference(tool, tmp_path, capsys
     a, b = (json.loads(p.read_text()) for p in paths)
     assert a == b
     names = a["entries"]
-    for prefix in ("synth/odd/", "synth/kitti360/", "voxelize/none", "voxelize_legacy/25", "field/none/points/",
-                   "field/25/centers/legacy_labels", "utilization_report", "loss/additive/none/",
-                   "grad/probabilistic/25/", "fit/additive/25/"):
+    for prefix in ("synth/odd/", "synth/kitti360/", "fps/nuscenes/", "fps/kitti360/", "voxelize/none",
+                   "voxelize_legacy/25", "field/none/points/", "field/25/centers/legacy_labels", "utilization_report",
+                   "loss/additive/none/", "grad/probabilistic/25/", "fit/additive/25/"):
         assert any(name.startswith(prefix) for name in names), prefix
     assert set(a["gradients"]) == {name for name in names if name.startswith("grad/")}
     assert tool.main(["--compare", *map(str, paths)]) == 0

@@ -9,6 +9,8 @@ output is bit-identical. The matrix:
 
 * ``synth_scene`` labels of every recipe on the default, nuScenes,
   KITTI-360 and an odd-sized grid;
+* batched ``fps_init`` picks on the nuScenes and KITTI-360 mini-street
+  occupied centers;
 * ``voxelize`` and ``voxelize_legacy`` labels of a seeded set at cutoffs 25
   and none (the no-cutoff case on a small grid);
 * the six ``FieldEvaluator`` outputs on random points and on voxel centers
@@ -57,10 +59,12 @@ from gaussocc import (
 
 CUTOFFS = {"25": 25.0, "none": None}
 MODELS = ("probabilistic", "additive")
-# Per size: Gaussians, query points, synth seeds, loss batches, fit iterations, MC samples.
+# Per size: Gaussians, query points, synth seeds, loss batches, fit iterations, MC samples,
+# and the farthest-point sample counts on the paper grids.
 SIZES = {
-    "small": dict(gaussians=24, points=200, seeds=1, batches=1, iterations=3, mc_samples=2000),
-    "full": dict(gaussians=256, points=2000, seeds=3, batches=3, iterations=30, mc_samples=20_000),
+    "small": dict(gaussians=24, points=200, seeds=1, batches=1, iterations=3, mc_samples=2000, fps=(64,)),
+    "full": dict(gaussians=256, points=2000, seeds=3, batches=3, iterations=30, mc_samples=20_000,
+                 fps=(2048, 6400)),
 }
 
 
@@ -104,6 +108,10 @@ def output_hashes(size: str = "full") -> dict:
             for seed in range(cfg["seeds"]):
                 grid, _ = synth_scene(seed, recipe, spec)
                 entries[f"synth/{name}/{recipe}/{seed}"] = _sha256(grid.labels)
+    for name in ("nuscenes", "kitti360"):
+        centers = synth_scene(0, spec=grids[name])[0].occupied_centers()
+        for p in cfg["fps"]:
+            entries[f"fps/{name}/{p}"] = _sha256(fps_init(centers, p, 0, batched=True))
 
     gt, _ = synth_scene(0)
     small = _small_spec()
