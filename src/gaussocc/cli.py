@@ -27,7 +27,9 @@ from .fit import FitConfig, fit
 # benchmark's traced CLI run (perfbench/spans.py) wraps these names.
 from .grid import GridSpec, _voxelize_model, load_grid, save_grid, voxelize, voxelize_legacy  # noqa: F401
 from .metrics import ConfusionMatrix, utilization_report
-from .rays import RaySampling, camera_rays, occupancy_labels
+# camera_rays and occupancy_labels are not called here either: rays streams
+# pixel ranges through rays.label_text. The benchmark wraps these names too.
+from .rays import RaySampling, camera_rays, label_text, occupancy_labels  # noqa: F401
 from .scenes import RECIPES, default_grid_spec, synth_scene
 
 # Fixed per-class colors for slice images; class 0 is the dark background.
@@ -171,21 +173,10 @@ def cmd_rays(args) -> int:
     gt = load_grid(args.gt)
     cam = io.load_camera(args.camera)
     sampling = RaySampling(depth_min=args.depth_min, depth_max=args.depth_max, num_refs=args.num_refs)
-    origin, dirs = camera_rays(cam)
-    depths = sampling.depths
     with open(args.out, "wb") as fh:
-        # About 2**18 points per block, whatever the number of references.
-        chunk = max(1, 2**18 // sampling.num_refs)
-        for start in range(0, dirs.shape[0], chunk):
-            block = dirs[start : start + chunk]
-            pts = origin[None, None, :] + depths[None, :, None] * block[:, None, :]
-            labels = occupancy_labels(pts.reshape(-1, 3), gt).reshape(block.shape[0], -1)
-            # One text row per ray: each 0/1 digit followed by a space, the last by a newline.
-            text = np.full((labels.shape[0], 2 * labels.shape[1]), ord(" "), dtype=np.uint8)
-            text[:, 0::2] = labels + ord("0")
-            text[:, -1] = ord("\n")
-            fh.write(text.tobytes())
-    _info(f"rays: wrote {dirs.shape[0]} rays x {sampling.num_refs} labels to {args.out}")
+        for text in label_text(cam, sampling, gt):
+            fh.write(text)
+    _info(f"rays: wrote {cam.width * cam.height} rays x {sampling.num_refs} labels to {args.out}")
     return 0
 
 

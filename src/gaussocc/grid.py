@@ -90,24 +90,39 @@ class GridSpec:
         including far and non-finite ones, are clipped into range and must
         be masked by ``inside``.
         """
-        cols, inside = self.voxel_columns(points)
-        return np.stack(cols, axis=1), inside
+        coords = _axis_rows(points)
+        inside = self.voxel_index(coords) < self.num_voxels
+        return coords.T.astype(np.int64), inside
 
-    def voxel_columns(self, points: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-        """:meth:`point_to_voxel` one axis at a time: the (N,) index column
-        of each axis, and inside (N,)."""
-        points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    def voxel_index(self, coords) -> np.ndarray:
+        """Flat voxel index of points given one coordinate array per axis.
+
+        ``coords`` yields the x, y and z float64 arrays, all of one shape.
+        Each is overwritten, before the next is drawn, with the coordinate
+        in voxels clipped into [0, n - 1], whose integer part is the axis's
+        voxel index. A point outside the grid, far and non-finite ones
+        included, gets ``num_voxels``.
+        """
         size = self.voxel_size
-        cols = []
-        inside = np.ones(points.shape[0], dtype=bool)
-        for a in range(3):
+        flat = inside = None
+        for a, rel in enumerate(coords):
             n = self.resolution[a]
             with np.errstate(over="ignore", invalid="ignore"):
-                rel = (points[:, a] - self.min_corner[a]) / size[a]
-            # floor(r) lies in [0, n) exactly when r does; fmax/fmin send NaN to 0.
-            inside &= (rel >= 0) & (rel < n)
-            cols.append(np.floor(np.fmin(np.fmax(rel, 0), n - 1)).astype(np.int64))
-        return cols, inside
+                np.subtract(rel, self.min_corner[a], out=rel)
+                np.divide(rel, size[a], out=rel)
+            # floor(r) lies in [0, n) exactly when r does. Clipped into
+            # [0, n - 1] (fmax/fmin send NaN to 0), r casts to its floor.
+            ok = rel >= 0
+            ok &= rel < n
+            np.fmin(np.fmax(rel, 0, out=rel), n - 1, out=rel)
+            if flat is None:
+                flat, inside = rel.astype(np.int64), ok
+            else:
+                flat *= n
+                np.add(flat, rel, out=flat, dtype=np.int64, casting="unsafe")
+                inside &= ok
+        flat[~inside] = self.num_voxels
+        return flat
 
     def describes_same_grid(self, other: "GridSpec") -> bool:
         return (
@@ -168,11 +183,19 @@ class VoxelGrid:
 
     def labels_at_points(self, points: np.ndarray) -> np.ndarray:
         """Labels at arbitrary points; outside the grid reads as empty."""
-        (ix, iy, iz), inside = self.spec.voxel_columns(points)
-        _, ny, nz = self.labels.shape
-        out = self.labels_flat[(ix * ny + iy) * nz + iz].astype(np.int64)
-        out[~inside] = 0
+        flat = self.spec.voxel_index(_axis_rows(points))
+        outside = flat == self.spec.num_voxels
+        out = self.labels_flat.take(flat, mode="clip").astype(np.int64)
+        out[outside] = 0
         return out
+
+
+def _axis_rows(points) -> np.ndarray:
+    """(3, N) float64 copy of (N, 3) points, one row per axis."""
+    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    if points.ndim != 2 or points.shape[1] != 3:
+        raise ValueError(f"points must have shape (N, 3), got {points.shape}")
+    return points.T.copy()
 
 
 def _frozen(a: np.ndarray) -> bool:

@@ -100,16 +100,64 @@ def camera_rays(cam: CameraModel) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (origin (3,), directions (H*W, 3) unit).
     """
+    return cam.pose[:3, 3].copy(), ray_directions(cam, 0, cam.width * cam.height)
+
+
+def ray_directions(cam: CameraModel, start: int, stop: int) -> np.ndarray:
+    """(stop - start, 3) unit directions of the row-major pixels
+    ``start:stop``, bitwise equal to those rows of :func:`camera_rays`."""
+    num_pixels = cam.width * cam.height
+    if not 0 <= start < stop <= num_pixels:
+        raise ValueError(f"pixel range {start}:{stop} outside a {cam.width}x{cam.height} image")
+    # numpy multiplies a single row by gemv, which rounds differently from
+    # the gemm that a longer range gets, so one pixel borrows a neighbor.
+    lo, hi = start, stop
+    if stop - start == 1 < num_pixels:
+        lo, hi = (start, stop + 1) if stop < num_pixels else (start - 1, stop)
     k = cam.intrinsics
-    us = np.arange(cam.width) + 0.5
-    vs = np.arange(cam.height) + 0.5
-    gu, gv = np.meshgrid(us, vs, indexing="xy")
-    d_cam = np.stack(
-        [(gu - k[0, 2]) / k[0, 0], (gv - k[1, 2]) / k[1, 1], np.ones_like(gu)], axis=-1
-    ).reshape(-1, 3)
+    pixel = np.arange(lo, hi)
+    gu = pixel % cam.width + 0.5
+    gv = pixel // cam.width + 0.5
+    d_cam = np.stack([(gu - k[0, 2]) / k[0, 0], (gv - k[1, 2]) / k[1, 1], np.ones_like(gu)], axis=-1)
     d_world = d_cam @ cam.pose[:3, :3].T
     d_world /= np.linalg.norm(d_world, axis=1, keepdims=True)
-    return cam.pose[:3, 3].copy(), d_world
+    return d_world[start - lo : stop - lo]
+
+
+def label_text(cam: CameraModel, sampling: RaySampling, gt: VoxelGrid):
+    """The ``gaussocc rays`` file in pieces: one text row per pixel in
+    row-major order, each occupancy digit (see :func:`occupancy_labels`)
+    followed by a space, the last by a newline.
+
+    Pixels are labelled in ranges of about 2**18 samples, so memory does
+    not grow with the image size.
+    """
+    refs = sampling.num_refs
+    origin, depths = cam.pose[:3, 3], sampling.depths
+    # One ASCII digit per voxel, and a last slot for points outside the grid.
+    digits = np.append(gt.labels_flat != 0, False).astype(np.uint8) + ord("0")
+    chunk = max(1, 2**18 // refs)
+    text = np.full((chunk, 2 * refs), ord(" "), dtype=np.uint8)
+    text[:, -1] = ord("\n")
+    coord = np.empty((chunk, refs))
+    num_pixels = cam.width * cam.height
+    for start in range(0, num_pixels, chunk):
+        dirs = ray_directions(cam, start, min(start + chunk, num_pixels))
+        rows = text[: dirs.shape[0]]
+        axes = _sample_axes(origin, depths, dirs, coord[: dirs.shape[0]])
+        rows[:, 0::2] = digits[gt.spec.voxel_index(axes)]
+        yield rows.tobytes()
+
+
+def _sample_axes(origin, depths, dirs, coord):
+    """Fill ``coord`` (rays, refs) with the coordinates ``origin + depth *
+    direction`` of each axis in turn, as :func:`ray_reference_points` forms
+    them, and yield it each time: ``GridSpec.voxel_index`` is done with one
+    axis before it draws the next."""
+    for a in range(3):
+        np.multiply(dirs[:, a, None], depths, out=coord)
+        coord += origin[a]
+        yield coord
 
 
 def ray_reference_points(origin, direction, sampling: RaySampling) -> np.ndarray:

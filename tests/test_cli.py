@@ -438,6 +438,22 @@ class TestAudit:
         assert "non-finite cutoff box" in capsys.readouterr().err
 
 
+def _street_camera(width, height, position=(-9.0, 0.5, 1.7), pitch=0.0, focal=None):
+    # By default the camera stands inside the mini-street grid and looks
+    # along +x with a wide view, so rays partly leave it; pitch tilts it down.
+    pose = np.eye(4)
+    pose[:3, 0] = [0.0, -1.0, 0.0]
+    pose[:3, 1] = [-np.sin(pitch), 0.0, -np.cos(pitch)]
+    pose[:3, 2] = [np.cos(pitch), 0.0, -np.sin(pitch)]
+    pose[:3, 3] = position
+    f = 30.0 * width / 80 if focal is None else focal
+    return CameraModel(
+        intrinsics=np.array([[f, 0, width / 2], [0, f, height / 2], [0, 0, 1]]),
+        pose=pose,
+        image_size=(width, height),
+    )
+
+
 class TestRays:
     def _camera(self, path):
         cam = CameraModel(
@@ -488,51 +504,71 @@ class TestRays:
         assert len(rows) == 16 * 12
         assert all(len(r) == 24 and set(r) <= {"0", "1"} for r in rows)
 
-    @staticmethod
-    def _street_camera(width, height):
-        # The camera stands inside the grid and looks along +x with a wide
-        # view, so rays partly leave it.
-        pose = np.eye(4)
-        pose[:3, 0] = [0.0, -1.0, 0.0]
-        pose[:3, 1] = [0.0, 0.0, -1.0]
-        pose[:3, 2] = [1.0, 0.0, 0.0]
-        pose[:3, 3] = [-9.0, 0.5, 1.7]
-        f = 30.0 * width / 80
-        return CameraModel(
-            intrinsics=np.array([[f, 0, width / 2], [0, f, height / 2], [0, 0, 1]]),
-            pose=pose,
-            image_size=(width, height),
-        )
+    # case -> (camera, depth_min, depth_max, num_refs). The streamed
+    # blocks hold 2**18 // num_refs pixels.
+    _CASES = {
+        # 80 x 60 = 4800 rays: two blocks, of 4096 rays and 704, at 64 references.
+        64: (_street_camera(80, 60), 1.0, 12.0, 64),
+        2: (_street_camera(80, 60), 1.0, 12.0, 2),
+        # Outside the grid, tilted down: rays enter it through its -x face.
+        "outside": (_street_camera(80, 60, position=(-16.0, 0.5, 4.0), pitch=0.15), 1.0, 40.0, 64),
+        # A focal length of 1e30 makes every ray +x to within 1e-28, and the
+        # origin and the 0.5 m depth steps put every sample exactly on voxel
+        # faces of all three axes (the grid has 0.5 m voxels from -10, -10, 0).
+        "faces": (_street_camera(40, 30, position=(-10.0, 5.0, 1.0), focal=1e30), 0.5, 20.5, 41),
+        # 241 x 17 = 4097 rays: the first block ends inside row 16, and the
+        # last block is one pixel.
+        "block-in-row": (_street_camera(241, 17), 1.0, 12.0, 64),
+    }
 
-    @pytest.mark.parametrize("num_refs", [64, 2])
-    def test_bytes_match_per_row_formatting(self, scene_file, tmp_path, num_refs):
-        # 80 x 60 = 4800 rays: two blocks of 4096 rays at 64 references.
-        cam = self._street_camera(80, 60)
+    @pytest.mark.parametrize("case", list(_CASES))
+    def test_bytes_match_per_row_formatting(self, scene_file, tmp_path, case):
+        cam, depth_min, depth_max, num_refs = self._CASES[case]
         cam_path = tmp_path / "cam.txt"
         save_camera(cam_path, cam)
         out = tmp_path / "labels.txt"
-        assert (
-            run(
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(
                 "rays", "--camera", cam_path, "--gt", scene_file, "--out", out,
-                "--depth-min", 1.0, "--depth-max", 12.0, "--num-refs", num_refs,
+                "--depth-min", depth_min, "--depth-max", depth_max, "--num-refs", num_refs,
             )
-            == 0
-        )
+        assert code == 0
         origin, dirs = camera_rays(cam)
-        depths = RaySampling(depth_min=1.0, depth_max=12.0, num_refs=num_refs).depths
+        depths = RaySampling(depth_min=depth_min, depth_max=depth_max, num_refs=num_refs).depths
         pts = (origin[None, None, :] + depths[None, :, None] * dirs[:, None, :]).reshape(-1, 3)
         gt = load_grid(scene_file)
-        assert 0.5 < gt.spec.point_to_voxel(pts)[1].mean() < 0.9
-        labels = occupancy_labels(pts, gt).reshape(80 * 60, num_refs)
-        assert labels[:4096].any() and labels[4096:].any()
+        inside = gt.spec.point_to_voxel(pts)[1]
+        assert inside.any() and not inside.all()
+        if case == "faces":
+            rel = (pts - gt.spec.min_corner) / gt.spec.voxel_size
+            assert np.array_equal(rel, np.round(rel))
+        labels = occupancy_labels(pts, gt).reshape(cam.width * cam.height, num_refs)
+        assert labels.any() and not labels.all()
+        if case in (64, 2):
+            assert labels[:4096].any() and labels[4096:].any()
         want = "".join(" ".join(str(int(v)) for v in row) + "\n" for row in labels)
         assert out.read_bytes() == want.encode("ascii")
 
+    def test_memory_does_not_grow_with_the_image(self, scene_file, tmp_path):
+        # Pixels are labelled in ranges of about 2**18 samples, so a 16 times
+        # larger image keeps the same peak.
+        peaks = []
+        for width, height in ((160, 120), (640, 480)):
+            cam_path = tmp_path / f"cam{width}.txt"
+            save_camera(cam_path, _street_camera(width, height))
+            code, peak = traced_peak(lambda: run(
+                "rays", "--camera", cam_path, "--gt", scene_file, "--out", tmp_path / "labels.txt",
+                "--depth-min", 1.0, "--depth-max", 12.0, "--num-refs", 64,
+            ))
+            assert code == 0
+            peaks.append(peak)
+        assert peaks[1] <= peaks[0] + 2**20, peaks
 
     def test_many_refs_keep_memory_bounded(self, scene_file, tmp_path):
         # 3072 rays x 1000 references: the rays are labelled in blocks of
         # about 2**18 points, not of a fixed ray count.
-        cam = self._street_camera(64, 48)
+        cam = _street_camera(64, 48)
         cam_path = tmp_path / "cam.txt"
         save_camera(cam_path, cam)
         out = tmp_path / "labels.txt"

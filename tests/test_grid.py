@@ -363,6 +363,14 @@ class TestSpecValidation:
         assert not inside.any()
         assert np.all((idx >= 0) & (idx < spec.resolution))
 
+    @pytest.mark.parametrize("shape", [(5, 2), (5, 4), (2, 3, 3)])
+    def test_points_that_are_not_n_by_3_rejected(self, shape):
+        grid = VoxelGrid(spec=nuscenes_grid_spec(), labels=np.zeros(200 * 200 * 16, dtype=np.uint16))
+        with pytest.raises(ValueError, match=r"points must have shape \(N, 3\)"):
+            grid.spec.point_to_voxel(np.zeros(shape))
+        with pytest.raises(ValueError, match=r"points must have shape \(N, 3\)"):
+            grid.labels_at_points(np.zeros(shape))
+
     def test_point_to_voxel_in_grid_indices_are_the_floor(self):
         spec = nuscenes_grid_spec()
         rng = np.random.default_rng(7)

@@ -5,6 +5,9 @@ import base64
 import copy
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +35,8 @@ def test_two_runs_agree_and_a_compare_finds_no_difference(tool, tmp_path, capsys
     names = a["entries"]
     for prefix in ("synth/odd/", "synth/kitti360/", "fps/nuscenes/", "fps/kitti360/", "voxelize/none",
                    "voxelize_legacy/25", "field/none/points/", "field/25/centers/legacy_labels", "utilization_report",
-                   "loss/additive/none/", "grad/probabilistic/25/", "fit/additive/25/"):
+                   "loss/additive/none/", "grad/probabilistic/25/", "fit/additive/25/", "rays/inside/directions",
+                   "rays/inside/labels", "rays/outside/directions", "rays/outside/labels"):
         assert any(name.startswith(prefix) for name in names), prefix
     assert set(a["gradients"]) == {name for name in names if name.startswith("grad/")}
     assert tool.main(["--compare", *map(str, paths)]) == 0
@@ -53,3 +57,18 @@ def test_compare_lists_changed_and_missing_entries(tool):
         "grad/x: differs (max |a - b| / max |a| = 5.000e-04)",
         "loss/x: differs",
     ]
+
+
+def test_compare_reads_only_the_two_files(tmp_path):
+    # Run as a script with no PYTHONPATH, so gaussocc is not importable.
+    a = {"size": "small", "numpy": "x", "entries": {"loss/x": "0x1p+0", "field/x": "h"}, "gradients": {}}
+    b = copy.deepcopy(a)
+    b["entries"]["field/x"] = "other"
+    paths = [tmp_path / "a.json", tmp_path / "b.json"]
+    for path, content in zip(paths, (a, b)):
+        path.write_text(json.dumps(content))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    for pair, code, last in ((paths, 1, "1 of 2 entries differ"), (paths[:1] * 2, 0, "0 of 2 entries differ")):
+        done = subprocess.run([sys.executable, str(_TOOL), "--compare", *map(str, pair)], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stdout.splitlines()[-1:]) == (code, [last]), done.stderr

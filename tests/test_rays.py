@@ -11,6 +11,7 @@ from gaussocc.rays import (
     camera_rays,
     occupancy_labels,
     pixel_ray,
+    ray_directions,
     ray_reference_points,
 )
 
@@ -105,6 +106,29 @@ class TestPixelRay:
         for u, v in ((0, 0), (8, 6), (4, 3)):
             _, d = pixel_ray(cam, u, v)
             np.testing.assert_allclose(dirs[v * cam.width + u], d, atol=1e-14)
+
+    @pytest.mark.parametrize("size", [(97, 61), (160, 90)], ids=["97x61", "160x90"])
+    def test_pixel_ranges_concatenate_to_the_whole_image(self, size):
+        # The streamed rays command takes its directions one pixel range at
+        # a time, so each range must give bitwise the rows of the whole
+        # image; a lone pixel would otherwise round through gemv.
+        rng = np.random.default_rng(size[0])
+        rot, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        pose = np.eye(4)
+        pose[:3, :3] = rot * np.sign(np.linalg.det(rot))
+        pose[:3, 3] = rng.normal(size=3)
+        k = np.array([[70.0, 0.0, 0.41 * size[0]], [0.0, 63.0, 0.57 * size[1]], [0.0, 0.0, 1.0]])
+        cam = CameraModel(intrinsics=k, pose=pose, image_size=size)
+        _, whole = camera_rays(cam)
+        n = whole.shape[0]
+        for length in (1, 7, size[0] + 1, 4096):
+            parts = [ray_directions(cam, start, min(start + length, n)) for start in range(0, n, length)]
+            assert np.array_equal(np.concatenate(parts), whole), length
+
+    @pytest.mark.parametrize("start, stop", [(0, 0), (5, 4), (-1, 3), (0, 65), (64, 65)])
+    def test_pixel_range_outside_the_image_rejected(self, start, stop):
+        with pytest.raises(ValueError, match="pixel range"):
+            ray_directions(simple_camera(size=(8, 8)), start, stop)
 
     def test_invalid_camera_rejected(self):
         with pytest.raises(ValueError, match="focal"):

@@ -17,12 +17,16 @@ output is bit-identical. The matrix:
   at both cutoffs;
 * the utilization report;
 * the loss bits and gradients of seeded batches, and short fits, for each
-  model and cutoff.
+  model and cutoff;
+* ``camera_rays`` directions and the ``gaussocc rays`` file of two cameras
+  on the mini-street grid: one inside it whose rays leave it, one outside
+  it.
 
 Gradients also keep their raw values, so ``--compare`` prints, for each
 gradient that differs, its largest difference relative to its largest
-entry. ``--compare`` exits with 1 when any entry differs. The hashes depend
-on the BLAS that numpy uses: compare only files written on one machine.
+entry. ``--compare`` exits with 1 when any entry differs; it reads only the
+two files, so it needs no ``PYTHONPATH``. The hashes depend on the BLAS
+that numpy uses: compare only files written on one machine.
 """
 
 from __future__ import annotations
@@ -32,39 +36,21 @@ import base64
 import dataclasses
 import hashlib
 import json
+import os
 import sys
+import tempfile
 
 import numpy as np
-
-from gaussocc import (
-    RECIPES,
-    EvalOptions,
-    FieldEvaluator,
-    FitConfig,
-    GaussianSet,
-    GridSpec,
-    ParamVector,
-    default_grid_spec,
-    fit,
-    fit_grad,
-    fit_loss,
-    fps_init,
-    kitti360_grid_spec,
-    nuscenes_grid_spec,
-    synth_scene,
-    utilization_report,
-    voxelize,
-    voxelize_legacy,
-)
 
 CUTOFFS = {"25": 25.0, "none": None}
 MODELS = ("probabilistic", "additive")
 # Per size: Gaussians, query points, synth seeds, loss batches, fit iterations, MC samples,
-# and the farthest-point sample counts on the paper grids.
+# the farthest-point sample counts on the paper grids, and the rays image size.
 SIZES = {
-    "small": dict(gaussians=24, points=200, seeds=1, batches=1, iterations=3, mc_samples=2000, fps=(64,)),
+    "small": dict(gaussians=24, points=200, seeds=1, batches=1, iterations=3, mc_samples=2000, fps=(64,),
+                  image=(80, 60)),
     "full": dict(gaussians=256, points=2000, seeds=3, batches=3, iterations=30, mc_samples=20_000,
-                 fps=(2048, 6400)),
+                 fps=(2048, 6400), image=(1600, 900)),
 }
 
 
@@ -72,19 +58,25 @@ def _sha256(a) -> str:
     return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
 
 
-def _odd_spec(num_classes_total: int = 5) -> GridSpec:
+def _odd_spec(num_classes_total: int = 5):
+    from gaussocc import GridSpec
+
     return GridSpec(min_corner=np.array([-10.3, -4.1, 0.0]), max_corner=np.array([10.0, 4.1, 8.0]),
                     resolution=np.array([203, 41, 16]), num_classes_total=num_classes_total)
 
 
-def _small_spec(num_classes_total: int = 5) -> GridSpec:
+def _small_spec(num_classes_total: int = 5):
+    from gaussocc import GridSpec
+
     return GridSpec(min_corner=np.array([-10.0, -10.0, 0.0]), max_corner=np.array([10.0, 10.0, 8.0]),
                     resolution=np.array([20, 20, 8]), num_classes_total=num_classes_total)
 
 
-def _seeded_set(grid, p: int, channels: int, seed: int) -> GaussianSet:
+def _seeded_set(grid, p: int, channels: int, seed: int):
     """Gaussians on occupied voxels, jittered, with random scales,
     rotations, opacities and logits."""
+    from gaussocc import GaussianSet, fps_init
+
     rng = np.random.default_rng(seed)
     centers = grid.occupied_centers()
     vs = grid.spec.voxel_size
@@ -98,6 +90,25 @@ def _seeded_set(grid, p: int, channels: int, seed: int) -> GaussianSet:
 def output_hashes(size: str = "full") -> dict:
     """``{"size", "numpy", "entries", "gradients"}``: the entry hashes and
     the base64 float64 bytes of each gradient."""
+    from gaussocc import (
+        RECIPES,
+        EvalOptions,
+        FieldEvaluator,
+        FitConfig,
+        ParamVector,
+        default_grid_spec,
+        fit,
+        fit_grad,
+        fit_loss,
+        fps_init,
+        kitti360_grid_spec,
+        nuscenes_grid_spec,
+        synth_scene,
+        utilization_report,
+        voxelize,
+        voxelize_legacy,
+    )
+
     cfg = SIZES[size]
     entries: dict[str, str] = {}
     gradients: dict[str, str] = {}
@@ -153,7 +164,45 @@ def output_hashes(size: str = "full") -> dict:
             entries[f"fit/{model}/{key}/loss_trace"] = _sha256(fitted.loss_trace)
             entries[f"fit/{model}/{key}/gaussians"] = _sha256(fitted.gaussians.rows())
             entries[f"fit/{model}/{key}/metrics_trace"] = _sha256(np.array(fitted.metrics_trace, dtype=np.float64))
+    entries.update(_rays_entries(gt, cfg["image"]))
     return {"size": size, "numpy": np.__version__, "entries": entries, "gradients": gradients}
+
+
+def _rays_entries(gt, image) -> dict[str, str]:
+    """``camera_rays`` directions and ``gaussocc rays`` file bytes on ``gt``
+    for a camera inside the grid, looking along +x so that its rays leave
+    the grid, and one above and behind it, looking down along +x."""
+    from gaussocc import CameraModel, camera_rays
+    from gaussocc.cli import main as gaussocc_main
+    from gaussocc.grid import save_grid
+    from gaussocc.io import save_camera
+
+    width, height = image
+    f = 0.8 * width
+    k = np.array([[f, 0.0, width / 2], [0.0, f, height / 2], [0.0, 0.0, 1.0]])
+    entries = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        grid_path, cam_path, out = (os.path.join(tmp, name) for name in ("gt.ogrid", "cam.txt", "labels.txt"))
+        save_grid(grid_path, gt, binary=True)
+        for name, position, pitch in (("inside", (-9.0, 0.5, 1.7), 0.0), ("outside", (-14.0, 0.5, 11.0), 0.6)):
+            # Camera axes: x right, y down, z forward; the world is z-up.
+            pose = np.eye(4)
+            pose[:3, 0] = [0.0, -1.0, 0.0]
+            pose[:3, 1] = [-np.sin(pitch), 0.0, -np.cos(pitch)]
+            pose[:3, 2] = [np.cos(pitch), 0.0, -np.sin(pitch)]
+            pose[:3, 3] = position
+            cam = CameraModel(intrinsics=k, pose=pose, image_size=image)
+            entries[f"rays/{name}/directions"] = _sha256(camera_rays(cam)[1])
+            save_camera(cam_path, cam)
+            code = gaussocc_main(["rays", "--camera", cam_path, "--gt", grid_path, "--out", out])
+            if code != 0:
+                raise RuntimeError(f"gaussocc rays exited {code} on the {name} camera")
+            digest = hashlib.sha256()
+            with open(out, "rb") as fh:
+                for piece in iter(lambda: fh.read(1 << 20), b""):
+                    digest.update(piece)
+            entries[f"rays/{name}/labels"] = digest.hexdigest()
+    return entries
 
 
 def compare(a: dict, b: dict) -> list[str]:
