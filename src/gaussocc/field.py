@@ -44,9 +44,11 @@ dropped by the same ``d2 <= cutoff`` test on the same local-frame d2, so
 both give the same live pairs and skip only terms that are exactly zero.
 Each point's pairs come in ascending Gaussian order from either
 generator, so every per-point sum adds the same values in the same order
-and gives the same bits. With or without a cutoff, a pass runs in chunks
-of about :data:`_SPAN_PAIRS` pairs: over the voxel centers of a grid, in
-spans of whole x-rows of at most :data:`_SPAN_VOXELS` voxels (or one x-row).
+and gives the same bits. Voxel centers go in spans of whole x-rows, at most
+:data:`_SPAN_VOXELS` voxels (or one x-row) and about :data:`_SPAN_PAIRS`
+candidate pairs; arbitrary points in chunks of ``chunk`` points, and of at
+most :data:`_SPAN_PAIRS` pairs only without a cutoff. The fit's loss and
+gradient take their whole batch at once.
 Voxel labels take the exact occupancy and semantics only at the voxels
 that a one-``exp``-per-pair upper bound on the occupancy leaves open
 (:meth:`FieldEvaluator._compose_label`). The fitting loss of

@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import MIN_SCALE, GaussianSet, rotation_matrices, seeded_stream as _stream
+from .core import MIN_SCALE, GaussianSet, _frozen, rotation_matrices, seeded_stream as _stream
 from .field import (
     EvalOptions,
     _query_points,
@@ -89,9 +89,7 @@ class ParamVector:
         expected = self.num_gaussians * self.stride
         if values.shape != (expected,):
             raise ValueError(f"expected {expected} parameters, got {values.shape}")
-        values = values.copy()
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", _frozen(values))
 
     @property
     def stride(self) -> int:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GaussianSet
+from .core import GaussianSet, _frozen
 from .field import EvalOptions, FieldEvaluator, VoxelCenters
 
 _FLOAT_FMT = "%.17g"
@@ -59,9 +59,7 @@ class GridSpec:
         if self.num_classes_total < 2:
             raise ValueError("need at least the empty class plus one semantic class")
         for name, arr in (("min_corner", lo), ("max_corner", hi), ("resolution", res)):
-            arr = arr.copy()
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _frozen(arr))
 
     @property
     def voxel_size(self) -> np.ndarray:
@@ -156,7 +154,7 @@ class VoxelGrid:
         if labels.min() < 0 or labels.max() >= k:
             bad = tuple(int(i) for i in np.unravel_index(np.argmax((labels < 0) | (labels >= k)), expected))
             raise ValueError(f"labels must lie in [0, num_classes_total) = [0, {k}), got {labels[bad]} at voxel {bad}")
-        if labels.dtype != np.uint16 or not labels.flags.c_contiguous or not _frozen(labels):
+        if labels.dtype != np.uint16 or not labels.flags.c_contiguous or not _read_only(labels):
             labels = labels.astype(np.uint16)
             labels.setflags(write=False)
         object.__setattr__(self, "labels", labels)
@@ -198,7 +196,7 @@ def _axis_rows(points) -> np.ndarray:
     return points.T.copy()
 
 
-def _frozen(a: np.ndarray) -> bool:
+def _read_only(a: np.ndarray) -> bool:
     """Whether neither ``a`` nor any array it views can be written. An array
     over a buffer numpy does not own (bytes, a memoryview) does not count."""
     while isinstance(a, np.ndarray):

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import _frozen
 from .grid import VoxelGrid
 
 BCE_EPS = 1e-7
@@ -44,12 +45,8 @@ class CameraModel:
         w, h = (int(v) for v in self.image_size)
         if w <= 0 or h <= 0:
             raise ValueError("image_size must be positive")
-        k = k.copy()
-        pose = pose.copy()
-        k.setflags(write=False)
-        pose.setflags(write=False)
-        object.__setattr__(self, "intrinsics", k)
-        object.__setattr__(self, "pose", pose)
+        object.__setattr__(self, "intrinsics", _frozen(k))
+        object.__setattr__(self, "pose", _frozen(pose))
         object.__setattr__(self, "image_size", (w, h))
 
     @property
@@ -85,14 +82,13 @@ class RaySampling:
 def pixel_ray(cam: CameraModel, u: int, v: int) -> tuple[np.ndarray, np.ndarray]:
     """World-space ray through pixel (u, v): (origin, unit direction).
 
-    The ray passes through the pixel center (u + 0.5, v + 0.5).
+    The ray passes through the pixel center (u + 0.5, v + 0.5); the
+    direction is bitwise that pixel's row of :func:`camera_rays`.
     """
     if not (0 <= u < cam.width and 0 <= v < cam.height):
         raise ValueError(f"pixel {(u, v)} outside a {cam.width}x{cam.height} image")
-    k = cam.intrinsics
-    d_cam = np.array([(u + 0.5 - k[0, 2]) / k[0, 0], (v + 0.5 - k[1, 2]) / k[1, 1], 1.0])
-    d_world = cam.pose[:3, :3] @ d_cam
-    return cam.pose[:3, 3].copy(), d_world / np.linalg.norm(d_world)
+    p = v * cam.width + u
+    return cam.pose[:3, 3].copy(), ray_directions(cam, p, p + 1)[0]
 
 
 def camera_rays(cam: CameraModel) -> tuple[np.ndarray, np.ndarray]:

@@ -17,7 +17,7 @@ from gaussocc.io import (
     write_key_values,
 )
 from gaussocc.metrics import ConfusionMatrix, iou, miou, utilization_report
-from gaussocc.rays import CameraModel, RaySampling, camera_rays, occupancy_labels
+from gaussocc.rays import CameraModel, RaySampling, camera_rays, occupancy_labels, pixel_ray, ray_reference_points
 from gaussocc.grid import voxelize, voxelize_legacy
 from gaussocc.fit import FitConfig, init_from_grid
 from gaussocc.scenes import synth_scene
@@ -549,6 +549,39 @@ class TestRays:
             assert labels[:4096].any() and labels[4096:].any()
         want = "".join(" ".join(str(int(v)) for v in row) + "\n" for row in labels)
         assert out.read_bytes() == want.encode("ascii")
+
+    @pytest.mark.parametrize("case", ["rotated", "faces"])
+    def test_pixel_ray_labels_match_the_file_rows(self, scene_file, tmp_path, case):
+        # The labels one pixel's ray gives through the library are that
+        # pixel's row of the file, digit for digit.
+        if case == "rotated":
+            rng = np.random.default_rng(19)
+            rot, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+            pose = np.eye(4)
+            pose[:3, :3] = rot * np.sign(np.linalg.det(rot))
+            pose[:3, 3] = [-4.0, 1.5, 2.5]
+            cam = CameraModel(intrinsics=np.array([[30.0, 0, 40.0], [0, 30.0, 30.0], [0, 0, 1]]), pose=pose,
+                              image_size=(80, 60))
+            sampling = RaySampling(depth_min=1.0, depth_max=12.0, num_refs=64)
+        else:
+            cam, depth_min, depth_max, num_refs = self._CASES["faces"]
+            sampling = RaySampling(depth_min=depth_min, depth_max=depth_max, num_refs=num_refs)
+        cam_path = tmp_path / "cam.txt"
+        save_camera(cam_path, cam)
+        out = tmp_path / "labels.txt"
+        assert run(
+            "rays", "--camera", cam_path, "--gt", scene_file, "--out", out, "--depth-min", sampling.depth_min,
+            "--depth-max", sampling.depth_max, "--num-refs", sampling.num_refs,
+        ) == 0
+        text = out.read_text()
+        assert "0" in text and "1" in text
+        rows = text.splitlines()
+        assert len(rows) == cam.width * cam.height
+        gt = load_grid(scene_file)
+        for v in range(cam.height):
+            for u in range(cam.width):
+                labels = occupancy_labels(ray_reference_points(*pixel_ray(cam, u, v), sampling), gt)
+                assert " ".join(map(str, labels)) == rows[v * cam.width + u], (u, v)
 
     def test_memory_does_not_grow_with_the_image(self, scene_file, tmp_path):
         # Pixels are labelled in ranges of about 2**18 samples, so a 16 times

@@ -16,6 +16,7 @@ from gaussocc.field import EvalOptions, FieldEvaluator
 from gaussocc.fit import (
     FitConfig,
     ParamVector,
+    _SamplePools,
     _loss_and_grad,
     _quaternion_grad,
     fit,
@@ -29,7 +30,7 @@ from gaussocc.grid import GridSpec, VoxelGrid, nuscenes_grid_spec
 from gaussocc.metrics import ConfusionMatrix
 from gaussocc.scenes import synth_scene
 
-from conftest import random_gaussian_set
+from conftest import random_gaussian_set, traced_peak
 
 NO_CUTOFF = EvalOptions(cutoff_mahalanobis_sq=None)
 
@@ -438,6 +439,19 @@ class TestFitLoss:
         assert fit_loss(pv, gt, pts, model="additive", opts=NO_CUTOFF) == pytest.approx(
             expected, abs=1e-12
         )
+
+    @pytest.mark.parametrize("model", ["probabilistic", "additive"])
+    def test_paper_scale_call_keeps_memory_bounded(self, model):
+        # P=6400 on the nuScenes grid with a 1024-point batch at cutoff 25:
+        # the call's traced peak follows its live pairs, not P x N.
+        gt, _ = synth_scene(0, spec=nuscenes_grid_spec(5))
+        cfg = FitConfig(num_gaussians=6400, model=model, seed=0)
+        pv = ParamVector.encode(init_from_grid(gt, cfg))
+        points, labels = _SamplePools(gt).draw(1024, cfg.occupied_ratio, np.random.default_rng(0))
+        (loss, grad), peak = traced_peak(lambda: _loss_and_grad(
+            pv.values, pv.num_gaussians, pv.num_channels, points, labels, model, 25.0))
+        assert np.isfinite(loss) and np.all(np.isfinite(grad))
+        assert peak < 16 * 2**20, peak / 2**20
 
 
 class TestGradient:

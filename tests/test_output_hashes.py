@@ -36,7 +36,11 @@ def test_two_runs_agree_and_a_compare_finds_no_difference(tool, tmp_path, capsys
     for prefix in ("synth/odd/", "synth/kitti360/", "fps/nuscenes/", "fps/kitti360/", "voxelize/none",
                    "voxelize_legacy/25", "field/none/points/", "field/25/centers/legacy_labels", "utilization_report",
                    "loss/additive/none/", "grad/probabilistic/25/", "fit/additive/25/", "rays/inside/directions",
-                   "rays/inside/labels", "rays/outside/directions", "rays/outside/labels"):
+                   "rays/inside/labels", "rays/outside/directions", "rays/outside/labels",
+                   *(f"cli/fit/{model}/{out}" for model in ("probabilistic", "additive") for out in ("gsocc", "trace")),
+                   *(f"cli/{cmd}/{model}/report.{ext}" for cmd in ("eval", "audit")
+                     for model in ("probabilistic", "additive") for ext in ("txt", "json")),
+                   "cli/slice/x", "cli/slice/y", "cli/slice/z"):
         assert any(name.startswith(prefix) for name in names), prefix
     assert set(a["gradients"]) == {name for name in names if name.startswith("grad/")}
     assert tool.main(["--compare", *map(str, paths)]) == 0

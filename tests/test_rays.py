@@ -101,11 +101,20 @@ class TestPixelRay:
         np.testing.assert_allclose(np.linalg.norm(dirs, axis=1), 1.0, atol=1e-12)
 
     def test_camera_rays_row_major_matches_pixel_ray(self):
-        cam = simple_camera(size=(9, 7))
-        origin, dirs = camera_rays(cam)
-        for u, v in ((0, 0), (8, 6), (4, 3)):
-            _, d = pixel_ray(cam, u, v)
-            np.testing.assert_allclose(dirs[v * cam.width + u], d, atol=1e-14)
+        # Bitwise, on every pixel: a rotated pose makes a lone gemv round
+        # differently from the gemm of the whole image.
+        rng = np.random.default_rng(103)
+        rot, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        pose = np.eye(4)
+        pose[:3, :3] = rot * np.sign(np.linalg.det(rot))
+        pose[:3, 3] = rng.normal(size=3)
+        for cam in (simple_camera(size=(9, 7)), simple_camera(pose=pose, size=(80, 60))):
+            origin, dirs = camera_rays(cam)
+            for v in range(cam.height):
+                for u in range(cam.width):
+                    o, d = pixel_ray(cam, u, v)
+                    assert o.tobytes() == origin.tobytes()
+                    assert d.tobytes() == dirs[v * cam.width + u].tobytes(), (u, v)
 
     @pytest.mark.parametrize("size", [(97, 61), (160, 90)], ids=["97x61", "160x90"])
     def test_pixel_ranges_concatenate_to_the_whole_image(self, size):

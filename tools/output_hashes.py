@@ -20,7 +20,10 @@ output is bit-identical. The matrix:
   model and cutoff;
 * ``camera_rays`` directions and the ``gaussocc rays`` file of two cameras
   on the mini-street grid: one inside it whose rays leave it, one outside
-  it.
+  it;
+* the bytes of the other ``gaussocc`` outputs on that grid: the ``fit``
+  GSOCC file and ``--trace`` CSV of each model, the flat and ``.json``
+  ``eval`` and ``audit`` reports of those sets, and ``slice`` PPMs.
 
 Gradients also keep their raw values, so ``--compare`` prints, for each
 gradient that differs, its largest difference relative to its largest
@@ -164,25 +167,38 @@ def output_hashes(size: str = "full") -> dict:
             entries[f"fit/{model}/{key}/loss_trace"] = _sha256(fitted.loss_trace)
             entries[f"fit/{model}/{key}/gaussians"] = _sha256(fitted.gaussians.rows())
             entries[f"fit/{model}/{key}/metrics_trace"] = _sha256(np.array(fitted.metrics_trace, dtype=np.float64))
-    entries.update(_rays_entries(gt, cfg["image"]))
+    entries.update(_cli_entries(gt, cfg))
     return {"size": size, "numpy": np.__version__, "entries": entries, "gradients": gradients}
 
 
-def _rays_entries(gt, image) -> dict[str, str]:
-    """``camera_rays`` directions and ``gaussocc rays`` file bytes on ``gt``
-    for a camera inside the grid, looking along +x so that its rays leave
-    the grid, and one above and behind it, looking down along +x."""
+def _cli_entries(gt, cfg) -> dict[str, str]:
+    """The bytes of ``gaussocc`` output files on ``gt``, each command run
+    in-process through ``gaussocc.cli.main``: ``camera_rays`` directions
+    and the ``rays`` file of two cameras (one inside the grid, looking
+    along +x so that its rays leave it, and one above and behind it,
+    looking down along +x); for each model, the ``fit`` GSOCC file and
+    ``--trace`` CSV, and the flat and ``.json`` ``eval`` and ``audit``
+    reports of that set; and a ``slice`` PPM across each axis."""
     from gaussocc import CameraModel, camera_rays
     from gaussocc.cli import main as gaussocc_main
     from gaussocc.grid import save_grid
     from gaussocc.io import save_camera
 
-    width, height = image
+    width, height = cfg["image"]
     f = 0.8 * width
     k = np.array([[f, 0.0, width / 2], [0.0, f, height / 2], [0.0, 0.0, 1.0]])
     entries = {}
     with tempfile.TemporaryDirectory() as tmp:
-        grid_path, cam_path, out = (os.path.join(tmp, name) for name in ("gt.ogrid", "cam.txt", "labels.txt"))
+        def run(name, *argv):
+            """Run one command and return the path of its output file ``name``."""
+            out = os.path.join(tmp, name)
+            code = gaussocc_main([str(a) for a in (*argv, out)])
+            if code != 0:
+                raise RuntimeError(f"gaussocc {' '.join(map(str, argv))} exited {code}")
+            return out
+
+        grid_path = os.path.join(tmp, "gt.ogrid")
+        cam_path = os.path.join(tmp, "cam.txt")
         save_grid(grid_path, gt, binary=True)
         for name, position, pitch in (("inside", (-9.0, 0.5, 1.7), 0.0), ("outside", (-14.0, 0.5, 11.0), 0.6)):
             # Camera axes: x right, y down, z forward; the world is z-up.
@@ -191,18 +207,35 @@ def _rays_entries(gt, image) -> dict[str, str]:
             pose[:3, 1] = [-np.sin(pitch), 0.0, -np.cos(pitch)]
             pose[:3, 2] = [np.cos(pitch), 0.0, -np.sin(pitch)]
             pose[:3, 3] = position
-            cam = CameraModel(intrinsics=k, pose=pose, image_size=image)
+            cam = CameraModel(intrinsics=k, pose=pose, image_size=cfg["image"])
             entries[f"rays/{name}/directions"] = _sha256(camera_rays(cam)[1])
             save_camera(cam_path, cam)
-            code = gaussocc_main(["rays", "--camera", cam_path, "--gt", grid_path, "--out", out])
-            if code != 0:
-                raise RuntimeError(f"gaussocc rays exited {code} on the {name} camera")
-            digest = hashlib.sha256()
-            with open(out, "rb") as fh:
-                for piece in iter(lambda: fh.read(1 << 20), b""):
-                    digest.update(piece)
-            entries[f"rays/{name}/labels"] = digest.hexdigest()
+            entries[f"rays/{name}/labels"] = _file_sha256(
+                run("labels.txt", "rays", "--camera", cam_path, "--gt", grid_path, "--out"))
+        for model in MODELS:
+            trace = os.path.join(tmp, "trace.csv")
+            gaussians = run("set.gsocc", "fit", "--gt", grid_path, "--model", model, "--gaussians", cfg["gaussians"],
+                            "--iterations", cfg["iterations"], "--seed", 5, "--trace", trace, "--out")
+            entries[f"cli/fit/{model}/gsocc"] = _file_sha256(gaussians)
+            entries[f"cli/fit/{model}/trace"] = _file_sha256(trace)
+            for report in ("report.txt", "report.json"):
+                entries[f"cli/eval/{model}/{report}"] = _file_sha256(
+                    run(report, "eval", "--pred-gaussians", gaussians, "--gt", grid_path, "--report"))
+                entries[f"cli/audit/{model}/{report}"] = _file_sha256(
+                    run(report, "audit", "--gaussians", gaussians, "--gt", grid_path, "--mc-samples",
+                        cfg["mc_samples"], "--seed", 4, "--report"))
+        for axis, n in zip("xyz", gt.spec.resolution):
+            entries[f"cli/slice/{axis}"] = _file_sha256(
+                run("slice.ppm", "slice", "--grid", grid_path, "--axis", axis, "--index", n // 2, "--out"))
     return entries
+
+
+def _file_sha256(path) -> str:
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for piece in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(piece)
+    return digest.hexdigest()
 
 
 def compare(a: dict, b: dict) -> list[str]:
