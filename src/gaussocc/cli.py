@@ -21,7 +21,8 @@ import sys
 import numpy as np
 
 from . import io
-from .fit import FitConfig, fit
+from .core import _seed as _check_seed
+from .fit import INIT_POLICIES, MODELS, FitConfig, fit
 # voxelize and voxelize_legacy are not called here: eval goes through the
 # one model dispatch. They stay importable from this module because the
 # benchmark's traced CLI run (perfbench/spans.py) wraps these names.
@@ -62,11 +63,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _seed(text: str) -> int:
-    """argparse type of ``--seed``: the random streams key on a uint64."""
+    """argparse type of ``--seed``: an integer that :func:`gaussocc.core._seed` accepts."""
     value = int(text)
-    if not 0 <= value < 2**64:
-        raise argparse.ArgumentTypeError(f"seed must be >= 0 and < 2**64, got {value}")
-    return value
+    try:
+        return _check_seed(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _at_least(low: int):
@@ -216,8 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="fit a Gaussian set to a reference grid")
     p.add_argument("--gt", required=True)
     p.add_argument("--config", help="key=value fit configuration file")
-    p.add_argument("--model", choices=("probabilistic", "additive"))
-    p.add_argument("--init", choices=("grid", "random"))
+    p.add_argument("--model", choices=MODELS)
+    p.add_argument("--init", choices=INIT_POLICIES)
     p.add_argument("--seed", type=_seed)
     p.add_argument("--iterations", type=_at_least(1))
     p.add_argument("--gaussians", type=_at_least(1))

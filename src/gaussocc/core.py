@@ -7,9 +7,15 @@ factored product ``R @ diag(s) @ diag(s).T @ R.T``, so the inverse and
 determinant come straight from the factors instead of a general matrix
 inversion.
 
+The rules on input (shapes, finiteness, nonnegative opacity, the
+``MIN_SCALE`` clamp and unit quaternions) are written once, in
+:class:`GaussianSet`; a primitive is validated as a one-row set.
 Quaternions are made unit once: a row already unit to within
 ``_UNIT_TOL`` is kept as it is, so a set rebuilt from its own rows is
 bit for bit the same set.
+
+The scalar inputs of the library are checked here too: every count by
+:func:`_count` and every seed by :func:`_seed`.
 
 All types are immutable after construction (arrays are copied and marked
 read-only) and every operation here is a pure function, so values can be
@@ -18,6 +24,7 @@ shared freely across threads.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -39,6 +46,21 @@ def _as_float_array(value, shape: tuple[int, ...], name: str) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} must be finite")
     return arr
+
+
+def _count(value, name: str, low: int = 1) -> int:
+    """``value`` as an int; raises unless it is an integer >= ``low`` (not a bool)."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__") or operator.index(value) < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+    return operator.index(value)
+
+
+def _seed(value) -> int:
+    """``value`` as an int; raises unless it is an integer in [0, 2**64) (not a
+    bool), the range of the uint64 that keys the random streams."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__") or not 0 <= operator.index(value) < 2**64:
+        raise ValueError(f"seed must be >= 0 and < 2**64, got {value!r}")
+    return operator.index(value)
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -100,7 +122,9 @@ class GaussianPrimitive:
     ``semantics`` holds raw logits for the non-empty classes only; the
     empty class is produced by the field composition, not stored here.
     (The additive legacy model instead packs the empty class as channel 0,
-    see :func:`gaussocc.field.legacy_additive`.)
+    see :func:`gaussocc.field.legacy_additive`.) The fields are those of
+    the one-row :class:`GaussianSet` built from them, so a primitive obeys
+    the set's rules and raises its errors.
     """
 
     mean: np.ndarray
@@ -110,23 +134,13 @@ class GaussianPrimitive:
     semantics: np.ndarray
 
     def __post_init__(self):
-        mean = _as_float_array(self.mean, (3,), "mean")
-        scale = _as_float_array(self.scale, (3,), "scale")
-        rotation = _as_float_array(self.rotation, (4,), "rotation")
-        semantics = np.asarray(self.semantics, dtype=np.float64)
-        if semantics.ndim != 1 or semantics.size == 0:
-            raise ValueError("semantics must be a non-empty 1-D logit vector")
-        if not np.all(np.isfinite(semantics)):
-            raise ValueError("semantics must be finite")
-        opacity = float(self.opacity)
-        if not np.isfinite(opacity) or opacity < 0.0:
-            raise ValueError(f"opacity must be >= 0, got {opacity}")
-
-        object.__setattr__(self, "mean", _frozen(mean))
-        object.__setattr__(self, "scale", _frozen(np.maximum(scale, MIN_SCALE)))
-        object.__setattr__(self, "rotation", _frozen(_unit_quaternions(rotation)))
-        object.__setattr__(self, "opacity", opacity)
-        object.__setattr__(self, "semantics", _frozen(semantics))
+        row = GaussianSet(*(np.expand_dims(v, 0) for v in (self.mean, self.scale, self.rotation, self.opacity,
+                                                           self.semantics)))
+        object.__setattr__(self, "mean", row.means[0])
+        object.__setattr__(self, "scale", row.scales[0])
+        object.__setattr__(self, "rotation", row.rotations[0])
+        object.__setattr__(self, "opacity", float(row.opacities[0]))
+        object.__setattr__(self, "semantics", row.logits[0])
 
     @property
     def num_classes(self) -> int:
@@ -138,9 +152,10 @@ class GaussianSet:
     """Ordered collection of Gaussians stored column-wise for fast math.
 
     ``means`` is (P, 3), ``scales`` (P, 3), ``rotations`` (P, 4) scalar
-    first, ``opacities`` (P,) and ``logits`` (P, C). The same validation
-    and normalization as :class:`GaussianPrimitive` is applied row-wise; a
-    quaternion already unit to within ``_UNIT_TOL`` is kept as it is.
+    first, ``opacities`` (P,) and ``logits`` (P, C). Every array must be
+    finite and every opacity >= 0; scales are clamped to ``MIN_SCALE`` and
+    quaternions made unit, except one already unit to within ``_UNIT_TOL``,
+    which is kept as it is.
     """
 
     means: np.ndarray
@@ -163,7 +178,8 @@ class GaussianSet:
         if not np.all(np.isfinite(means)) or not np.all(np.isfinite(logits)):
             raise ValueError("means and logits must be finite")
         if np.any(opacities < 0.0):
-            raise ValueError("opacities must be >= 0")
+            bad = int(np.argmax(opacities < 0.0))
+            raise ValueError(f"opacity must be >= 0, got {opacities[bad]} (Gaussian {bad})")
 
         object.__setattr__(self, "means", _frozen(means))
         object.__setattr__(self, "scales", _frozen(np.maximum(scales, MIN_SCALE)))
@@ -267,4 +283,4 @@ def covariance_matrices(gs: GaussianSet) -> np.ndarray:
 def seeded_stream(seed: int, lane: int) -> np.random.Generator:
     """Independent counter-based random stream per (seed, lane): the draws
     of one lane never depend on how many draws another lane made."""
-    return np.random.Generator(np.random.Philox(key=(np.uint64(seed).item() << 64) | lane))
+    return np.random.Generator(np.random.Philox(key=(_seed(seed) << 64) | lane))

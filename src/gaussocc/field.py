@@ -57,14 +57,13 @@ that a one-``exp``-per-pair upper bound on the occupancy leaves open
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
-from .core import GaussianPrimitive, GaussianSet, mahalanobis_sq, rotation_matrices
+from .core import GaussianPrimitive, GaussianSet, _count, mahalanobis_sq, rotation_matrices
 
 # Below this density the mixture posterior is treated as undefined and the
 # expectation falls back to the uniform class distribution.
@@ -696,13 +695,6 @@ class FieldEvaluator:
     def legacy_labels(self, points) -> np.ndarray:
         """(N,) uint16 argmax of :meth:`legacy`."""
         return self._fill(points, (), lambda pairs, d2, n: np.argmax(self._legacy(pairs, d2, n), axis=1), np.uint16)
-
-
-def _count(value, name: str) -> int:
-    """``value`` as an int; raises unless it is an integer >= 1 (not a bool)."""
-    if isinstance(value, bool) or not hasattr(type(value), "__index__") or operator.index(value) < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-    return operator.index(value)
 
 
 def _query_points(points) -> np.ndarray:

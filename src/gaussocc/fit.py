@@ -18,14 +18,13 @@ accumulation, decoupled weight decay and a cosine step-size decay.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import Optional
 
 import numpy as np
 
-from .core import MIN_SCALE, GaussianSet, _frozen, rotation_matrices, seeded_stream as _stream
+from .core import MIN_SCALE, GaussianSet, _count, _frozen, _seed, rotation_matrices, seeded_stream as _stream
 from .field import (
     EvalOptions,
     _query_points,
@@ -36,7 +35,7 @@ from .field import (
     scatter_sum,
     softmax,
 )
-from .grid import VoxelGrid, _voxelize_model
+from .grid import _MODELS, VoxelGrid, _voxelize_model
 from .io import read_key_values
 from .metrics import ConfusionMatrix
 
@@ -48,7 +47,7 @@ _ADAM_B1 = 0.9
 _ADAM_B2 = 0.999
 _ADAM_EPS = 1e-8
 
-MODELS = ("probabilistic", "additive")
+MODELS = tuple(_MODELS)
 
 
 def softplus(x: np.ndarray) -> np.ndarray:
@@ -139,10 +138,11 @@ class FitConfig:
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         EvalOptions(cutoff_mahalanobis_sq=self.cutoff_mahalanobis_sq)  # rejects a bad cutoff
-        if self.num_gaussians < 1 or self.iterations < 1 or self.batch_points < 1:
-            raise ValueError("num_gaussians, iterations and batch_points must be positive")
-        if self.learning_rate <= 0 or self.lr_min < 0 or self.eval_every < 1:
-            raise ValueError("learning_rate must be > 0, lr_min >= 0, eval_every >= 1")
+        for name in ("num_gaussians", "iterations", "batch_points", "eval_every"):
+            _count(getattr(self, name), name)
+        _seed(self.seed)
+        if self.learning_rate <= 0 or self.lr_min < 0:
+            raise ValueError("learning_rate must be > 0 and lr_min >= 0")
         if not 0.0 < self.occupied_ratio < 1.0:
             raise ValueError("occupied_ratio must lie strictly between 0 and 1")
         if self.model not in MODELS:
@@ -151,8 +151,6 @@ class FitConfig:
             raise ValueError(f"init must be one of {INIT_POLICIES}, got {self.init!r}")
         if self.weight_decay < 0:
             raise ValueError("weight_decay must be >= 0")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must be >= 0 and < 2**64, got {self.seed}")
 
     @classmethod
     def from_dict(cls, raw: dict[str, str]) -> "FitConfig":
@@ -312,12 +310,8 @@ def fps_init(candidates: np.ndarray, k: int, seed: int, batched: bool = False) -
         raise ValueError(f"candidates must have shape (N, 3), got {points.shape}")
     if not np.all(np.isfinite(points)):
         raise ValueError("candidates must be finite")
-    try:
-        k = operator.index(k)
-    except TypeError:
-        raise ValueError(f"k must be an integer, got {k!r}") from None
-    n = points.shape[0]
-    if not 1 <= k <= n:
+    k, n = _count(k, "k"), points.shape[0]
+    if k > n:
         raise ValueError(f"k must lie in [1, {n}], got {k}")
     rng = _stream(seed, 0)
     if k == n:
@@ -389,10 +383,10 @@ def _initial_set(gt: VoxelGrid, cfg: FitConfig, means, scale, labels=None) -> Ga
     logits but ``init_logit_scale`` on each Gaussian's grid label, if given.
     The probabilistic logits leave out the empty class 0."""
     p = means.shape[0]
-    empty = 1 if cfg.model == "probabilistic" else 0
-    logits = np.zeros((p, gt.spec.num_classes_total - empty))
+    extra = _MODELS[cfg.model][0]
+    logits = np.zeros((p, gt.spec.num_classes_total - 1 + extra))
     if labels is not None:
-        logits[np.arange(p), labels - empty] = cfg.init_logit_scale
+        logits[np.arange(p), labels - 1 + extra] = cfg.init_logit_scale
     return GaussianSet(
         means=means,
         scales=np.tile(scale, (p, 1)),
@@ -450,7 +444,7 @@ def _loss_and_grad(
 
     n = points.shape[0]
     labels = np.asarray(labels, dtype=np.int64)
-    max_label = ch if model == "probabilistic" else ch - 1
+    max_label = ch - _MODELS[model][0]
     if labels.min() < 0 or labels.max() > max_label:
         raise ValueError(f"labels must lie in [0, {max_label}] for the {model} model")
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GaussianSet, _frozen
+from .core import GaussianSet, _count, _frozen
 from .field import EvalOptions, FieldEvaluator, VoxelCenters
 
 _FLOAT_FMT = "%.17g"
@@ -41,7 +41,7 @@ class GridSpec:
     def __post_init__(self):
         lo = np.asarray(self.min_corner, dtype=np.float64)
         hi = np.asarray(self.max_corner, dtype=np.float64)
-        res = np.asarray(self.resolution, dtype=np.int64)
+        res = np.asarray(self.resolution, dtype=object)
         if lo.shape != (3,) or hi.shape != (3,) or res.shape != (3,):
             raise ValueError("min_corner, max_corner and resolution must be 3-vectors")
         for name, arr in (("min_corner", lo), ("max_corner", hi)):
@@ -52,13 +52,11 @@ class GridSpec:
         with np.errstate(over="ignore"):
             if not np.all(np.isfinite(hi - lo)):
                 raise ValueError("max_corner - min_corner must be finite on every axis")
-        if not np.all(res > 0):
-            raise ValueError("resolution must be positive")
-        if math.prod(res.tolist()) > np.iinfo(np.int64).max:
-            raise ValueError(f"resolution {res.tolist()} has more voxels than an int64 can count")
-        if self.num_classes_total < 2:
-            raise ValueError("need at least the empty class plus one semantic class")
-        for name, arr in (("min_corner", lo), ("max_corner", hi), ("resolution", res)):
+        res = [_count(n, "resolution") for n in res]
+        if math.prod(res) > np.iinfo(np.int64).max:
+            raise ValueError(f"resolution {res} has more voxels than an int64 can count")
+        _count(self.num_classes_total, "num_classes_total", 2)
+        for name, arr in (("min_corner", lo), ("max_corner", hi), ("resolution", np.array(res, dtype=np.int64))):
             object.__setattr__(self, name, _frozen(arr))
 
     @property
@@ -80,17 +78,6 @@ class GridSpec:
         axes, and voxelization lists its pairs from voxel index ranges."""
         axes = np.ix_(*self.centers().axes())
         return np.stack(np.broadcast_arrays(*axes), axis=-1).reshape(-1, 3)
-
-    def point_to_voxel(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Map points to integer voxel indices.
-
-        Returns (indices (N, 3), inside (N,)); indices of outside points,
-        including far and non-finite ones, are clipped into range and must
-        be masked by ``inside``.
-        """
-        coords = _axis_rows(points)
-        inside = self.voxel_index(coords) < self.num_voxels
-        return coords.T.astype(np.int64), inside
 
     def voxel_index(self, coords) -> np.ndarray:
         """Flat voxel index of points given one coordinate array per axis.
@@ -223,8 +210,8 @@ def _label_counts(k: int, *flats: np.ndarray) -> np.ndarray:
 
 def voxel_center(spec: GridSpec, ix: int, iy: int, iz: int) -> np.ndarray:
     """Center of voxel (ix, iy, iz), by the formula of ``spec.centers()``."""
-    idx = np.array([ix, iy, iz], dtype=np.int64)
-    if np.any(idx < 0) or np.any(idx >= spec.resolution):
+    idx = np.array([_count(i, "voxel index", 0) for i in (ix, iy, iz)])
+    if np.any(idx >= spec.resolution):
         raise IndexError(f"voxel index {(ix, iy, iz)} outside resolution {tuple(spec.resolution)}")
     centers = spec.centers()
     return np.array([centers._coordinate(a, idx[a]) for a in range(3)])
@@ -274,7 +261,7 @@ def _voxelize_model(gs: GaussianSet, spec: GridSpec, model: str | None = None,
     C + 1 (empty class included) additive. The one voxelize body."""
     semantic = spec.num_classes_total - 1
     if model is None:
-        model = {semantic: "probabilistic", semantic + 1: "additive"}.get(gs.num_classes)
+        model = {semantic + extra: name for name, (extra, _, _) in _MODELS.items()}.get(gs.num_classes)
         if model is None:
             raise ValueError(
                 f"set has {gs.num_classes} channels; grid with {spec.num_classes_total} "

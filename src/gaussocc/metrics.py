@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GaussianPrimitive, GaussianSet, build_covariance, covariance_matrices, seeded_stream
-from .field import EvalOptions, FieldEvaluator, _count, scatter_sum
+from .core import GaussianPrimitive, GaussianSet, _count, build_covariance, covariance_matrices, seeded_stream
+from .field import EvalOptions, FieldEvaluator, scatter_sum
 from .grid import VoxelGrid, _label_counts
 
 # Chi-square critical value at 90% for three degrees of freedom; the

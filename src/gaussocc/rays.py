@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _frozen
+from .core import _count, _frozen
 from .grid import VoxelGrid
 
 BCE_EPS = 1e-7
@@ -42,9 +42,7 @@ class CameraModel:
         rot = pose[:3, :3]
         if not np.allclose(rot @ rot.T, np.eye(3), atol=1e-8):
             raise ValueError("pose rotation block must be orthonormal")
-        w, h = (int(v) for v in self.image_size)
-        if w <= 0 or h <= 0:
-            raise ValueError("image_size must be positive")
+        w, h = (_count(v, "image_size") for v in self.image_size)
         object.__setattr__(self, "intrinsics", _frozen(k))
         object.__setattr__(self, "pose", _frozen(pose))
         object.__setattr__(self, "image_size", (w, h))
@@ -71,8 +69,7 @@ class RaySampling:
             raise ValueError(f"depths must be finite, got {self.depth_min} and {self.depth_max}")
         if not 0.0 < self.depth_min < self.depth_max:
             raise ValueError("need 0 < depth_min < depth_max")
-        if self.num_refs < 2:
-            raise ValueError("need at least two reference points")
+        _count(self.num_refs, "num_refs", 2)
 
     @property
     def depths(self) -> np.ndarray:

@@ -21,6 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .core import _seed
 from .grid import GridSpec, VoxelGrid
 
 DEFAULT_CLASS_NAMES = ("empty", "ground", "car", "building", "pole")
@@ -190,8 +191,9 @@ def synth_scene(
     """
     if recipe not in RECIPES:
         raise ValueError(f"unknown recipe {recipe!r}; choices: {sorted(RECIPES)}")
+    seed = _seed(seed)
     spec = spec or default_grid_spec()
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    rng = np.random.Generator(np.random.Philox(key=seed))
     shapes = RECIPES[recipe](rng, spec)
     grid = rasterize(shapes, spec)
     counts = grid.class_voxel_counts()
@@ -200,7 +202,7 @@ def synth_scene(
     names = DEFAULT_CLASS_NAMES[: spec.num_classes_total]
     metadata = {
         "recipe": recipe,
-        "seed": int(seed),
+        "seed": seed,
         "class_names": list(names) + [f"class_{k}" for k in range(len(names), spec.num_classes_total)],
         "class_voxel_counts": {int(k): int(v) for k, v in enumerate(counts)},
     }

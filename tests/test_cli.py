@@ -538,7 +538,7 @@ class TestRays:
         depths = RaySampling(depth_min=depth_min, depth_max=depth_max, num_refs=num_refs).depths
         pts = (origin[None, None, :] + depths[None, :, None] * dirs[:, None, :]).reshape(-1, 3)
         gt = load_grid(scene_file)
-        inside = gt.spec.point_to_voxel(pts)[1]
+        inside = gt.spec.voxel_index(pts.T.copy()) < gt.spec.num_voxels
         assert inside.any() and not inside.all()
         if case == "faces":
             rel = (pts - gt.spec.min_corner) / gt.spec.voxel_size

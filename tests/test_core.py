@@ -218,6 +218,62 @@ class TestDataModel:
             GaussianSet.from_primitives([])
 
 
+finite = st.floats(-1e3, 1e3, allow_nan=False)
+# A row's fields: scales reach below MIN_SCALE, and half the quaternions are
+# made unit before construction.
+row_strategy = st.tuples(
+    st.lists(finite, min_size=3, max_size=3),
+    st.lists(st.floats(0.0, 5.0) | st.floats(0.0, 2 * MIN_SCALE), min_size=3, max_size=3),
+    quat_strategy,
+    st.booleans(),
+    st.floats(0.0, 10.0),
+)
+
+
+class TestPrimitiveIsASetRow:
+    @given(st.lists(row_strategy, min_size=1, max_size=5), st.integers(1, 4), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_fields_are_the_one_row_sets_bit_for_bit(self, rows, c, data):
+        prims, sets = [], []
+        for mean, scale, rotation, unit, opacity in rows:
+            rotation = np.array(rotation)
+            if unit:
+                rotation = rotation / np.linalg.norm(rotation)
+            semantics = data.draw(st.lists(finite, min_size=c, max_size=c))
+            prims.append(GaussianPrimitive(mean, scale, rotation, opacity, semantics))
+            sets.append(GaussianSet([mean], [scale], rotation[None], [opacity], [semantics]))
+        for g, row in zip(prims, sets):
+            for got, want in ((g.mean, row.means[0]), (g.scale, row.scales[0]), (g.rotation, row.rotations[0]),
+                              (np.float64(g.opacity), row.opacities[0]), (g.semantics, row.logits[0])):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+            assert not g.mean.flags.writeable
+        gs = GaussianSet.from_primitives(prims)
+        back = GaussianSet.from_primitives(gs.primitive(i) for i in range(len(gs)))
+        assert back.rows().tobytes() == gs.rows().tobytes()
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("mean", (0.0, 0.0)),
+            ("mean", (0.0, np.nan, 0.0)),
+            ("scale", (1.0, np.inf, 1.0)),
+            ("scale", np.ones((1, 3))),
+            ("rotation", (0.0, 0.0, 0.0, 0.0)),
+            ("rotation", (1.0, 0.0, 0.0)),
+            ("opacity", -0.5),
+            ("opacity", np.nan),
+            ("opacity", np.array([1.0])),
+            ("semantics", ()),
+            ("semantics", np.zeros((1, 2))),
+            ("semantics", (0.0, np.inf)),
+        ],
+    )
+    def test_invalid_field_raises_value_error(self, field, value):
+        with pytest.raises(ValueError):
+            prim(**{field: value})
+
+
 class TestUnitQuaternions:
     @given(
         st.lists(st.floats(-1.0, 1.0, allow_nan=False), min_size=4, max_size=4).filter(

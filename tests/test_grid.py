@@ -356,30 +356,31 @@ class TestSpecValidation:
                 [-1e-300, 0.0, 0.0],
             ]
         )
+        coords = far.T.copy()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            idx, inside = spec.point_to_voxel(far)
+            flat = spec.voxel_index(coords)
             np.testing.assert_array_equal(grid.labels_at_points(far), np.zeros(len(far)))
-        assert not inside.any()
-        assert np.all((idx >= 0) & (idx < spec.resolution))
+        np.testing.assert_array_equal(flat, spec.num_voxels)
+        # Outside points are clipped into range, not left out of it.
+        assert np.all((coords >= 0) & (coords <= spec.resolution[:, None] - 1))
 
     @pytest.mark.parametrize("shape", [(5, 2), (5, 4), (2, 3, 3)])
     def test_points_that_are_not_n_by_3_rejected(self, shape):
         grid = VoxelGrid(spec=nuscenes_grid_spec(), labels=np.zeros(200 * 200 * 16, dtype=np.uint16))
         with pytest.raises(ValueError, match=r"points must have shape \(N, 3\)"):
-            grid.spec.point_to_voxel(np.zeros(shape))
-        with pytest.raises(ValueError, match=r"points must have shape \(N, 3\)"):
             grid.labels_at_points(np.zeros(shape))
 
-    def test_point_to_voxel_in_grid_indices_are_the_floor(self):
+    def test_voxel_index_in_grid_indices_are_the_floor(self):
         spec = nuscenes_grid_spec()
         rng = np.random.default_rng(7)
         points = rng.uniform(spec.min_corner, spec.max_corner, size=(5000, 3))
         points[:3] = spec.min_corner  # the lower faces are inside
-        idx, inside = spec.point_to_voxel(points)
-        assert inside.all()
+        coords = points.T.copy()
+        flat = spec.voxel_index(coords)
         expected = np.floor((points - spec.min_corner) / spec.voxel_size).astype(np.int64)
-        np.testing.assert_array_equal(idx, expected)
+        np.testing.assert_array_equal(coords.T.astype(np.int64), expected)
+        np.testing.assert_array_equal(flat, np.ravel_multi_index(expected.T, tuple(spec.resolution)))
 
     def test_labels_at_points_equal_the_three_index_gather(self):
         # The (N, 3) lookup the column-wise one replaced, kept as the oracle.
