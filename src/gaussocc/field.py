@@ -46,9 +46,12 @@ Each point's pairs come in ascending Gaussian order from either
 generator, so every per-point sum adds the same values in the same order
 and gives the same bits. Voxel centers go in spans of whole x-rows, at most
 :data:`_SPAN_VOXELS` voxels (or one x-row) and about :data:`_SPAN_PAIRS`
-candidate pairs; arbitrary points in chunks of ``chunk`` points, and of at
-most :data:`_SPAN_PAIRS` pairs only without a cutoff. The fit's loss and
-gradient take their whole batch at once.
+candidate pairs. Arbitrary points go in contiguous ranges of at most
+``chunk`` points whose candidates, counted per point from the cell join's
+columns before any pair is listed (P per point without a cutoff), number
+at most :data:`_SPAN_PAIRS`; a point with more candidates than that is a
+range by itself. The fit's loss and gradient take their whole batch at
+once.
 Voxel labels take the exact occupancy and semantics only at the voxels
 that a one-``exp``-per-pair upper bound on the occupancy leaves open
 (:meth:`FieldEvaluator._compose_label`). The fitting loss of
@@ -72,8 +75,8 @@ GMM_DENOMINATOR_FLOOR = 1e-300
 _LOG_GMM_FLOOR = np.log(GMM_DENOMINATOR_FLOOR)
 _LOG_2PI = np.log(2.0 * np.pi)
 _DEFAULT_CHUNK = 8192
-# Candidate pairs per lattice span, bounded before the span is expanded,
-# and per chunk of arbitrary points when every pair is visited (no cutoff).
+# Candidate pairs per lattice span and per range of arbitrary points,
+# bounded before the pairs are listed.
 _SPAN_PAIRS = 1 << 17
 # Voxels per span of whole x-rows when voxelization lists a grid's lattice pairs.
 _SPAN_VOXELS = 1 << 17
@@ -257,12 +260,37 @@ class _CellIndex:
         self.key_lo = base + first[g, 2]
         self.key_hi = base + last[g, 2] + 1
 
+    def _keys(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The rows of ``points`` inside the index's extent, and their cell keys."""
+        inside = np.flatnonzero(np.all((points >= self.origin) & (points <= self.top), axis=1))
+        cells = np.floor((points[inside] - self.origin) / self.cell).astype(np.int64)
+        return inside, (cells[:, 0] * self.shape[1] + cells[:, 1]) * self.shape[2] + cells[:, 2]
+
+    @cached_property
+    def _sorted_key_bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        return np.sort(self.key_lo), np.sort(self.key_hi)
+
+    def counts(self, points: np.ndarray) -> np.ndarray:
+        """(N,) candidates per point of ``points``, counted without listing
+        a pair: the columns whose ``[key_lo, key_hi)`` holds the point's
+        cell key, i.e. those with ``key_lo <= key`` less those with ``key_hi
+        <= key`` (a column's ``key_lo`` is below its ``key_hi``). The keys
+        are sorted first: binary searches for ascending keys walk the bounds
+        in order, several times faster than in random order."""
+        inside, keys = self._keys(points)
+        order = np.argsort(keys)
+        keys = keys[order]
+        lo, hi = self._sorted_key_bounds
+        found = np.searchsorted(lo, keys, "right")
+        found -= np.searchsorted(hi, keys, "right")
+        counts = np.zeros(points.shape[0], dtype=np.int64)
+        counts[inside[order]] = found
+        return counts
+
     def pairs(self, points: np.ndarray) -> _Pairs:
         """Candidate pairs of ``points``: each Gaussian with the points in
         its columns."""
-        inside = np.flatnonzero(np.all((points >= self.origin) & (points <= self.top), axis=1))
-        cells = np.floor((points[inside] - self.origin) / self.cell).astype(np.int64)
-        keys = (cells[:, 0] * self.shape[1] + cells[:, 1]) * self.shape[2] + cells[:, 2]
+        inside, keys = self._keys(points)
         order = np.argsort(keys, kind="stable")
         keys = keys[order]
         start = np.searchsorted(keys, self.key_lo)
@@ -426,6 +454,20 @@ class _VoxelLattice:
         return offsets, pairs
 
 
+def _ranges(ends: np.ndarray, step: int) -> list[slice]:
+    """Contiguous row ranges, in order, each of at most ``step`` rows whose
+    counts, with cumulative sums ``ends``, sum to at most
+    :data:`_SPAN_PAIRS`; a row whose count alone exceeds that is a range by
+    itself."""
+    ranges, start = [], 0
+    while start < ends.size:
+        before = int(ends[start - 1]) if start else 0
+        stop = min(max(int(np.searchsorted(ends, before + _SPAN_PAIRS, "right")), start + 1), start + step)
+        ranges.append(slice(start, stop))
+        start = stop
+    return ranges
+
+
 def _cov_diag(rot: np.ndarray, scales: np.ndarray) -> np.ndarray:
     """(P, 3) diagonals of the covariances ``R diag(s^2) R^T``; with a
     finite cutoff, an overflow here is rejected by :func:`_cutoff_boxes`."""
@@ -526,12 +568,13 @@ class FieldEvaluator:
     once, and checks that every cutoff box is finite. All methods take an
     (N, 3) array of query points or the :class:`VoxelCenters` of a grid
     and are pure; an array that is not (N, 3) or holds a non-finite
-    coordinate raises ValueError. Arbitrary points are evaluated in chunks
-    of ``chunk`` points (an integer >= 1; fewer without a cutoff, to stay
-    within :data:`_SPAN_PAIRS` pairs) through the cell join, which is built
-    on first use, or every pair. Voxel centers are evaluated one span of
-    whole x-rows at a time, from the spans and pairs of
-    :class:`_VoxelLattice`.
+    coordinate raises ValueError. Arbitrary points are evaluated in
+    contiguous ranges of at most ``chunk`` points (an integer >= 1) and
+    about :data:`_SPAN_PAIRS` candidate pairs, counted per point before the
+    pairs are listed (one point may exceed it alone), through the cell
+    join, which is built on first use, or every pair. Voxel centers are
+    evaluated one span of whole x-rows at a time, from the spans and pairs
+    of :class:`_VoxelLattice`.
     """
 
     def __init__(self, gs: GaussianSet, opts: EvalOptions | None = None, chunk: int = _DEFAULT_CHUNK):
@@ -546,8 +589,6 @@ class FieldEvaluator:
         self._step = _count(chunk, "chunk")
         if np.isfinite(self._cutoff):
             _cutoff_boxes(self._means, _cov_diag(self._rot, self._scales), self._cutoff)
-        else:
-            self._step = max(1, min(self._step, _SPAN_PAIRS // len(gs)))
 
     @cached_property
     def _index(self) -> _CellIndex:
@@ -565,8 +606,9 @@ class FieldEvaluator:
     def _chunks(self, points) -> Iterator[tuple[slice, _Pairs, np.ndarray]]:
         """Yield (rows, live pairs, their d2) per chunk of query points;
         pair point indices count from the chunk's first row. Voxel centers
-        take the lattice spans, other points :meth:`_point_pairs`, and every
-        chunk then takes the same d2 and cutoff test. The generators hold
+        take the lattice spans, other points the :func:`_ranges` of their
+        candidate counts and :meth:`_point_pairs`, and every chunk then
+        takes the same d2 and cutoff test. The generators hold
         no reference to a chunk's offsets or candidates once yielded, so
         each is freed as soon as it is used."""
         if isinstance(points, VoxelCenters):
@@ -576,9 +618,10 @@ class FieldEvaluator:
             chunks = ((slice(start * row, stop * row), *lattice.span_pairs(start, stop))
                       for start, stop in lattice.spans)
         else:
-            n, step = points.shape[0], self._step
-            chunks = ((slice(start, min(start + step, n)), *self._point_pairs(points[start : start + step]))
-                      for start in range(0, n, step))
+            # Cumulative candidate counts; without a cutoff every point has P.
+            ranges = _ranges(np.cumsum(self._index.counts(points)) if np.isfinite(self._cutoff)
+                             else len(self.gs) * np.arange(1, points.shape[0] + 1), self._step)
+            chunks = ((rows, *self._point_pairs(points[rows])) for rows in ranges)
         for rows, offsets, candidates in chunks:
             d2 = self._d2(offsets, candidates)
             del offsets
@@ -659,9 +702,10 @@ class FieldEvaluator:
 
     def _legacy(self, pairs: _Pairs, d2: np.ndarray, n: int) -> np.ndarray:
         """(n, channels) additive-model outputs: per point the sum of
-        ``opacity * exp(-d2 / 2) * logits`` over its pairs."""
+        ``opacity * exp(-d2 / 2) * logits`` over its pairs, one channel at a
+        time."""
         g = pairs.spread(self.gs.opacities) * np.exp(-0.5 * d2)
-        return scatter_sum(pairs.point, g * pairs.spread(self.gs.logits.T, axis=1), n)
+        return np.stack([scatter_sum(pairs.point, g * pairs.spread(logits), n) for logits in self.gs.logits.T], axis=1)
 
     def _require_opacity(self):
         if not np.any(self.gs.opacities > 0.0):
@@ -686,6 +730,12 @@ class FieldEvaluator:
     def legacy(self, points) -> np.ndarray:
         """(N, channels) additive-model outputs; raw, unnormalized."""
         return self._fill(points, (self.gs.num_classes,), self._legacy)
+
+    def covered(self, points) -> np.ndarray:
+        """(N,) bool: whether some Gaussian lies within the cutoff of each
+        point, i.e. the point has a live pair; found without evaluating the
+        field."""
+        return self._fill(points, (), lambda pairs, d2, n: np.bincount(pairs.point, minlength=n) > 0, bool)
 
     def compose_labels(self, points) -> np.ndarray:
         """(N,) uint16 argmax of :meth:`compose`; ties go to the lowest class."""

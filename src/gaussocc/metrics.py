@@ -225,11 +225,13 @@ def _bbox_arrays(scene_bbox) -> tuple[np.ndarray, np.ndarray]:
 def mc_coverage_volume(gs: GaussianSet, scene_bbox, mc_samples: int, seed: int) -> float:
     """Monte Carlo volume of the union of 90% ellipsoids.
 
-    Uniform samples in the scene bounding box hit when the field, cut off
-    at :data:`CHI2_3DOF_90`, gives them a nonzero occupancy: it is exactly
-    0 beyond every 90% ellipsoid and at least ``exp(-CHI2_3DOF_90 / 2)``
-    inside any. The union volume is the box volume times the hit fraction.
-    Raises when not a single sample lands inside.
+    A uniform sample in the scene bounding box hits when it has a live
+    pair in the field cut off at :data:`CHI2_3DOF_90`, i.e. lies in some
+    90% ellipsoid (:meth:`FieldEvaluator.covered`). That is exactly where
+    the field's occupancy is nonzero: at least ``exp(-CHI2_3DOF_90 / 2)``
+    with a live pair, and exactly 0 without one. The union volume is the
+    box volume times the hit fraction. Raises when not a single sample
+    lands inside.
     """
     lo, hi = _bbox_arrays(scene_bbox)
     mc_samples = _count(mc_samples, "mc_samples")
@@ -237,7 +239,7 @@ def mc_coverage_volume(gs: GaussianSet, scene_bbox, mc_samples: int, seed: int) 
     n_in = 0
     for chunk_index, done in enumerate(range(0, mc_samples, _MC_CHUNK)):
         pts = seeded_stream(seed, chunk_index).uniform(lo, hi, size=(min(_MC_CHUNK, mc_samples - done), 3))
-        n_in += int(np.count_nonzero(ev.alpha(pts) > 0.0))
+        n_in += int(np.count_nonzero(ev.covered(pts)))
     if n_in == 0:
         raise ValueError("no coverage detected: no Monte Carlo sample hit any ellipsoid")
     box_volume = float(np.prod(hi - lo))

@@ -17,6 +17,7 @@ from gaussocc.core import (
     covariance_matrices,
     rotation_matrices,
 )
+from gaussocc.field import _SPAN_PAIRS, FieldEvaluator
 from gaussocc.grid import GridSpec, VoxelGrid, kitti360_grid_spec, nuscenes_grid_spec
 from gaussocc.metrics import (
     CHI2_3DOF_90,
@@ -507,6 +508,35 @@ class TestOverallOverlap:
         hits = coverage_hits_oracle(gs, self.BBOX, n, seed)
         assert 0 < hits <= n and (hits == n) == covering
         assert mc_coverage_volume(gs, self.BBOX, n, seed) == 1000.0 * hits / n
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_hits_match_the_oracle_across_pair_budgets(self, seed, monkeypatch):
+        # 48 Gaussians of 1-2.5 m with means at x in [-5, -1] give the
+        # samples of the 10 m box about 26 candidates each, and leave about
+        # 18% of them uncovered. Ranges of 2^17 candidate pairs, not of 8192
+        # points, then cut each Monte Carlo chunk: the first chunk crosses
+        # the pair budget many times.
+        rng = np.random.default_rng(56)
+        p = 48
+        base = random_gaussian_set(rng, p, 2, spread=5.0)
+        means = base.means.copy()
+        means[:, 0] = rng.uniform(-5.0, -1.0, size=p)
+        gs = GaussianSet(means=means, scales=rng.uniform(1.0, 2.5, size=(p, 3)), rotations=base.rotations,
+                         opacities=np.ones(p), logits=np.zeros((p, 2)))
+        candidates = []
+        d2 = FieldEvaluator._d2
+
+        def counted_d2(self, diff, pairs):
+            candidates.append(diff.shape[0])
+            return d2(self, diff, pairs)
+
+        monkeypatch.setattr(FieldEvaluator, "_d2", counted_d2)
+        n = 2**17 + 5  # two Monte Carlo chunks
+        hits = coverage_hits_oracle(gs, self.BBOX, n, seed)
+        assert 0 < hits < n
+        assert mc_coverage_volume(gs, self.BBOX, n, seed) == 1000.0 * hits / n
+        assert sum(candidates) > 10 * _SPAN_PAIRS and max(candidates) <= _SPAN_PAIRS
+        assert len(candidates) > 2**17 // 8192 + 1  # more ranges than chunks of 8192 points
 
     @pytest.mark.parametrize("lo, hi", [([-np.inf, 0, 0], [1, 1, 1]), ([0, 0, 0], [1, np.inf, 1]),
                                         ([0, np.nan, 0], [1, 1, 1]), ([-1e308, 0, 0], [1e308, 1, 1])],

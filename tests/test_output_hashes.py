@@ -34,7 +34,9 @@ def test_two_runs_agree_and_a_compare_finds_no_difference(tool, tmp_path, capsys
     assert a == b
     names = a["entries"]
     for prefix in ("synth/odd/", "synth/kitti360/", "fps/nuscenes/", "fps/kitti360/", "voxelize/none",
-                   "voxelize_legacy/25", "field/none/points/", "field/25/centers/legacy_labels", "utilization_report",
+                   "voxelize_legacy/25", "field/none/points/", "field/25/centers/legacy_labels",
+                   *(f"field/large/{key}/points/{method}" for key in ("25", "none") for method in tool.FIELD_METHODS),
+                   "utilization_report",
                    "loss/additive/none/", "grad/probabilistic/25/", "fit/additive/25/", "rays/inside/directions",
                    "rays/inside/labels", "rays/outside/directions", "rays/outside/labels",
                    *(f"cli/fit/{model}/{out}" for model in ("probabilistic", "additive") for out in ("gsocc", "trace")),

@@ -28,6 +28,7 @@ from gaussocc.field import (
 )
 from gaussocc.fit import FitConfig, ParamVector, _loss_and_grad, fit
 from gaussocc.grid import GridSpec, nuscenes_grid_spec, voxel_center, voxelize, voxelize_legacy
+from gaussocc.metrics import mc_coverage_volume
 from gaussocc.scenes import synth_scene
 
 from conftest import random_gaussian_set, traced_peak
@@ -94,6 +95,33 @@ def test_runs_equal_concatenated_ranges(first, count):
     got = _runs(first, count)
     assert got.dtype == np.int64
     np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize(
+    "counts, step",
+    [
+        ([3, 0, 4, 12, 1, 1, 0, 9, 2, 2], 1000),
+        ([3, 0, 4, 12, 1, 1, 0, 9, 2, 2], 3),
+        ([0] * 25, 7),
+        ([11], 5),
+        ([], 4),
+        ([4] * 23, 1000),  # every point has P = 4 candidates: ranges of budget // P points
+        (_RUNS_RNG.integers(0, 15, size=300).tolist(), 6),
+    ],
+)
+def test_ranges_are_greedy_within_the_budget(counts, step, monkeypatch):
+    monkeypatch.setattr(field, "_SPAN_PAIRS", 10)
+    counts = np.array(counts, dtype=np.int64)
+    ranges = field._ranges(np.cumsum(counts), step)
+    bounds = [0] + [r.stop for r in ranges]
+    assert [r.start for r in ranges] == bounds[:-1] and bounds[-1] == counts.size
+    for r in ranges:
+        rows, total = r.stop - r.start, int(counts[r].sum())
+        assert 1 <= rows <= step and (total <= 10 or rows == 1)
+        # One more row would pass the budget or the row cap.
+        assert r.stop == counts.size or rows == step or total + counts[r.stop] > 10
+    if counts.size and np.all(counts == 4):
+        assert {r.stop - r.start for r in ranges[:-1]} == {10 // 4}
 
 
 def assert_same_bytes(got: np.ndarray, want: np.ndarray):
@@ -220,6 +248,22 @@ class TestCellJoin:
         assert pair_set(live) <= pair_set(pairs)
         assert np.count_nonzero(d2 <= CUTOFF) == gauss_of(live).size
 
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_counts_equal_the_listed_pairs(self, seed):
+        # Per-point candidate counts, taken without listing a pair, against
+        # the pairs listed: with points outside the index's extent, on its
+        # corners and repeated.
+        rng = np.random.default_rng(330 + seed)
+        gs = mixed_set(rng)
+        index = _CellIndex(gs.means, _cov_diag(rotation_matrices(gs.rotations), gs.scales), CUTOFF)
+        points = query_points(rng, gs)
+        points = np.concatenate([points, points[::7], points[::7], [index.origin, index.top],
+                                 [index.origin - 1e-9, index.top + 1e-9]])
+        outside = ~np.all((points >= index.origin) & (points <= index.top), axis=1)
+        want = np.bincount(index.pairs(points).point, minlength=points.shape[0])
+        assert np.count_nonzero(outside) >= 7 and want.max() > 10
+        np.testing.assert_array_equal(index.counts(points), want)
+
     def test_many_wide_gaussians_grow_the_cells(self):
         # Every box spans the whole cloud, so cells at half the median
         # half-width would need far more columns than the budget.
@@ -285,17 +329,28 @@ class TestFieldAgainstLoopOracle:
         np.testing.assert_array_equal(ev.legacy(points[-5:]), 0.0)
 
     @pytest.mark.parametrize("cutoff", [CUTOFF, None])
-    def test_chunking_does_not_change_results(self, cutoff):
+    def test_chunking_does_not_change_results(self, cutoff, monkeypatch):
+        # Ranges of one point, of 7 points, and of the points that fit in a
+        # budget of 64 or 200 candidate pairs give the bits of the default
+        # ranges. At cutoff 25 the points have 0-74 candidates, so under a
+        # budget of 64 some are a range by themselves; without a cutoff
+        # every point has 80.
         rng = np.random.default_rng(321)
-        gs = mixed_set(rng, p=10, c=2)
+        gs = mixed_set(rng, p=80, c=2)
         points = query_points(rng, gs, n=100)
         opts = EvalOptions(cutoff_mahalanobis_sq=cutoff)
+        methods = ("alpha", "semantics", "compose", "legacy", "compose_labels", "legacy_labels")
         whole = FieldEvaluator(gs, opts)
-        for chunk in (1, 7, np.int64(7)):
-            pieces = FieldEvaluator(gs, opts, chunk=chunk)
-            np.testing.assert_array_equal(pieces.compose(points), whole.compose(points))
-            np.testing.assert_array_equal(pieces.legacy(points), whole.legacy(points))
-            np.testing.assert_array_equal(pieces.compose_labels(points), whole.compose_labels(points))
+        want = {m: getattr(whole, m)(points) for m in methods}
+        if cutoff is not None:
+            counts = whole._index.counts(points)
+            assert counts.max() > 64 and np.any(counts <= 32)
+        evaluators = [FieldEvaluator(gs, opts, chunk=chunk) for chunk in (1, 7, np.int64(7))]
+        for budget in (field._SPAN_PAIRS, 64, 200):
+            monkeypatch.setattr(field, "_SPAN_PAIRS", budget)
+            for ev in evaluators + [FieldEvaluator(gs, opts)]:
+                for m in methods:
+                    np.testing.assert_array_equal(getattr(ev, m)(points), want[m], err_msg=m)
 
     @pytest.mark.parametrize("cutoff", [CUTOFF, None])
     @pytest.mark.parametrize("chunk", [0, -1, 2.5, "8"])
@@ -749,6 +804,31 @@ def test_paper_scale_voxelize_memory_is_bounded():
     pred, peak = traced_peak(lambda: voxelize(gs, spec))
     assert np.count_nonzero(pred.labels) > 10_000
     assert peak < 32 * 2**20
+
+
+def test_paper_scale_point_evaluation_memory_is_bounded():
+    # 2048 Gaussians of about 2 m on the 200x200x16 grid: 8192 uniform
+    # points have about 930k candidates at cutoff 25. Chunks of 8192
+    # points, whatever their pair count, traced 57.7 MiB (alpha) and 57.9
+    # MiB (compose), and one 2^17-sample Monte Carlo chunk 20.6 MiB; ranges
+    # of about 2^17 candidate pairs trace 10.7, 11.0 and 13.8 MiB.
+    spec = nuscenes_grid_spec(5)
+    rng = np.random.default_rng(0)
+    p = 2048
+    quats = rng.normal(size=(p, 4))
+    gs = GaussianSet(means=rng.uniform(spec.min_corner, spec.max_corner, (p, 3)), scales=rng.uniform(1.5, 2.5, (p, 3)),
+                     rotations=quats / np.linalg.norm(quats, axis=1, keepdims=True),
+                     opacities=rng.uniform(0.1, 1.0, p), logits=rng.normal(size=(p, 4)))
+    points = np.random.default_rng(1).uniform(spec.min_corner, spec.max_corner, (8192, 3))
+    alpha, peak = traced_peak(lambda: FieldEvaluator(gs).alpha(points))
+    assert np.count_nonzero(alpha > 0.5) > 4096
+    assert peak < 16 * 2**20
+    composed, peak = traced_peak(lambda: FieldEvaluator(gs).compose(points))
+    np.testing.assert_array_equal(composed[:, 0], 1.0 - alpha)
+    assert peak < 16 * 2**20
+    volume, peak = traced_peak(lambda: mc_coverage_volume(gs, (spec.min_corner, spec.max_corner), 1 << 17, 0))
+    assert 0.5 < volume / np.prod(spec.max_corner - spec.min_corner) < 1.0
+    assert peak < 16 * 2**20
 
 
 def test_bound_leaves_few_pairs_to_the_exact_alpha(monkeypatch, tmp_path):

@@ -14,7 +14,9 @@ output is bit-identical. The matrix:
 * ``voxelize`` and ``voxelize_legacy`` labels of a seeded set at cutoffs 25
   and none (the no-cutoff case on a small grid);
 * the six ``FieldEvaluator`` outputs on random points and on voxel centers
-  at both cutoffs;
+  at both cutoffs, and on random points against a set of large Gaussians
+  (2-4 m on the 20 m mini-street grid), whose candidate pairs fill
+  several ranges of about 2^17 at both cutoffs;
 * the utilization report;
 * the loss bits and gradients of seeded batches, and short fits, for each
   model and cutoff;
@@ -47,13 +49,15 @@ import numpy as np
 
 CUTOFFS = {"25": 25.0, "none": None}
 MODELS = ("probabilistic", "additive")
+FIELD_METHODS = ("alpha", "semantics", "compose", "legacy", "compose_labels", "legacy_labels")
 # Per size: Gaussians, query points, synth seeds, loss batches, fit iterations, MC samples,
-# the farthest-point sample counts on the paper grids, and the rays image size.
+# the farthest-point sample counts on the paper grids, the rays image size, and the
+# large Gaussians and their query points.
 SIZES = {
     "small": dict(gaussians=24, points=200, seeds=1, batches=1, iterations=3, mc_samples=2000, fps=(64,),
-                  image=(80, 60)),
+                  image=(80, 60), large=(192, 2000)),
     "full": dict(gaussians=256, points=2000, seeds=3, batches=3, iterations=30, mc_samples=20_000,
-                 fps=(2048, 6400), image=(1600, 900)),
+                 fps=(2048, 6400), image=(1600, 900), large=(1024, 4000)),
 }
 
 
@@ -75,9 +79,9 @@ def _small_spec(num_classes_total: int = 5):
                     resolution=np.array([20, 20, 8]), num_classes_total=num_classes_total)
 
 
-def _seeded_set(grid, p: int, channels: int, seed: int):
-    """Gaussians on occupied voxels, jittered, with random scales,
-    rotations, opacities and logits."""
+def _seeded_set(grid, p: int, channels: int, seed: int, scales=(0.5, 3.0)):
+    """Gaussians on occupied voxels, jittered, with random rotations,
+    opacities and logits, and scales log-uniform in ``scales`` voxels."""
     from gaussocc import GaussianSet, fps_init
 
     rng = np.random.default_rng(seed)
@@ -85,7 +89,7 @@ def _seeded_set(grid, p: int, channels: int, seed: int):
     vs = grid.spec.voxel_size
     means = centers[fps_init(centers, p, seed)] + rng.uniform(-0.75, 0.75, size=(p, 3)) * vs
     quats = rng.normal(size=(p, 4))
-    return GaussianSet(means=means, scales=np.exp(rng.uniform(np.log(0.5), np.log(3.0), size=(p, 3))) * vs,
+    return GaussianSet(means=means, scales=np.exp(rng.uniform(np.log(scales[0]), np.log(scales[1]), size=(p, 3))) * vs,
                        rotations=quats / np.linalg.norm(quats, axis=1, keepdims=True),
                        opacities=rng.uniform(0.1, 1.0, size=p), logits=rng.normal(0.0, 2.0, size=(p, channels)))
 
@@ -143,8 +147,16 @@ def output_hashes(size: str = "full") -> dict:
     for key, cutoff in CUTOFFS.items():
         ev = FieldEvaluator(sets["probabilistic"], EvalOptions(cutoff_mahalanobis_sq=cutoff))
         for where, at in (("points", points), ("centers", small.centers())):
-            for method in ("alpha", "semantics", "compose", "legacy", "compose_labels", "legacy_labels"):
+            for method in FIELD_METHODS:
                 entries[f"field/{key}/{where}/{method}"] = _sha256(getattr(ev, method)(at))
+
+    p_large, n_large = cfg["large"]
+    large = _seeded_set(gt, p_large, semantic, 6, scales=(4.0, 8.0))
+    large_points = np.random.default_rng(7).uniform(gt.spec.min_corner, gt.spec.max_corner, size=(n_large, 3))
+    for key, cutoff in CUTOFFS.items():
+        ev = FieldEvaluator(large, EvalOptions(cutoff_mahalanobis_sq=cutoff))
+        for method in FIELD_METHODS:
+            entries[f"field/large/{key}/points/{method}"] = _sha256(getattr(ev, method)(large_points))
 
     report = utilization_report(sets["probabilistic"], gt, mc_samples=cfg["mc_samples"], seed=4)
     entries["utilization_report"] = json.dumps(
