@@ -52,6 +52,16 @@ columns before any pair is listed (P per point without a cutoff), number
 at most :data:`_SPAN_PAIRS`; a point with more candidates than that is a
 range by itself. The fit's loss and gradient take their whole batch at
 once.
+
+A candidate pair holds, at a pass's peak, its point index (8 bytes) and
+its (M, 3) offsets (24), which :func:`_scaled_local` turns into the local
+frame in place, plus one (M,) temporary (8): about 40 bytes in a lattice
+span or a range of points. :func:`live_pairs` keeps the local offsets
+for the fit's backward pass, so d2 takes a scratch column (48 bytes), and
+copying the live pairs out adds about 48 bytes per live pair while the
+candidate offsets are still held. Sums over classes or channels run one
+at a time, so no pass builds a (C, M) array.
+
 Voxel labels take the exact occupancy and semantics only at the voxels
 that a one-``exp``-per-pair upper bound on the occupancy leaves open
 (:meth:`FieldEvaluator._compose_label`). The fitting loss of
@@ -100,12 +110,20 @@ def softmax(x: np.ndarray) -> np.ndarray:
 
 
 def log1mexp(a: np.ndarray) -> np.ndarray:
-    """log(1 - exp(-a)) for a >= 0, accurate at both ends; -inf at a = 0."""
+    """log(1 - exp(-a)) for a >= 0, accurate at both ends; -inf at a = 0.
+    ``log(-expm1(-a))`` below ln 2 and ``log1p(-exp(-a))`` above, each
+    computed in place in one buffer."""
     a = np.asarray(a, dtype=np.float64)
+    small, large = np.empty_like(a), np.empty_like(a)
+    np.negative(np.minimum(a, _LN2, out=small), out=small)
+    np.negative(np.expm1(small, out=small), out=small)
+    np.negative(np.maximum(a, _LN2, out=large), out=large)
+    np.negative(np.exp(large, out=large), out=large)
     with np.errstate(divide="ignore"):
-        small = np.log(-np.expm1(-np.minimum(a, _LN2)))
-        large = np.log1p(-np.exp(-np.maximum(a, _LN2)))
-    return np.where(a < _LN2, small, large)
+        np.log(small, out=small)
+        np.log1p(large, out=large)
+    np.copyto(large, small, where=a < _LN2)
+    return large
 
 
 @dataclass(frozen=True)
@@ -181,14 +199,20 @@ class _Pairs(NamedTuple):
         return out
 
     def select(self, keep: np.ndarray) -> "_Pairs":
-        return _Pairs(np.compress(keep, self.point), np.searchsorted(np.flatnonzero(keep), self.bounds))
+        """The pairs where ``keep`` holds; the new bounds are the running
+        sums of each segment's kept count, so no per-pair index is built."""
+        kept = np.zeros(self.bounds.size - 1, dtype=np.int64)
+        full = np.flatnonzero(self.counts)
+        if full.size:
+            kept[full] = np.add.reduceat(keep, self.bounds[full], dtype=np.int64)
+        return _Pairs(np.compress(keep, self.point), np.concatenate([[0], np.cumsum(kept)]))
 
-    def within(self, d2: np.ndarray, cutoff: float, *per_pair: np.ndarray) -> tuple:
-        """``(pairs, *per_pair, d2)`` of the pairs with ``d2 <= cutoff``."""
+    def within(self, d2: np.ndarray, cutoff: float) -> tuple["_Pairs", np.ndarray]:
+        """``(pairs, d2)`` of the pairs with ``d2 <= cutoff``."""
         keep = d2 <= cutoff
         if np.all(keep):
-            return (self, *per_pair, d2)
-        return (self.select(keep), *(np.compress(keep, a, axis=0) for a in (*per_pair, d2)))
+            return self, d2
+        return self.select(keep), np.compress(keep, d2)
 
     def restrict(self, d2: np.ndarray, mask: np.ndarray) -> tuple["_Pairs", np.ndarray, np.ndarray]:
         """The pairs of the points where ``mask`` holds, those points
@@ -202,9 +226,12 @@ class _Pairs(NamedTuple):
 
 def _runs(first: np.ndarray, count: np.ndarray) -> np.ndarray:
     """The runs ``first[i], first[i] + 1, ..., first[i] + count[i] - 1``,
-    concatenated in order."""
+    concatenated in order: each run's start less its position, repeated,
+    plus the positions added in place, so one (M,) temporary at most."""
     ends = np.cumsum(count)
-    return np.repeat(first - (ends - count), count) + np.arange(ends[-1] if ends.size else 0)
+    out = np.repeat(first - (ends - count), count)
+    out += np.arange(out.size)
+    return out
 
 
 def _cutoff_boxes(means: np.ndarray, cov_diag: np.ndarray, cutoff: float) -> np.ndarray:
@@ -296,7 +323,7 @@ class _CellIndex:
         start = np.searchsorted(keys, self.key_lo)
         count = np.searchsorted(keys, self.key_hi) - start
         pair_ends = np.concatenate([[0], np.cumsum(count)])
-        return _Pairs(inside[order[_runs(start, count)]], pair_ends[self.column_bounds])
+        return _Pairs(np.take(inside[order], _runs(start, count)), pair_ends[self.column_bounds])
 
 
 class VoxelCenters(NamedTuple):
@@ -426,10 +453,12 @@ class _VoxelLattice:
         last = np.fmax(np.fmin(np.floor(t + h), n - 1.0), -1.0)
         return first.astype(np.int64), last.astype(np.int64)
 
-    def span_pairs(self, start: int, stop: int) -> tuple[np.ndarray, _Pairs]:
-        """The candidate pairs of x-rows ``start:stop``, point indices
-        counting from the span's first voxel, and their (M, 3) offsets
-        ``x - m``."""
+    def _columns(self, start: int, stop: int) -> tuple:
+        """Per (Gaussian, x, y) column of x-rows ``start:stop``, in
+        Gaussian order: its first point index, counting from the span's
+        first voxel, its z count, the shift from a pair's point index to
+        its index into the ``dz`` table, and the column's dx and dy; and
+        the pairs per Gaussian."""
         ny_all, nz_all = self.shape[1], self.shape[2]
         r = np.flatnonzero((self.ix >= start) & (self.ix < stop))
         ny = self.ny[r]
@@ -446,11 +475,26 @@ class _VoxelLattice:
         nz = np.where(rem < 0.0, 0, np.maximum(z1 - z0 + 1, 0))
         first = ((self.ix[col] - start) * ny_all + iy) * nz_all + z0
         per_gauss = np.bincount(g, nz, minlength=self.means.shape[0]).astype(np.int64)
+        return first, nz, self.dz_start[g] + z0 - first, self.dx[col], dy, per_gauss
+
+    def span_pairs(self, start: int, stop: int) -> tuple[np.ndarray, _Pairs]:
+        """The candidate pairs of x-rows ``start:stop``, point indices
+        counting from the span's first voxel, and their (M, 3) offsets
+        ``x - m``. Only the :meth:`_columns` outputs outlive the columns'
+        bounds. A pair's index into the ``dz`` table is its point index
+        plus its column's shift, so one run index serves both, and the
+        expansion holds the points, the offsets and one (M,) temporary."""
+        first, nz, shift, dx, dy, per_gauss = self._columns(start, stop)
         pairs = _Pairs(_runs(first, nz), np.concatenate([[0], np.cumsum(per_gauss)]))
+        index = np.repeat(shift, nz)
+        index += pairs.point
+        dz = np.take(self.dz, index)
+        del index
         offsets = np.empty((pairs.point.size, 3))
-        offsets[:, 0] = np.repeat(self.dx[col], nz)
+        offsets[:, 2] = dz
+        del dz
+        offsets[:, 0] = np.repeat(dx, nz)
         offsets[:, 1] = np.repeat(dy, nz)
-        np.take(self.dz, _runs(self.dz_start[g] + z0, nz), out=offsets[:, 2])
         return offsets, pairs
 
 
@@ -487,35 +531,54 @@ def _offsets(points, pairs: _Pairs, means) -> np.ndarray:
 
 
 def _scaled_local(diff: np.ndarray, pairs: _Pairs, rot, scales) -> np.ndarray:
-    """(M, 3) pair offsets ``diff`` in the scaled local frame,
-    ``R^T (x - m) / s``; a row's squared norm is the pair's d2. Each
-    Gaussian's segment is rotated by one ``np.dot`` (the gemm of
-    ``np.matmul``, with less dispatch), and the scaling runs one column at
-    a time against the per-pair spread of that column."""
-    local = np.empty_like(diff)
+    """The (M, 3) pair offsets ``diff`` turned, in place, into the scaled
+    local frame ``R^T (x - m) / s``, and returned; a row's squared norm is
+    the pair's d2. Each Gaussian's segment is rotated by one ``np.dot``
+    (the gemm of ``np.matmul``, with less dispatch) and copied back, so
+    one segment at a time is held twice, and the scaling runs one column
+    at a time against the per-pair spread of that column."""
     b = pairs.bounds.tolist()
     for g in np.flatnonzero(pairs.counts).tolist():
-        np.dot(diff[b[g] : b[g + 1]], rot[g], local[b[g] : b[g + 1]])
+        segment = diff[b[g] : b[g + 1]]
+        segment[...] = np.dot(segment, rot[g])
     for a in range(3):
-        np.divide(local[:, a], pairs.spread(scales[:, a]), out=local[:, a])
-    return local
+        np.divide(diff[:, a], pairs.spread(scales[:, a]), out=diff[:, a])
+    return diff
 
 
-def _squared_norms(local: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Row sums of squares, added in the order ``np.sum(local**2, axis=1)``
-    uses, without its per-row reduction overhead; the squares go to
-    ``out``, which may be ``local`` itself."""
-    sq = np.multiply(local, local, out=out)
-    return sq[:, 0] + sq[:, 1] + sq[:, 2]
+def _squared_norms(local: np.ndarray, overwrite: bool = False) -> np.ndarray:
+    """Row sums of squares of (M, 3) ``local``, added into one output in
+    the order ``np.sum(local**2, axis=1)`` uses. With ``overwrite`` the
+    squares go into ``local`` itself; otherwise those of the last two
+    columns go, one at a time, to one scratch column."""
+    if overwrite:
+        sq = np.multiply(local, local, out=local)
+        d2 = np.add(sq[:, 0], sq[:, 1])
+        d2 += sq[:, 2]
+        return d2
+    d2 = local[:, 0] * local[:, 0]
+    scratch = np.empty_like(d2)
+    for a in (1, 2):
+        d2 += np.multiply(local[:, a], local[:, a], out=scratch)
+    return d2
 
 
 def live_pairs(points, means, rot, scales, cutoff: float) -> tuple[_Pairs, np.ndarray, np.ndarray]:
     """The pairs within the cutoff (every pair for an infinite cutoff),
-    with their local offsets and d2."""
+    with their (M, 3) local offsets and d2. d2 and the pair list are cut
+    to the live pairs first, each candidate copy let go at once, so the
+    live offsets are copied out while the candidate offsets and the mask
+    are all that is left of the candidates."""
     pairs = (_CellIndex(means, _cov_diag(rot, scales), cutoff).pairs(points) if np.isfinite(cutoff)
              else _Pairs.every(means.shape[0], points.shape[0]))
     local = _scaled_local(_offsets(points, pairs, means), pairs, rot, scales)
-    return pairs.within(_squared_norms(local), cutoff, local)
+    d2 = _squared_norms(local)
+    keep = d2 <= cutoff
+    if np.all(keep):
+        return pairs, local, d2
+    d2 = np.compress(keep, d2)
+    pairs = pairs.select(keep)
+    return pairs, np.compress(keep, local, axis=0), d2
 
 
 def scatter_sum(index: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
@@ -529,6 +592,19 @@ def scatter_sum(index: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
     return np.bincount(index, values, minlength=n).astype(np.float64, copy=False)
 
 
+def additive_sums(pairs: _Pairs, weights: np.ndarray, logits: np.ndarray, n: int) -> np.ndarray:
+    """(n, C) per-point sums over the pairs of ``weights`` times the (P, C)
+    ``logits`` of the pair's Gaussian: the additive model's outputs. One
+    channel at a time, so no (C, M) array is built."""
+    out = np.empty((n, logits.shape[1]))
+    for c in range(logits.shape[1]):
+        term = pairs.spread(logits[:, c])
+        term *= weights
+        out[:, c] = scatter_sum(pairs.point, term, n)
+        del term  # before the next channel's is built
+    return out
+
+
 def log_mixture_weights(opacities: np.ndarray, scales: np.ndarray) -> np.ndarray:
     """(P,) log mixture weights ``log(opacity) - log(det Sigma) / 2``, with
     ``log(det Sigma) / 2 = sum(log s)``; -inf at zero opacity."""
@@ -536,27 +612,28 @@ def log_mixture_weights(opacities: np.ndarray, scales: np.ndarray) -> np.ndarray
         return np.log(opacities) - np.sum(np.log(scales), axis=1)
 
 
-def gmm_expectation(w, point, values, n: int, num_classes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Mixture-posterior expectation of per-pair class probabilities
-    ``values``, (C, M) rows or one (M,) column, from the pairs' log weights
-    ``w = log_mixture_weights - d2 / 2``.
+def gmm_expectation(w, point, columns, n: int, num_classes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Mixture-posterior expectation of per-pair class probabilities, given
+    as ``columns``, an iterable of (M,) arrays taken one class at a time,
+    from the pairs' log weights ``w = log_mixture_weights - d2 / 2``.
 
-    Returns ``(e, rho, undefined)``: the (n, C) or (n,) expectation, the
-    posterior (it sums to 1 over each point's pairs) and the points with no
-    live Gaussian or a mixture density, with its ``(2 pi)^{-3/2}``
-    normalizer, below :data:`GMM_DENOMINATOR_FLOOR`; there ``e`` is the
-    uniform ``1 / num_classes``.
+    Returns ``(e, rho, undefined)``: the (n, k) expectation of the k
+    columns, the posterior (it sums to 1 over each point's pairs) and the
+    points with no live Gaussian or a mixture density, with its ``(2
+    pi)^{-3/2}`` normalizer, below :data:`GMM_DENOMINATOR_FLOOR`; there
+    ``e`` is the uniform ``1 / num_classes``.
     """
     wmax = np.full(n, -np.inf)
     np.maximum.at(wmax, point, w)
     shift = np.where(np.isfinite(wmax), wmax, 0.0)
-    expw = np.exp(w - shift[point])
-    denom = scatter_sum(point, expw, n)
+    rho = np.subtract(w, np.take(shift, point))
+    np.exp(rho, out=rho)
+    denom = scatter_sum(point, rho, n)
     with np.errstate(divide="ignore"):
         log_norm = shift + np.log(denom)
     undefined = ~np.isfinite(log_norm) | (log_norm - 1.5 * _LOG_2PI < _LOG_GMM_FLOOR)
-    rho = expw / np.where(denom > 0.0, denom, 1.0)[point]
-    e = scatter_sum(point, rho * values, n)
+    rho /= np.take(np.where(denom > 0.0, denom, 1.0), point)
+    e = np.stack([scatter_sum(point, rho * column, n) for column in columns], axis=1)
     e[undefined] = 1.0 / num_classes
     return e, rho, undefined
 
@@ -600,8 +677,7 @@ class FieldEvaluator:
         """d2 of every candidate pair of one chunk from its offsets
         ``x - m``, in the local-frame form ``sum(((R^T (x - m)) / s)^2)`` of
         the primitive-level distance."""
-        local = _scaled_local(diff, pairs, self._rot, self._scales)
-        return _squared_norms(local, out=local)
+        return _squared_norms(_scaled_local(diff, pairs, self._rot, self._scales), overwrite=True)
 
     def _chunks(self, points) -> Iterator[tuple[slice, _Pairs, np.ndarray]]:
         """Yield (rows, live pairs, their d2) per chunk of query points;
@@ -610,7 +686,8 @@ class FieldEvaluator:
         candidate counts and :meth:`_point_pairs`, and every chunk then
         takes the same d2 and cutoff test. The generators hold
         no reference to a chunk's offsets or candidates once yielded, so
-        each is freed as soon as it is used."""
+        each is freed as soon as it is used, and a chunk's live pairs go
+        before the next chunk's are listed."""
         if isinstance(points, VoxelCenters):
             row = int(points.resolution[1] * points.resolution[2])
             lattice = _VoxelLattice(self._means, self._rot, self._scales, self._cutoff, points, _SPAN_PAIRS,
@@ -628,6 +705,7 @@ class FieldEvaluator:
             pairs, d2 = candidates.within(d2, self._cutoff)
             del candidates
             yield rows, pairs, d2
+            del pairs, d2
 
     def _point_pairs(self, points: np.ndarray) -> tuple[np.ndarray, _Pairs]:
         """The (M, 3) offsets ``x - m`` and candidate pairs of a chunk of
@@ -646,6 +724,7 @@ class FieldEvaluator:
         out = np.empty((n,) + row_shape, dtype=dtype)
         for rows, pairs, d2 in self._chunks(points):
             out[rows] = rows_of(pairs, d2, rows.stop - rows.start)
+            del pairs, d2
         return out
 
     def _alpha(self, pairs: _Pairs, d2: np.ndarray, n: int) -> np.ndarray:
@@ -657,8 +736,10 @@ class FieldEvaluator:
         return np.clip(np.maximum(alpha, np.exp(-0.5 * nearest)), 0.0, 1.0)
 
     def _semantics(self, pairs: _Pairs, d2: np.ndarray, n: int) -> np.ndarray:
+        """(n, C) mixture expectation, summed one class at a time."""
         w = pairs.spread(self._log_weight) - 0.5 * d2
-        return gmm_expectation(w, pairs.point, pairs.spread(self._sem_t, axis=1), n, self.gs.num_classes)[0]
+        columns = (pairs.spread(row) for row in self._sem_t)
+        return gmm_expectation(w, pairs.point, columns, n, self.gs.num_classes)[0]
 
     def _compose(self, pairs: _Pairs, d2: np.ndarray, n: int) -> np.ndarray:
         return _composed(self._alpha(pairs, d2, n), self._semantics(pairs, d2, n))
@@ -687,7 +768,9 @@ class FieldEvaluator:
         order, so both have the bits of the full evaluation.
         """
         labels = np.zeros(n, dtype=np.int64)
-        bound = scatter_sum(pairs.point, np.exp(-0.5 * d2), n)
+        terms = np.multiply(d2, -0.5)
+        bound = scatter_sum(pairs.point, np.exp(terms, out=terms), n)
+        del terms
         pairs, d2, open_ = pairs.restrict(d2, bound > _EMPTY_ALPHA - 4.0 * (len(self.gs) + 8) * _UNIT_ROUNDOFF)
         del bound
         a = self._alpha(pairs, d2, open_.size)
@@ -704,8 +787,10 @@ class FieldEvaluator:
         """(n, channels) additive-model outputs: per point the sum of
         ``opacity * exp(-d2 / 2) * logits`` over its pairs, one channel at a
         time."""
-        g = pairs.spread(self.gs.opacities) * np.exp(-0.5 * d2)
-        return np.stack([scatter_sum(pairs.point, g * pairs.spread(logits), n) for logits in self.gs.logits.T], axis=1)
+        g = np.multiply(d2, -0.5)
+        np.exp(g, out=g)
+        g *= pairs.spread(self.gs.opacities)
+        return additive_sums(pairs, g, self.gs.logits, n)
 
     def _require_opacity(self):
         if not np.any(self.gs.opacities > 0.0):

@@ -19,7 +19,6 @@ accumulation, decoupled weight decay and a cosine step-size decay.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 from typing import Optional
 
 import numpy as np
@@ -27,7 +26,9 @@ import numpy as np
 from .core import MIN_SCALE, GaussianSet, _count, _frozen, _seed, rotation_matrices, seeded_stream as _stream
 from .field import (
     EvalOptions,
+    _Pairs,
     _query_points,
+    additive_sums,
     gmm_expectation,
     live_pairs,
     log1mexp,
@@ -411,6 +412,25 @@ def _quaternion_grad(k: np.ndarray, qn: np.ndarray, qnorm: np.ndarray) -> np.nda
     return g * (2.0 / qnorm)[:, None]
 
 
+def _additive_pair_grads(pairs: _Pairs, g_vals, logits, d_loss_dz) -> tuple[np.ndarray, np.ndarray]:
+    """The additive loss's per-pair ``g_gv = sum_c logits[g, c] dL/dz[x, c]``
+    and (P, ch) logit gradient ``sum over pairs of g_vals dL/dz[x, c]``, one
+    channel at a time, so no (ch, M) array is built. ``g_gv`` accumulates
+    from zero in channel order, the additions ``np.einsum("cm,cm->m")``
+    makes on two or more pairs."""
+    g_gv = np.zeros(pairs.point.size)
+    grad_logits = np.empty(logits.shape)
+    for c, column in enumerate(np.ascontiguousarray(d_loss_dz.T)):
+        dz = np.take(column, pairs.point)
+        term = pairs.spread(logits[:, c])
+        term *= dz
+        g_gv += term
+        dz *= g_vals
+        grad_logits[:, c] = pairs.sum(dz)
+        del dz, term  # before the next channel's are built
+    return g_gv, grad_logits
+
+
 def _loss_and_grad(
     theta: np.ndarray,
     num_gaussians: int,
@@ -478,7 +498,8 @@ def _loss_and_grad(
         # Flat (Gaussian, label class) index into the (P, ch) logits.
         gk_occ = occ_sub.spread(np.arange(0, p * ch, ch)) + (labels - 1)[pt_occ]
         sem_y = np.take(sem, gk_occ)
-        e_y, rho, fallback = gmm_expectation(w, pt_occ, sem_y, n, ch)
+        e, rho, fallback = gmm_expectation(w, pt_occ, [sem_y], n, ch)
+        e_y = e[:, 0]
         e_floor = e_y < _PRED_FLOOR
         log_e = np.log(np.maximum(e_y, _PRED_FLOOR))
         loss_terms[occ] = -log_alpha[occ] - log_e[occ]
@@ -500,10 +521,9 @@ def _loss_and_grad(
             grad_logits = sem * occ_sub.sum(live_beta)[:, None]
             grad_logits -= scatter_sum(gk_occ, live_beta, p * ch).reshape(p, ch)
     else:  # additive baseline
-        # Each pair's weight opacity * exp(-d2 / 2) and its Gaussian's logits.
+        # Each pair's weight opacity * exp(-d2 / 2) times its Gaussian's logits.
         g_vals = pairs.spread(opac) * alpha_i
-        pair_logits = pairs.spread(logits.T, axis=1)  # (ch, M)
-        z = scatter_sum(point, g_vals * pair_logits, n)
+        z = additive_sums(pairs, g_vals, logits, n)
         zmax = z.max(axis=1)
         lse = zmax + np.log(np.exp(z - zmax[:, None]).sum(axis=1))
         log_p = z[np.arange(n), labels] - lse
@@ -514,12 +534,10 @@ def _loss_and_grad(
             d_loss_dz = np.exp(z - lse[:, None])
             d_loss_dz[np.arange(n), labels] -= 1.0
             d_loss_dz[p_floor] = 0.0
-            dz = np.take(np.ascontiguousarray(d_loss_dz.T), point, axis=1)  # (ch, M)
-            g_gv = np.einsum("cm,cm->m", pair_logits, dz)
-            del pair_logits  # before the (ch, M) product below: it would set the call's peak
+            g_gv, grad_logits = _additive_pair_grads(pairs, g_vals, logits, d_loss_dz)
             grad_d2 = -0.5 * g_gv * g_vals
-            grad_logits = pairs.sum(g_vals * dz).T
             grad_a_direct = pairs.sum(g_gv * alpha_i)
+            del g_gv, g_vals  # before the chain rule's per-pair temporaries
 
     loss = float(loss_terms.mean())
     if not want_grad:
@@ -528,14 +546,16 @@ def _loss_and_grad(
     # Chain the d2 gradient into means, log-scales and quaternions. With
     # u = R^T (x - m) / s per pair, d2 = |u|^2 and the per-Gaussian sums
     # t = sum g u and uu = sum g u u^T carry everything; the rotation is
-    # applied once per Gaussian, after the sum. Both are summed from
-    # component rows, uu from its 6 unique entries.
-    u = np.ascontiguousarray(local.T)
-    gu = grad_d2 * u
-    t = pairs.sum(gu).T
+    # applied once per Gaussian, after the sum. Both are summed one
+    # component of u (a column of ``local``) at a time, uu from its 6
+    # unique entries.
+    t = np.empty((p, 3))
     uu = np.empty((p, 3, 3))
-    for i, j in combinations_with_replacement(range(3), 2):
-        uu[:, i, j] = uu[:, j, i] = pairs.sum(gu[i] * u[j])
+    for i in range(3):
+        gu = grad_d2 * local[:, i]
+        t[:, i] = pairs.sum(gu)
+        for j in range(i, 3):
+            uu[:, i, j] = uu[:, j, i] = pairs.sum(gu * local[:, j])
     g_means = -2.0 * np.einsum("pab,pb->pa", rot, t / s)
     # Each log-scale also enters the mixture weight through -log(det)/2.
     g_ls = -2.0 * np.diagonal(uu, axis1=1, axis2=2) - grad_log_a[:, None]

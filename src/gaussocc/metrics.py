@@ -231,11 +231,12 @@ def mc_coverage_volume(gs: GaussianSet, scene_bbox, mc_samples: int, seed: int) 
     the field's occupancy is nonzero: at least ``exp(-CHI2_3DOF_90 / 2)``
     with a live pair, and exactly 0 without one. The union volume is the
     box volume times the hit fraction. Raises when not a single sample
-    lands inside.
+    lands inside. The evaluator's ``chunk`` is a whole sample block, so a
+    block is cut into ranges by the candidate-pair budget alone.
     """
     lo, hi = _bbox_arrays(scene_bbox)
     mc_samples = _count(mc_samples, "mc_samples")
-    ev = FieldEvaluator(gs, EvalOptions(cutoff_mahalanobis_sq=CHI2_3DOF_90))
+    ev = FieldEvaluator(gs, EvalOptions(cutoff_mahalanobis_sq=CHI2_3DOF_90), chunk=_MC_CHUNK)
     n_in = 0
     for chunk_index, done in enumerate(range(0, mc_samples, _MC_CHUNK)):
         pts = seeded_stream(seed, chunk_index).uniform(lo, hi, size=(min(_MC_CHUNK, mc_samples - done), 3))

@@ -12,10 +12,11 @@ from hypothesis import strategies as st
 from scipy.special import softmax
 
 from gaussocc.core import GaussianSet
-from gaussocc.field import EvalOptions, FieldEvaluator
+from gaussocc.field import EvalOptions, FieldEvaluator, _Pairs, additive_sums, scatter_sum
 from gaussocc.fit import (
     FitConfig,
     ParamVector,
+    _additive_pair_grads,
     _SamplePools,
     _loss_and_grad,
     _quaternion_grad,
@@ -452,6 +453,46 @@ class TestFitLoss:
             pv.values, pv.num_gaussians, pv.num_channels, points, labels, model, 25.0))
         assert np.isfinite(loss) and np.all(np.isfinite(grad))
         assert peak < 16 * 2**20, peak / 2**20
+
+    def test_additive_call_after_the_pipeline_fit_holds_few_bytes(self, mini_street):
+        # The README pipeline's fit (additive, P=256, random init, 30
+        # iterations, seed 0), then one 1024-point call at cutoff 25. It
+        # traced 7.96 MiB while the channels were (ch, M) arrays and the
+        # rotated offsets a second (M, 3) array; it traces 5.02 MiB, and
+        # the bound leaves about 12% over that.
+        grid, _ = mini_street
+        cfg = FitConfig(num_gaussians=256, iterations=30, seed=0, model="additive", init="random", eval_every=30)
+        pv = ParamVector.encode(fit(grid, cfg).gaussians)
+        points, labels = _SamplePools(grid).draw(1024, cfg.occupied_ratio, np.random.default_rng(0))
+        (loss, grad), peak = traced_peak(lambda: _loss_and_grad(
+            pv.values, pv.num_gaussians, pv.num_channels, points, labels, "additive", 25.0))
+        assert np.isfinite(loss) and np.all(np.isfinite(grad))
+        assert peak < 5.6 * 2**20, peak / 2**20
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_additive_channel_sums_equal_the_channel_rows(seed):
+    # The (ch, M) forms the additive branch took before it went one channel
+    # at a time: the same products, bincounts and segment sums, and
+    # np.einsum's sum over the channels (which adds in another order when
+    # there is a single pair). One Gaussian has zero logits, so some sums
+    # are of zeros alone and keep einsum's sign of zero.
+    rng = np.random.default_rng(seed)
+    p, ch, n = 30, 5, 200
+    counts = rng.integers(0, 40, size=p)
+    counts[[0, 7, -1]] = 0
+    pairs = _Pairs(rng.integers(0, n, size=counts.sum()), np.concatenate([[0], np.cumsum(counts)]))
+    g_vals = rng.uniform(0.0, 2.0, size=counts.sum())
+    logits = rng.normal(size=(p, 11 + ch))[:, 11:]  # a strided view, as the fit's parameter block gives
+    logits[3] = 0.0
+    d_loss_dz = rng.normal(size=(n, ch))
+    pair_logits = pairs.spread(logits.T, axis=1)
+    dz = np.take(np.ascontiguousarray(d_loss_dz.T), pairs.point, axis=1)
+    g_gv, grad_logits = _additive_pair_grads(pairs, g_vals, logits, d_loss_dz)
+    for got, want in ((additive_sums(pairs, g_vals, logits, n), scatter_sum(pairs.point, g_vals * pair_logits, n)),
+                      (g_gv, np.einsum("cm,cm->m", pair_logits, dz)),
+                      (grad_logits, pairs.sum(g_vals * dz).T)):
+        assert got.shape == want.shape and got.tobytes() == np.ascontiguousarray(want).tobytes()
 
 
 class TestGradient:

@@ -538,6 +538,29 @@ class TestOverallOverlap:
         assert sum(candidates) > 10 * _SPAN_PAIRS and max(candidates) <= _SPAN_PAIRS
         assert len(candidates) > 2**17 // 8192 + 1  # more ranges than chunks of 8192 points
 
+    def test_sample_blocks_are_cut_by_the_pair_budget_alone(self, monkeypatch):
+        # 12 Gaussians of 0.2-0.6 m give each Monte Carlo block far fewer
+        # than 2^17 candidates, so a block is one range: 20,000 samples
+        # took 3 ranges of at most 8192 samples, and 2^17 + 5 samples 17.
+        rng = np.random.default_rng(57)
+        p = 12
+        gs = GaussianSet(means=rng.uniform(-4.0, 4.0, (p, 3)), scales=rng.uniform(0.2, 0.6, (p, 3)),
+                         rotations=rng.normal(size=(p, 4)), opacities=np.ones(p), logits=np.zeros((p, 2)))
+        ranges = []
+        d2 = FieldEvaluator._d2
+
+        def counted_d2(self, diff, pairs):
+            ranges.append(diff.shape[0])
+            return d2(self, diff, pairs)
+
+        monkeypatch.setattr(FieldEvaluator, "_d2", counted_d2)
+        for n, blocks in ((20_000, 1), (2**17 + 5, 2)):
+            ranges.clear()
+            hits = coverage_hits_oracle(gs, self.BBOX, n, 0)
+            assert 0 < hits < n
+            assert mc_coverage_volume(gs, self.BBOX, n, 0) == 1000.0 * hits / n
+            assert len(ranges) == blocks and sum(ranges) < _SPAN_PAIRS
+
     @pytest.mark.parametrize("lo, hi", [([-np.inf, 0, 0], [1, 1, 1]), ([0, 0, 0], [1, np.inf, 1]),
                                         ([0, np.nan, 0], [1, 1, 1]), ([-1e308, 0, 0], [1e308, 1, 1])],
                              ids=["-inf", "inf", "nan", "overflowing-extent"])

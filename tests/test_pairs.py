@@ -25,6 +25,7 @@ from gaussocc.field import (
     _scaled_local,
     _VoxelLattice,
     live_pairs,
+    scatter_sum,
 )
 from gaussocc.fit import FitConfig, ParamVector, _loss_and_grad, fit
 from gaussocc.grid import GridSpec, nuscenes_grid_spec, voxel_center, voxelize, voxelize_legacy
@@ -158,11 +159,9 @@ def test_segments_equal_an_explicit_gaussian_column(counts, num_points, mode, se
     assert_segments(pairs.select(keep), gauss[keep], point[keep], p)
 
     d2 = np.where(keep, rng.uniform(0.0, 1.0, m), rng.uniform(1.5, 2.0, m))
-    local = rng.normal(size=(m, 3))
-    live, live_local, live_d2 = pairs.within(d2, 1.0, local)
+    live, live_d2 = pairs.within(d2, 1.0)
     assert_segments(live, gauss[keep], point[keep], p)
     assert_same_bytes(live_d2, d2[keep])
-    assert_same_bytes(live_local, local[keep])
 
     mask = {"random": rng.random(num_points) < 0.5, "none": np.zeros(num_points, bool),
             "all": np.ones(num_points, bool)}[mode]
@@ -194,6 +193,53 @@ def test_segment_sums_equal_a_bincount_over_the_gaussian_column(counts, rows, se
     got = pairs.sum(values)
     assert got.dtype == np.float64 and got.shape == shape[:-1] + (p,)
     np.testing.assert_array_equal(got, want.reshape(got.shape))
+
+
+@pytest.mark.parametrize("mode", ["random", "none", "all"])
+@pytest.mark.parametrize("counts", [[0, 3, 0, 0, 5, 1, 0], [0, 0, 0], [7], [2, 0, 9, 4, 0, 0, 1, 6, 3, 0]])
+def test_select_bounds_equal_the_kept_counts_per_segment(counts, mode):
+    # Empty first, middle and last segments, no pairs at all, one segment.
+    rng = np.random.default_rng(len(counts))
+    m = sum(counts)
+    bounds = np.concatenate([[0], np.cumsum(counts, dtype=np.int64)])
+    pairs = _Pairs(rng.integers(0, 50, size=m), bounds)
+    keep = {"random": rng.random(m) < 0.5, "none": np.zeros(m, bool), "all": np.ones(m, bool)}[mode]
+    got = pairs.select(keep)
+    kept = [np.count_nonzero(keep[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
+    assert np.array_equal(got.bounds, np.concatenate([[0], np.cumsum(kept, dtype=np.int64)]))
+    assert np.array_equal(got.bounds, np.searchsorted(np.flatnonzero(keep), bounds))
+    assert_same_bytes(got.point, pairs.point[keep])
+
+
+def class_rows_semantics(ev: FieldEvaluator, pairs: _Pairs, d2: np.ndarray, n: int) -> np.ndarray:
+    """The mixture expectation from (C, M) arrays: every class spread at
+    once, as the evaluator summed it before it took one class at a time."""
+    w = pairs.spread(ev._log_weight) - 0.5 * d2
+    wmax = np.full(n, -np.inf)
+    np.maximum.at(wmax, pairs.point, w)
+    shift = np.where(np.isfinite(wmax), wmax, 0.0)
+    expw = np.exp(w - shift[pairs.point])
+    denom = scatter_sum(pairs.point, expw, n)
+    with np.errstate(divide="ignore"):
+        log_norm = shift + np.log(denom)
+    undefined = ~np.isfinite(log_norm) | (log_norm - 1.5 * np.log(2.0 * np.pi) < np.log(field.GMM_DENOMINATOR_FLOOR))
+    rho = expw / np.where(denom > 0.0, denom, 1.0)[pairs.point]
+    e = scatter_sum(pairs.point, rho * pairs.spread(ev._sem_t, axis=1), n)
+    e[undefined] = 1.0 / ev.gs.num_classes
+    return e
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_semantics_one_class_at_a_time_equal_the_class_rows(seed):
+    # Zero-opacity Gaussians (-inf weights) and points far from every
+    # Gaussian (the uniform fallback) included.
+    rng = np.random.default_rng(seed)
+    gs = mixed_set(rng, p=40, c=5)
+    gs = dataclasses.replace(gs, opacities=np.where(rng.random(40) < 0.2, 0.0, gs.opacities))
+    points = query_points(rng, gs, 400)
+    ev = FieldEvaluator(gs)
+    pairs, _, d2 = live_pairs(points, gs.means, ev._rot, gs.scales, CUTOFF)
+    assert_same_bytes(ev._semantics(pairs, d2, points.shape[0]), class_rows_semantics(ev, pairs, d2, points.shape[0]))
 
 
 class TestCellJoin:
@@ -806,19 +852,27 @@ def test_paper_scale_voxelize_memory_is_bounded():
     assert peak < 32 * 2**20
 
 
+def large_paper_set() -> GaussianSet:
+    """2048 Gaussians of 1.5-2.5 m spread over the 200x200x16 grid."""
+    spec = nuscenes_grid_spec(5)
+    rng = np.random.default_rng(0)
+    p = 2048
+    quats = rng.normal(size=(p, 4))
+    return GaussianSet(means=rng.uniform(spec.min_corner, spec.max_corner, (p, 3)), scales=rng.uniform(1.5, 2.5, (p, 3)),
+                       rotations=quats / np.linalg.norm(quats, axis=1, keepdims=True),
+                       opacities=rng.uniform(0.1, 1.0, p), logits=rng.normal(size=(p, 4)))
+
+
 def test_paper_scale_point_evaluation_memory_is_bounded():
     # 2048 Gaussians of about 2 m on the 200x200x16 grid: 8192 uniform
     # points have about 930k candidates at cutoff 25. Chunks of 8192
     # points, whatever their pair count, traced 57.7 MiB (alpha) and 57.9
     # MiB (compose), and one 2^17-sample Monte Carlo chunk 20.6 MiB; ranges
-    # of about 2^17 candidate pairs trace 10.7, 11.0 and 13.8 MiB.
+    # of about 2^17 candidate pairs traced 10.7, 11.0 and 13.8 MiB while a
+    # candidate pair held a second (M, 3) array, and trace 7.0, 7.2 and
+    # 11.2 MiB.
     spec = nuscenes_grid_spec(5)
-    rng = np.random.default_rng(0)
-    p = 2048
-    quats = rng.normal(size=(p, 4))
-    gs = GaussianSet(means=rng.uniform(spec.min_corner, spec.max_corner, (p, 3)), scales=rng.uniform(1.5, 2.5, (p, 3)),
-                     rotations=quats / np.linalg.norm(quats, axis=1, keepdims=True),
-                     opacities=rng.uniform(0.1, 1.0, p), logits=rng.normal(size=(p, 4)))
+    gs = large_paper_set()
     points = np.random.default_rng(1).uniform(spec.min_corner, spec.max_corner, (8192, 3))
     alpha, peak = traced_peak(lambda: FieldEvaluator(gs).alpha(points))
     assert np.count_nonzero(alpha > 0.5) > 4096
@@ -829,6 +883,18 @@ def test_paper_scale_point_evaluation_memory_is_bounded():
     volume, peak = traced_peak(lambda: mc_coverage_volume(gs, (spec.min_corner, spec.max_corner), 1 << 17, 0))
     assert 0.5 < volume / np.prod(spec.max_corner - spec.min_corner) < 1.0
     assert peak < 16 * 2**20
+
+
+def test_monte_carlo_ranges_on_large_gaussians_hold_few_bytes():
+    # 20,000 samples of the same 2 m set have 567,293 candidates at the
+    # 90% cutoff, so the pair budget cuts them into 5 ranges. They traced
+    # 11.4 MiB while each candidate pair held its offsets twice; they
+    # trace 7.6 MiB, and the bound leaves about 11% over that.
+    spec = nuscenes_grid_spec(5)
+    volume, peak = traced_peak(lambda: mc_coverage_volume(large_paper_set(), (spec.min_corner, spec.max_corner),
+                                                          20_000, 0))
+    assert 0.5 < volume / np.prod(spec.max_corner - spec.min_corner) < 1.0
+    assert peak < 8.5 * 2**20, peak / 2**20
 
 
 def test_bound_leaves_few_pairs_to_the_exact_alpha(monkeypatch, tmp_path):
@@ -859,12 +925,9 @@ def test_bound_leaves_few_pairs_to_the_exact_alpha(monkeypatch, tmp_path):
     assert 0 < sum(exact) < 0.25 * sum(live)
 
 
-def test_dense_voxelize_memory_is_bounded(mini_street):
-    # 1024 Gaussians on occupied voxels of mini-street: 73% of the live
-    # pairs belong to voxels whose alpha passes 1/2, so the bound prunes
-    # little. Evaluating the exact terms on every pair peaked at 11.0 MB;
-    # the bound-first labels peak at 10.9 MB.
-    grid, _ = mini_street
+def dense_street_set(grid) -> GaussianSet:
+    """1024 Gaussians of 0.7-2 voxels on occupied voxels of ``grid``,
+    their logits leaning to the voxel's label."""
     spec = grid.spec
     rng = np.random.default_rng(0)
     occupied, labels = grid.occupied_centers(), grid.occupied_labels()
@@ -873,10 +936,19 @@ def test_dense_voxelize_memory_is_bounded(mini_street):
     quats = rng.normal(size=(p, 4))
     logits = rng.normal(size=(p, spec.num_classes_total - 1))
     logits[np.arange(p), labels[idx] - 1] += 4.0
-    gs = GaussianSet(means=occupied[idx], scales=np.exp(rng.uniform(np.log(0.7), np.log(2.0), (p, 3))) * spec.voxel_size,
-                     rotations=quats / np.linalg.norm(quats, axis=1, keepdims=True),
-                     opacities=rng.uniform(0.5, 1.0, p), logits=logits)
-    pred, peak = traced_peak(lambda: voxelize(gs, spec))
+    return GaussianSet(means=occupied[idx], scales=np.exp(rng.uniform(np.log(0.7), np.log(2.0), (p, 3))) * spec.voxel_size,
+                       rotations=quats / np.linalg.norm(quats, axis=1, keepdims=True),
+                       opacities=rng.uniform(0.5, 1.0, p), logits=logits)
+
+
+def test_dense_voxelize_memory_is_bounded(mini_street):
+    # 1024 Gaussians on occupied voxels of mini-street: 73% of the live
+    # pairs belong to voxels whose alpha passes 1/2, so the bound prunes
+    # little. Evaluating the exact terms on every pair peaked at 11.0 MB;
+    # the bound-first labels peaked at 10.9 MB, and at 6.1 MB once the
+    # offsets were rotated in place and the classes summed one at a time.
+    grid, _ = mini_street
+    pred, peak = traced_peak(lambda: voxelize(dense_street_set(grid), grid.spec))
     assert np.count_nonzero(pred.labels) > 5000
     assert peak < 11.0 * 2**20
 
@@ -891,6 +963,29 @@ def corner_set(spec: GridSpec, p: int, seed: int) -> GaussianSet:
                        scales=np.exp(rng.uniform(np.log(0.5), np.log(3.0), (p, 3))) * vs,
                        rotations=quats / np.linalg.norm(quats, axis=1, keepdims=True),
                        opacities=rng.uniform(0.5, 1.0, p), logits=rng.normal(size=(p, 4)))
+
+
+@pytest.mark.parametrize("case", ["no cutoff, paper grid", "cutoff 25, mini-street"])
+def test_voxelize_holds_few_bytes_per_candidate_pair(case, mini_street):
+    # The traced peak over the largest span's candidate pairs; the peak
+    # also holds the labels and the lattice. Every pair of 4 Gaussians on
+    # the 200x200x16 grid gives spans of 128,000 candidates; 1024
+    # Gaussians on mini-street give spans of up to 87,662. A candidate pair
+    # held 90.5 and 115.5 bytes while its rotated offsets were a second
+    # (M, 3) array and the classes (C, M) arrays; it holds 53.0 and 69.0,
+    # and each bound leaves about 13% over that.
+    if case.startswith("no cutoff"):
+        spec, opts, bound = nuscenes_grid_spec(5), EvalOptions(cutoff_mahalanobis_sq=None), 60
+        gs = corner_set(spec, 4, 2)
+    else:
+        grid, _ = mini_street
+        spec, opts, bound = grid.spec, EvalOptions(), 78
+        gs = dense_street_set(grid)
+    largest = max(pairs.point.size for _, _, pairs in lattice_candidates(gs, spec, opts.cutoff))
+    assert largest > 80_000
+    pred, peak = traced_peak(lambda: voxelize(gs, spec, opts))
+    assert np.count_nonzero(pred.labels) > 0
+    assert peak < bound * largest, peak / largest
 
 
 def test_sparse_corner_voxelize_memory_is_bounded():
