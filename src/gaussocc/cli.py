@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from . import io
-from .core import _seed as _check_seed
+from .core import _count, _seed
 from .fit import INIT_POLICIES, MODELS, FitConfig, fit
 # voxelize and voxelize_legacy are not called here: eval goes through the
 # one model dispatch. They stay importable from this module because the
@@ -62,26 +62,19 @@ class _Parser(argparse.ArgumentParser):
         )
 
 
-def _seed(text: str) -> int:
-    """argparse type of ``--seed``: an integer that :func:`gaussocc.core._seed` accepts."""
-    value = int(text)
-    try:
-        return _check_seed(value)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+def _checked(check, *args):
+    """argparse type of an integer flag that ``check(value, *args)`` accepts:
+    :func:`gaussocc.core._seed`, or :func:`gaussocc.core._count` with the
+    library's name and bound. Its ValueError becomes a usage error."""
 
-
-def _at_least(low: int):
-    """argparse type of a count that must be at least ``low``: the sample,
-    iteration and Gaussian counts, and the ray reference count."""
-
-    def count(text: str) -> int:
+    def integer(text: str) -> int:
         value = int(text)
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
-        return value
+        try:
+            return check(value, *args)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
 
-    return count
+    return integer
 
 
 def _info(message: str) -> None:
@@ -207,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic labeled grid")
     p.add_argument("--recipe", choices=sorted(RECIPES), default="mini-street")
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--seed", type=_checked(_seed), default=0)
     p.add_argument("--res", type=int, nargs=3, metavar=("X", "Y", "Z"))
     p.add_argument("--min", type=float, nargs=3, metavar=("MINX", "MINY", "MINZ"))
     p.add_argument("--max", type=float, nargs=3, metavar=("MAXX", "MAXY", "MAXZ"))
@@ -220,9 +213,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="key=value fit configuration file")
     p.add_argument("--model", choices=MODELS)
     p.add_argument("--init", choices=INIT_POLICIES)
-    p.add_argument("--seed", type=_seed)
-    p.add_argument("--iterations", type=_at_least(1))
-    p.add_argument("--gaussians", type=_at_least(1))
+    p.add_argument("--seed", type=_checked(_seed))
+    p.add_argument("--iterations", type=_checked(_count, "iterations"))
+    p.add_argument("--gaussians", type=_checked(_count, "num_gaussians"))
     p.add_argument("--out", required=True)
     p.add_argument("--trace", help="CSV loss/metric trace destination")
     p.set_defaults(func=cmd_fit)
@@ -236,8 +229,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("audit", help="utilization report for a Gaussian set")
     p.add_argument("--gaussians", required=True)
     p.add_argument("--gt", required=True)
-    p.add_argument("--mc-samples", type=_at_least(1), default=1_000_000)
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--mc-samples", type=_checked(_count, "mc_samples"), default=1_000_000)
+    p.add_argument("--seed", type=_checked(_seed), default=0)
     p.add_argument("--report", required=True)
     p.set_defaults(func=cmd_audit)
 
@@ -246,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gt", required=True)
     p.add_argument("--depth-min", type=float, default=1.0)
     p.add_argument("--depth-max", type=float, default=51.2)
-    p.add_argument("--num-refs", type=_at_least(2), default=64)
+    p.add_argument("--num-refs", type=_checked(_count, "num_refs", 2), default=64)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_rays)
 

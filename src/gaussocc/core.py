@@ -14,8 +14,11 @@ Quaternions are made unit once: a row already unit to within
 ``_UNIT_TOL`` is kept as it is, so a set rebuilt from its own rows is
 bit for bit the same set.
 
-The scalar inputs of the library are checked here too: every count by
-:func:`_count` and every seed by :func:`_seed`.
+The other inputs of the library are checked here too, each by one rule:
+every count by :func:`_count`, every seed by :func:`_seed`, every (N, 3)
+array of points by :func:`_points` (with :func:`_finite_points` where a
+point must be finite) and every axis-aligned box, a grid's extent or the
+audit's scene box, by :func:`_box`.
 
 All types are immutable after construction (arrays are copied and marked
 read-only) and every operation here is a pure function, so values can be
@@ -61,6 +64,47 @@ def _seed(value) -> int:
     if isinstance(value, bool) or not hasattr(type(value), "__index__") or not 0 <= operator.index(value) < 2**64:
         raise ValueError(f"seed must be >= 0 and < 2**64, got {value!r}")
     return operator.index(value)
+
+
+def _points(value) -> np.ndarray:
+    """``value`` as a float64 (N, 3) array of points (one point may come as a
+    3-vector); raises ValueError for any other shape."""
+    points = np.atleast_2d(np.asarray(value, dtype=np.float64))
+    if points.ndim != 2 or points.shape[1] != 3:
+        raise ValueError(f"query points must be an (N, 3) array, got shape {points.shape}")
+    return points
+
+
+def _finite_points(value) -> np.ndarray:
+    """:func:`_points`, which must also be finite; raises ValueError naming
+    the first row that is not."""
+    points = _points(value)
+    finite = np.isfinite(points).all(axis=1)
+    if not finite.all():
+        row = int(np.argmin(finite))
+        raise ValueError(f"query point {row} is not finite: {points[row].tolist()}")
+    return points
+
+
+def _box(corners) -> tuple[np.ndarray, np.ndarray]:
+    """``corners``, an axis-aligned box given as ``(min_corner,
+    max_corner)``, as two float64 3-vectors; raises ValueError unless both
+    corners are finite 3-vectors, ``max_corner`` exceeds ``min_corner`` on
+    every axis and the extent is finite."""
+    corners = [np.asarray(c, dtype=np.float64) for c in corners]
+    if len(corners) != 2 or any(c.shape != (3,) for c in corners):
+        raise ValueError(f"a box must be two 3-vectors (min_corner, max_corner), got shapes "
+                         f"{[c.shape for c in corners]}")
+    lo, hi = corners
+    for name, arr in (("min_corner", lo), ("max_corner", hi)):
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"{name} must be finite, got {arr.tolist()}")
+    if not np.all(hi > lo):
+        raise ValueError("max_corner must exceed min_corner on every axis")
+    with np.errstate(over="ignore"):
+        if not np.all(np.isfinite(hi - lo)):
+            raise ValueError("max_corner - min_corner must be finite on every axis")
+    return lo, hi
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:

@@ -44,14 +44,17 @@ dropped by the same ``d2 <= cutoff`` test on the same local-frame d2, so
 both give the same live pairs and skip only terms that are exactly zero.
 Each point's pairs come in ascending Gaussian order from either
 generator, so every per-point sum adds the same values in the same order
-and gives the same bits. Voxel centers go in spans of whole x-rows, at most
-:data:`_SPAN_VOXELS` voxels (or one x-row) and about :data:`_SPAN_PAIRS`
-candidate pairs. Arbitrary points go in contiguous ranges of at most
-``chunk`` points whose candidates, counted per point from the cell join's
-columns before any pair is listed (P per point without a cutoff), number
-at most :data:`_SPAN_PAIRS`; a point with more candidates than that is a
-range by itself. The fit's loss and gradient take their whole batch at
-once.
+and gives the same bits.
+
+One planner, :func:`_ranges`, cuts every pass into contiguous ranges of
+rows whose candidate pairs, bounded before any pair is listed, number at
+most :data:`_SPAN_PAIRS`; a row with more than that is a range by itself.
+For arbitrary points a row is a point, its bound is its count of
+candidates from the cell join's columns (P without a cutoff), and a range
+holds at most ``chunk`` points. For voxel centers a row is an x-row of
+the grid, its bound is :class:`_VoxelLattice`'s per-x-row bound, and a
+range (a span) holds at most :data:`_SPAN_VOXELS` voxels or one x-row.
+The fit's loss and gradient take their whole batch at once.
 
 A candidate pair holds, at a pass's peak, its point index (8 bytes) and
 its (M, 3) offsets (24), which :func:`_scaled_local` turns into the local
@@ -76,7 +79,7 @@ from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
-from .core import GaussianPrimitive, GaussianSet, _count, mahalanobis_sq, rotation_matrices
+from .core import GaussianPrimitive, GaussianSet, _count, _finite_points, mahalanobis_sq, rotation_matrices
 
 # Below this density the mixture posterior is treated as undefined and the
 # expectation falls back to the uniform class distribution.
@@ -357,7 +360,8 @@ class VoxelCenters(NamedTuple):
 class _VoxelLattice:
     """The candidate pairs between the Gaussians and the voxel centers of a
     grid, listed straight from voxel index ranges, one span of whole x-rows
-    at a time.
+    at a time; the evaluator plans the spans with :func:`_ranges` from
+    ``row_bound``.
 
     With ``Sigma = R diag(s^2) R^T`` and its inverse ``Lambda``, a cutoff
     ellipsoid reaches the x-rows within ``sqrt(cutoff * Sigma_xx)`` of its
@@ -377,11 +381,10 @@ class _VoxelLattice:
     cutoff is missed. An interval that is not finite (an overflow, or an
     infinite cutoff) covers its whole axis.
 
-    Only the per-(Gaussian, x-row) stage is built for the whole grid. The
-    x-rows are cut into spans that hold at most ``voxel_budget`` voxels and
-    whose pairs, bounded before expansion by each row's column count times
-    its Gaussian's z-box, stay within ``budget``; a span of one x-row may
-    exceed either. One span is expanded to columns and pairs at a time.
+    Only the per-(Gaussian, x-row) stage is built for the whole grid, and
+    from it ``row_bound``: each x-row's candidate pairs, bounded before
+    expansion by each (Gaussian, x-row)'s column count times its
+    Gaussian's z-box. One span is expanded to columns and pairs at a time.
     Pairs are grouped by Gaussian within a span, and each comes with its
     offset ``x - m``: the x-row's ``dx``, the column's ``dy`` and the
     ``az[iz] - m_z`` of a per-Gaussian table over its z-box, built once.
@@ -393,7 +396,7 @@ class _VoxelLattice:
     P 640,000 pairs.
     """
 
-    def __init__(self, means, rot, scales, cutoff: float, centers: VoxelCenters, budget: int, voxel_budget: int):
+    def __init__(self, means, rot, scales, cutoff: float, centers: VoxelCenters):
         self.axes = centers.axes()
         self.centers = centers
         self.shape = tuple(int(n) for n in centers.resolution)
@@ -431,16 +434,7 @@ class _VoxelLattice:
         nz = np.maximum(self.z1 - self.z0 + 1, 0)
         self.dz = self.axes[2][_runs(self.z0, nz)] - np.repeat(means[:, 2], nz)
         self.dz_start = np.cumsum(nz) - nz - self.z0
-        bound = np.bincount(self.ix, self.ny * nz[self.g], minlength=self.shape[0])
-        max_rows = max(1, voxel_budget // (self.shape[1] * self.shape[2]))
-        self.spans = []
-        start, total = 0, 0.0
-        for x, b in enumerate(bound.tolist()):
-            if x > start and (total + b > budget or x - start >= max_rows):
-                self.spans.append((start, x))
-                start, total = x, 0.0
-            total += b
-        self.spans.append((start, self.shape[0]))
+        self.row_bound = np.bincount(self.ix, self.ny * nz[self.g], minlength=self.shape[0])
 
     def _range(self, a: int, mid: np.ndarray, half: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """First and last voxel index along axis ``a`` whose center lies within
@@ -498,15 +492,16 @@ class _VoxelLattice:
         return offsets, pairs
 
 
-def _ranges(ends: np.ndarray, step: int) -> list[slice]:
+def _ranges(ends: np.ndarray, step: int, budget: int) -> list[slice]:
     """Contiguous row ranges, in order, each of at most ``step`` rows whose
-    counts, with cumulative sums ``ends``, sum to at most
-    :data:`_SPAN_PAIRS`; a row whose count alone exceeds that is a range by
-    itself."""
+    counts, with cumulative sums ``ends``, sum to at most ``budget``; a row
+    whose count alone exceeds that is a range by itself. A range takes each
+    next row that fits. The one planner of every pass: a row is a point or
+    an x-row of a voxel lattice, and its count bounds its candidate pairs."""
     ranges, start = [], 0
     while start < ends.size:
         before = int(ends[start - 1]) if start else 0
-        stop = min(max(int(np.searchsorted(ends, before + _SPAN_PAIRS, "right")), start + 1), start + step)
+        stop = min(max(int(np.searchsorted(ends, before + budget, "right")), start + 1), start + step)
         ranges.append(slice(start, stop))
         start = stop
     return ranges
@@ -650,8 +645,8 @@ class FieldEvaluator:
     about :data:`_SPAN_PAIRS` candidate pairs, counted per point before the
     pairs are listed (one point may exceed it alone), through the cell
     join, which is built on first use, or every pair. Voxel centers are
-    evaluated one span of whole x-rows at a time, from the spans and pairs
-    of :class:`_VoxelLattice`.
+    evaluated one span of whole x-rows at a time, from the pairs of
+    :class:`_VoxelLattice`. Both cut their ranges with :func:`_ranges`.
     """
 
     def __init__(self, gs: GaussianSet, opts: EvalOptions | None = None, chunk: int = _DEFAULT_CHUNK):
@@ -682,22 +677,22 @@ class FieldEvaluator:
     def _chunks(self, points) -> Iterator[tuple[slice, _Pairs, np.ndarray]]:
         """Yield (rows, live pairs, their d2) per chunk of query points;
         pair point indices count from the chunk's first row. Voxel centers
-        take the lattice spans, other points the :func:`_ranges` of their
-        candidate counts and :meth:`_point_pairs`, and every chunk then
-        takes the same d2 and cutoff test. The generators hold
-        no reference to a chunk's offsets or candidates once yielded, so
-        each is freed as soon as it is used, and a chunk's live pairs go
-        before the next chunk's are listed."""
+        take the :func:`_ranges` of the lattice's per-x-row bounds and its
+        span pairs, other points the :func:`_ranges` of their candidate
+        counts and :meth:`_point_pairs`, and every chunk then takes the same
+        d2 and cutoff test. The generators hold no reference to a chunk's
+        offsets or candidates once yielded, so each is freed as soon as it
+        is used, and a chunk's live pairs go before the next chunk's are
+        listed."""
         if isinstance(points, VoxelCenters):
             row = int(points.resolution[1] * points.resolution[2])
-            lattice = _VoxelLattice(self._means, self._rot, self._scales, self._cutoff, points, _SPAN_PAIRS,
-                                    _SPAN_VOXELS)
-            chunks = ((slice(start * row, stop * row), *lattice.span_pairs(start, stop))
-                      for start, stop in lattice.spans)
+            lattice = _VoxelLattice(self._means, self._rot, self._scales, self._cutoff, points)
+            spans = _ranges(np.cumsum(lattice.row_bound), max(1, _SPAN_VOXELS // row), _SPAN_PAIRS)
+            chunks = ((slice(x.start * row, x.stop * row), *lattice.span_pairs(x.start, x.stop)) for x in spans)
         else:
             # Cumulative candidate counts; without a cutoff every point has P.
             ranges = _ranges(np.cumsum(self._index.counts(points)) if np.isfinite(self._cutoff)
-                             else len(self.gs) * np.arange(1, points.shape[0] + 1), self._step)
+                             else len(self.gs) * np.arange(1, points.shape[0] + 1), self._step, _SPAN_PAIRS)
             chunks = ((rows, *self._point_pairs(points[rows])) for rows in ranges)
         for rows, offsets, candidates in chunks:
             d2 = self._d2(offsets, candidates)
@@ -719,7 +714,7 @@ class FieldEvaluator:
         if isinstance(points, VoxelCenters):
             n = points.num_voxels
         else:
-            points = _query_points(points)
+            points = _finite_points(points)
             n = points.shape[0]
         out = np.empty((n,) + row_shape, dtype=dtype)
         for rows, pairs, d2 in self._chunks(points):
@@ -830,19 +825,6 @@ class FieldEvaluator:
     def legacy_labels(self, points) -> np.ndarray:
         """(N,) uint16 argmax of :meth:`legacy`."""
         return self._fill(points, (), lambda pairs, d2, n: np.argmax(self._legacy(pairs, d2, n), axis=1), np.uint16)
-
-
-def _query_points(points) -> np.ndarray:
-    """``points`` as a float64 (N, 3) array of finite points (one point may
-    come as a 3-vector); raises ValueError naming the first bad row."""
-    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    if points.ndim != 2 or points.shape[1] != 3:
-        raise ValueError(f"query points must be an (N, 3) array, got shape {points.shape}")
-    finite = np.isfinite(points).all(axis=1)
-    if not finite.all():
-        row = int(np.argmin(finite))
-        raise ValueError(f"query point {row} is not finite: {points[row].tolist()}")
-    return points
 
 
 def _composed(alpha: np.ndarray, e: np.ndarray) -> np.ndarray:

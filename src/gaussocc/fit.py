@@ -23,11 +23,11 @@ from typing import Optional
 
 import numpy as np
 
-from .core import MIN_SCALE, GaussianSet, _count, _frozen, _seed, rotation_matrices, seeded_stream as _stream
+from .core import MIN_SCALE, GaussianSet, _count, _finite_points, _frozen, _seed, rotation_matrices
+from .core import seeded_stream as _stream
 from .field import (
     EvalOptions,
     _Pairs,
-    _query_points,
     additive_sums,
     gmm_expectation,
     live_pairs,
@@ -306,11 +306,7 @@ def fps_init(candidates: np.ndarray, k: int, seed: int, batched: bool = False) -
     ``candidates`` must be a finite (N, 3) array and ``k`` an integer in
     [1, N]; anything else raises ``ValueError``.
     """
-    points = np.atleast_2d(np.asarray(candidates, dtype=np.float64))
-    if points.ndim != 2 or points.shape[1] != 3:
-        raise ValueError(f"candidates must have shape (N, 3), got {points.shape}")
-    if not np.all(np.isfinite(points)):
-        raise ValueError("candidates must be finite")
+    points = _finite_points(candidates)
     k, n = _count(k, "k"), points.shape[0]
     if k > n:
         raise ValueError(f"k must lie in [1, {n}], got {k}")
@@ -580,7 +576,7 @@ def _loss_and_grad(
 def _params_loss_and_grad(params, gt, sample_points, model, opts, want_grad):
     """:func:`_loss_and_grad` of a ParamVector at grid-labelled points; the
     points are checked as the field's query points are, and must not be empty."""
-    points = _query_points(sample_points)
+    points = _finite_points(sample_points)
     if points.shape[0] == 0:
         raise ValueError("sample_points must hold at least one point, got shape (0, 3)")
     return _loss_and_grad(

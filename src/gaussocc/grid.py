@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GaussianSet, _count, _frozen
+from .core import GaussianSet, _box, _count, _frozen, _points
 from .field import EvalOptions, FieldEvaluator, VoxelCenters
 
 _FLOAT_FMT = "%.17g"
@@ -39,19 +39,10 @@ class GridSpec:
     num_classes_total: int
 
     def __post_init__(self):
-        lo = np.asarray(self.min_corner, dtype=np.float64)
-        hi = np.asarray(self.max_corner, dtype=np.float64)
+        lo, hi = _box((self.min_corner, self.max_corner))
         res = np.asarray(self.resolution, dtype=object)
-        if lo.shape != (3,) or hi.shape != (3,) or res.shape != (3,):
-            raise ValueError("min_corner, max_corner and resolution must be 3-vectors")
-        for name, arr in (("min_corner", lo), ("max_corner", hi)):
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} must be finite, got {arr.tolist()}")
-        if not np.all(hi > lo):
-            raise ValueError("max_corner must exceed min_corner on every axis")
-        with np.errstate(over="ignore"):
-            if not np.all(np.isfinite(hi - lo)):
-                raise ValueError("max_corner - min_corner must be finite on every axis")
+        if res.shape != (3,):
+            raise ValueError(f"resolution must be a 3-vector, got shape {res.shape}")
         res = [_count(n, "resolution") for n in res]
         if math.prod(res) > np.iinfo(np.int64).max:
             raise ValueError(f"resolution {res} has more voxels than an int64 can count")
@@ -167,20 +158,14 @@ class VoxelGrid:
         return _label_counts(self.spec.num_classes_total, self.labels_flat)
 
     def labels_at_points(self, points: np.ndarray) -> np.ndarray:
-        """Labels at arbitrary points; outside the grid reads as empty."""
-        flat = self.spec.voxel_index(_axis_rows(points))
+        """Labels at arbitrary (N, 3) points; outside the grid, non-finite
+        points included, reads as empty."""
+        # voxel_index overwrites each axis row, so it gets a (3, N) copy.
+        flat = self.spec.voxel_index(_points(points).T.copy())
         outside = flat == self.spec.num_voxels
         out = self.labels_flat.take(flat, mode="clip").astype(np.int64)
         out[outside] = 0
         return out
-
-
-def _axis_rows(points) -> np.ndarray:
-    """(3, N) float64 copy of (N, 3) points, one row per axis."""
-    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    if points.ndim != 2 or points.shape[1] != 3:
-        raise ValueError(f"points must have shape (N, 3), got {points.shape}")
-    return points.T.copy()
 
 
 def _read_only(a: np.ndarray) -> bool:

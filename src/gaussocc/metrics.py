@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GaussianPrimitive, GaussianSet, _count, build_covariance, covariance_matrices, seeded_stream
+from .core import GaussianPrimitive, GaussianSet, _box, _count, build_covariance, covariance_matrices, seeded_stream
 from .field import EvalOptions, FieldEvaluator, scatter_sum
 from .grid import VoxelGrid, _label_counts
 
@@ -211,21 +211,11 @@ def ellipsoid_volume_90(g: GaussianPrimitive) -> float:
     return _VOLUME_90 * float(np.prod(g.scale))
 
 
-def _bbox_arrays(scene_bbox) -> tuple[np.ndarray, np.ndarray]:
-    lo = np.asarray(scene_bbox[0], dtype=np.float64)
-    hi = np.asarray(scene_bbox[1], dtype=np.float64)
-    with np.errstate(over="ignore", invalid="ignore"):
-        ok = lo.shape == hi.shape == (3,) and np.all(np.isfinite(hi - lo) & (hi > lo))
-    if not ok:
-        raise ValueError("scene_bbox must be (min, max) 3-vectors with finite corners, a finite extent "
-                         f"and max > min, got {lo.tolist()}, {hi.tolist()}")
-    return lo, hi
-
-
 def mc_coverage_volume(gs: GaussianSet, scene_bbox, mc_samples: int, seed: int) -> float:
     """Monte Carlo volume of the union of 90% ellipsoids.
 
-    A uniform sample in the scene bounding box hits when it has a live
+    ``scene_bbox`` is ``(min_corner, max_corner)``, checked as a grid's
+    corners are. A uniform sample in the box hits when it has a live
     pair in the field cut off at :data:`CHI2_3DOF_90`, i.e. lies in some
     90% ellipsoid (:meth:`FieldEvaluator.covered`). That is exactly where
     the field's occupancy is nonzero: at least ``exp(-CHI2_3DOF_90 / 2)``
@@ -234,7 +224,7 @@ def mc_coverage_volume(gs: GaussianSet, scene_bbox, mc_samples: int, seed: int) 
     lands inside. The evaluator's ``chunk`` is a whole sample block, so a
     block is cut into ranges by the candidate-pair budget alone.
     """
-    lo, hi = _bbox_arrays(scene_bbox)
+    lo, hi = _box(scene_bbox)
     mc_samples = _count(mc_samples, "mc_samples")
     ev = FieldEvaluator(gs, EvalOptions(cutoff_mahalanobis_sq=CHI2_3DOF_90), chunk=_MC_CHUNK)
     n_in = 0

@@ -22,7 +22,13 @@ BCE_EPS = 1e-7
 
 @dataclass(frozen=True)
 class CameraModel:
-    """Pinhole intrinsics plus a camera-to-world rigid transform."""
+    """Pinhole intrinsics plus a camera-to-world rigid transform.
+
+    ``intrinsics`` must be ``[[fx, 0, cx], [0, fy, cy], [0, 0, 1]]`` with
+    positive focal lengths: the only entries :func:`ray_directions` reads
+    and a camera file stores. ``pose`` must be a rotation (orthonormal,
+    det +1) and a translation over the row ``[0, 0, 0, 1]``.
+    """
 
     intrinsics: np.ndarray
     pose: np.ndarray
@@ -39,9 +45,16 @@ class CameraModel:
             raise ValueError("intrinsics and pose must be finite")
         if k[0, 0] <= 0 or k[1, 1] <= 0:
             raise ValueError("focal lengths must be positive")
+        if np.any(k[[0, 1, 2, 2], [1, 0, 0, 1]] != 0.0) or k[2, 2] != 1.0:
+            raise ValueError(f"intrinsics must be pinhole [[fx, 0, cx], [0, fy, cy], [0, 0, 1]], got {k.tolist()}")
+        if np.any(pose[3] != [0.0, 0.0, 0.0, 1.0]):
+            raise ValueError(f"pose must be a 4x4 rigid transform with last row [0, 0, 0, 1], got {pose[3].tolist()}")
         rot = pose[:3, :3]
         if not np.allclose(rot @ rot.T, np.eye(3), atol=1e-8):
             raise ValueError("pose rotation block must be orthonormal")
+        det = np.linalg.det(rot)
+        if det <= 0.0:
+            raise ValueError(f"pose rotation block must have det +1, not a reflection, got det {det:.6g}")
         w, h = (_count(v, "image_size") for v in self.image_size)
         object.__setattr__(self, "intrinsics", _frozen(k))
         object.__setattr__(self, "pose", _frozen(pose))

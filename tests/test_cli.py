@@ -94,7 +94,7 @@ class TestSynth:
         with pytest.raises(SystemExit) as exc:
             run(*argv)
         assert exc.value.code == 2
-        assert "must be >= 1" in capsys.readouterr().err
+        assert "must be an integer >= 1, got " in capsys.readouterr().err
 
     def test_binary_flag(self, tmp_path):
         out = tmp_path / "scene.ogrid"
@@ -622,12 +622,24 @@ class TestRays:
             np.testing.assert_array_equal(text[start : start + 256, 0::2] - ord("0"), want)
         assert (text[:, 0::2] == ord("1")).any()
 
+    @pytest.mark.parametrize("pose, message", [
+        ("-1 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n", "pose rotation block must have det +1, not a reflection"),
+        ("1 0 0 0\n0 1 0 0\n0 0 1 0\n1 2 3 4\n", "pose must be a 4x4 rigid transform with last row [0, 0, 0, 1]"),
+    ], ids=["reflected", "last-row"])
+    def test_improper_camera_pose_is_runtime_error(self, pose, message, scene_file, tmp_path, capsys):
+        cam_path = tmp_path / "bad.cam"
+        cam_path.write_text("20 20 8 6\n16 12\n" + pose)
+        out = tmp_path / "labels.txt"
+        assert run("rays", "--camera", cam_path, "--gt", scene_file, "--out", out) == 1
+        assert f"error: {cam_path}: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("num_refs", [1, 0, -3])
     def test_fewer_than_two_refs_is_usage_error(self, num_refs, capsys):
         with pytest.raises(SystemExit) as exc:
             run("rays", "--camera", "cam.txt", "--gt", "x.ogrid", "--out", "x.txt", "--num-refs", num_refs)
         assert exc.value.code == 2
-        assert "argument --num-refs: must be >= 2" in capsys.readouterr().err
+        assert f"argument --num-refs: num_refs must be an integer >= 2, got {num_refs}" in capsys.readouterr().err
 
     def test_non_finite_depth_is_runtime_error(self, scene_file, tmp_path, capsys):
         cam_path = tmp_path / "cam.txt"

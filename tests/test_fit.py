@@ -304,13 +304,13 @@ class TestFps:
     def test_non_finite_candidates_rejected(self, bad, batched):
         pts = np.random.default_rng(75).normal(size=(6, 3))
         pts[2, 1] = bad
-        with pytest.raises(ValueError, match="candidates must be finite"):
+        with pytest.raises(ValueError, match=rf"query point 2 is not finite: \[.*, {bad}, .*\]"):
             fps_init(pts, 5, seed=0, batched=batched)
 
     @pytest.mark.parametrize("batched", [False, True])
     @pytest.mark.parametrize("shape", [(6, 2), (6, 4), (2, 3, 3)])
     def test_candidates_not_n_by_3_rejected(self, shape, batched):
-        with pytest.raises(ValueError, match=r"candidates must have shape \(N, 3\)"):
+        with pytest.raises(ValueError, match=r"query points must be an \(N, 3\) array, got shape"):
             fps_init(np.zeros(shape), 2, seed=0, batched=batched)
 
     @pytest.mark.parametrize("k", [2.5, 2.0, "2", None])

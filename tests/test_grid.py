@@ -368,7 +368,7 @@ class TestSpecValidation:
     @pytest.mark.parametrize("shape", [(5, 2), (5, 4), (2, 3, 3)])
     def test_points_that_are_not_n_by_3_rejected(self, shape):
         grid = VoxelGrid(spec=nuscenes_grid_spec(), labels=np.zeros(200 * 200 * 16, dtype=np.uint16))
-        with pytest.raises(ValueError, match=r"points must have shape \(N, 3\)"):
+        with pytest.raises(ValueError, match=r"query points must be an \(N, 3\) array, got shape"):
             grid.labels_at_points(np.zeros(shape))
 
     def test_voxel_index_in_grid_indices_are_the_floor(self):

@@ -561,12 +561,15 @@ class TestOverallOverlap:
             assert mc_coverage_volume(gs, self.BBOX, n, 0) == 1000.0 * hits / n
             assert len(ranges) == blocks and sum(ranges) < _SPAN_PAIRS
 
-    @pytest.mark.parametrize("lo, hi", [([-np.inf, 0, 0], [1, 1, 1]), ([0, 0, 0], [1, np.inf, 1]),
-                                        ([0, np.nan, 0], [1, 1, 1]), ([-1e308, 0, 0], [1e308, 1, 1])],
-                             ids=["-inf", "inf", "nan", "overflowing-extent"])
-    def test_non_finite_box_rejected(self, lo, hi):
+    @pytest.mark.parametrize("lo, hi, message", [
+        ([-np.inf, 0, 0], [1, 1, 1], r"^min_corner must be finite, got \[-inf, 0\.0, 0\.0\]$"),
+        ([0, 0, 0], [1, np.inf, 1], r"^max_corner must be finite, got \[1\.0, inf, 1\.0\]$"),
+        ([0, np.nan, 0], [1, 1, 1], r"^min_corner must be finite, got \[0\.0, nan, 0\.0\]$"),
+        ([-1e308, 0, 0], [1e308, 1, 1], r"^max_corner - min_corner must be finite on every axis$"),
+    ], ids=["-inf", "inf", "nan", "overflowing-extent"])
+    def test_non_finite_box_rejected(self, lo, hi, message):
         gs = GaussianSet.from_primitives([isotropic((0, 0, 0))])
-        with pytest.raises(ValueError, match="scene_bbox must be .* finite corners, a finite extent"):
+        with pytest.raises(ValueError, match=message):
             mc_coverage_volume(gs, (lo, hi), 1000, 0)
 
     @pytest.mark.parametrize("mc_samples", [1000.0, True, 0, -5, "1000"])

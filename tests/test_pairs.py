@@ -110,10 +110,9 @@ def test_runs_equal_concatenated_ranges(first, count):
         (_RUNS_RNG.integers(0, 15, size=300).tolist(), 6),
     ],
 )
-def test_ranges_are_greedy_within_the_budget(counts, step, monkeypatch):
-    monkeypatch.setattr(field, "_SPAN_PAIRS", 10)
+def test_ranges_are_greedy_within_the_budget(counts, step):
     counts = np.array(counts, dtype=np.int64)
-    ranges = field._ranges(np.cumsum(counts), step)
+    ranges = field._ranges(np.cumsum(counts), step, 10)
     bounds = [0] + [r.stop for r in ranges]
     assert [r.start for r in ranges] == bounds[:-1] and bounds[-1] == counts.size
     for r in ranges:
@@ -123,6 +122,39 @@ def test_ranges_are_greedy_within_the_budget(counts, step, monkeypatch):
         assert r.stop == counts.size or rows == step or total + counts[r.stop] > 10
     if counts.size and np.all(counts == 4):
         assert {r.stop - r.start for r in ranges[:-1]} == {10 // 4}
+
+
+def greedy_row_spans(bound, budget: int, max_rows: int) -> list:
+    """The per-row loop that cut the voxel lattice's x-rows into spans
+    before the lattice took its spans from ``_ranges``, kept as an oracle:
+    a span takes the next row while its bounds stay within ``budget`` and
+    it holds fewer than ``max_rows`` rows; its first row always."""
+    spans = []
+    start, total = 0, 0.0
+    for x, b in enumerate(bound):
+        if x > start and (total + b > budget or x - start >= max_rows):
+            spans.append((start, x))
+            start, total = x, 0.0
+        total += b
+    spans.append((start, len(bound)))
+    return spans
+
+
+_PLAN_RNG = np.random.default_rng(29)
+
+
+@pytest.mark.parametrize("case", range(40))
+def test_ranges_equal_the_greedy_row_loop(case):
+    # Random bounds with runs of zero rows and rows alone over the budget,
+    # under row caps from 1 upward.
+    rows = int(_PLAN_RNG.integers(1, 60))
+    budget = int(_PLAN_RNG.integers(1, 200))
+    bound = _PLAN_RNG.integers(0, 2 * budget, size=rows)
+    bound[_PLAN_RNG.random(rows) < 0.3] = 0
+    bound[_PLAN_RNG.random(rows) < 0.1] = budget + int(_PLAN_RNG.integers(1, 100))
+    for max_rows in (1, 2, 3, 7, rows, rows + 5):
+        got = [(r.start, r.stop) for r in field._ranges(np.cumsum(bound), max_rows, budget)]
+        assert got == greedy_row_spans(bound.tolist(), budget, max_rows), max_rows
 
 
 def assert_same_bytes(got: np.ndarray, want: np.ndarray):
@@ -492,12 +524,18 @@ def lattice_set(rng, spec: GridSpec, c=3) -> GaussianSet:
                        logits=np.concatenate([base.logits, rng.normal(0.0, 2.0, (extra, c))]))
 
 
+def lattice_spans(lattice: _VoxelLattice, spec: GridSpec, budget=1 << 17, voxel_budget=1 << 17) -> list:
+    """(first, stop) x-rows of the spans, planned as the evaluator plans them."""
+    rows = max(1, voxel_budget // int(spec.resolution[1] * spec.resolution[2]))
+    return [(r.start, r.stop) for r in field._ranges(np.cumsum(lattice.row_bound), rows, budget)]
+
+
 def lattice_candidates(gs: GaussianSet, spec: GridSpec, cutoff=CUTOFF, budget=1 << 17, voxel_budget=1 << 17) -> list:
     """Per span: (first flat voxel, pair offsets ``x - m``, candidate pairs)."""
-    lattice = _VoxelLattice(gs.means, rotation_matrices(gs.rotations), gs.scales, cutoff, spec.centers(), budget,
-                            voxel_budget)
+    lattice = _VoxelLattice(gs.means, rotation_matrices(gs.rotations), gs.scales, cutoff, spec.centers())
     row = int(spec.resolution[1] * spec.resolution[2])
-    return [(start * row, *lattice.span_pairs(start, stop)) for start, stop in lattice.spans]
+    return [(start * row, *lattice.span_pairs(start, stop))
+            for start, stop in lattice_spans(lattice, spec, budget, voxel_budget)]
 
 
 def every_pair_d2(gs: GaussianSet, points: np.ndarray) -> np.ndarray:
@@ -676,8 +714,7 @@ class TestVoxelLattice:
         scales[1, 0] = scales[2, 2] = 1e200
         rotations[1:3] = [1.0, 0.0, 0.0, 0.0]
         gs = dataclasses.replace(base, scales=scales, rotations=rotations)
-        lattice = _VoxelLattice(gs.means, rotation_matrices(gs.rotations), gs.scales, np.inf, spec.centers(),
-                                1 << 17, 1 << 17)
+        lattice = _VoxelLattice(gs.means, rotation_matrices(gs.rotations), gs.scales, np.inf, spec.centers())
         assert np.isnan(lattice.var_y[:3]).all() and np.isnan(lattice.slope_zx[[0, 2]]).all()
         assert np.isinf(lattice.var_z[[0, 2]]).all()
         assert check_lattice(gs, spec, np.inf) == (len(gs) * spec.num_voxels,) * 2
@@ -716,10 +753,11 @@ class TestVoxelLattice:
                          scales=rng.uniform(0.5, 2.0, (p, 3)) * vs, rotations=rng.normal(size=(p, 4)),
                          opacities=rng.uniform(0.5, 1.0, p), logits=rng.normal(0.0, 2.0, (p, 3)))
         rot = rotation_matrices(gs.rotations)
-        assert _VoxelLattice(gs.means, rot, gs.scales, CUTOFF, spec.centers(), 1 << 17, 1 << 17).spans == [(0, 36)]
-        lattice = _VoxelLattice(gs.means, rot, gs.scales, CUTOFF, spec.centers(), 1 << 17, voxel_budget)
+        lattice = _VoxelLattice(gs.means, rot, gs.scales, CUTOFF, spec.centers())
+        assert lattice_spans(lattice, spec) == [(0, 36)]
         rows = max(1, voxel_budget // 140)
-        assert lattice.spans == [(x, min(x + rows, 36)) for x in range(0, 36, rows)]
+        assert lattice_spans(lattice, spec, voxel_budget=voxel_budget) == [(x, min(x + rows, 36))
+                                                                           for x in range(0, 36, rows)]
         check_lattice(gs, spec, voxel_budget=voxel_budget)
         monkeypatch.setattr(field, "_SPAN_VOXELS", voxel_budget)
         ev = FieldEvaluator(gs)

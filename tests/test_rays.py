@@ -1,5 +1,7 @@
 """Camera rays, occupancy labels along rays, and the BCE loss."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -150,6 +152,31 @@ class TestPixelRay:
             CameraModel(
                 intrinsics=np.diag([1.0, 1.0, 1.0]), pose=skew, image_size=(4, 4)
             )
+
+    @pytest.mark.parametrize("entry, value", [((0, 1), 0.5), ((1, 0), -0.1), ((2, 0), 1e-3), ((2, 1), 2.0),
+                                              ((2, 2), 2.0)], ids=["skew", "1,0", "2,0", "2,1", "2,2"])
+    def test_non_pinhole_intrinsics_rejected(self, entry, value):
+        # ray_directions reads only fx, fy, cx and cy, and a camera file
+        # stores only those, so any other entry would be dropped silently.
+        k = np.array([[20.0, 0.0, 8.0], [0.0, 20.0, 6.0], [0.0, 0.0, 1.0]])
+        k[entry] = value
+        pinhole = re.escape("intrinsics must be pinhole [[fx, 0, cx], [0, fy, cy], [0, 0, 1]], got ")
+        with pytest.raises(ValueError, match=f"^{pinhole}"):
+            CameraModel(intrinsics=k, pose=np.eye(4), image_size=(16, 12))
+
+    @pytest.mark.parametrize("reflect", [[-1.0, 1.0, 1.0], [1.0, 1.0, -1.0], [-1.0, -1.0, -1.0]])
+    def test_reflected_pose_rejected(self, reflect):
+        pose = np.eye(4)
+        pose[:3, :3] = np.diag(reflect)
+        with pytest.raises(ValueError, match=r"^pose rotation block must have det \+1, not a reflection, got det -1$"):
+            CameraModel(intrinsics=np.diag([1.0, 1.0, 1.0]), pose=pose, image_size=(4, 4))
+
+    @pytest.mark.parametrize("last_row", [[1.0, 2.0, 3.0, 4.0], [0.0, 0.0, 0.0, 2.0], [0.0, 0.0, 1e-9, 1.0]])
+    def test_non_rigid_last_pose_row_rejected(self, last_row):
+        pose = np.eye(4)
+        pose[3] = last_row
+        with pytest.raises(ValueError, match=r"^pose must be a 4x4 rigid transform with last row \[0, 0, 0, 1\]"):
+            CameraModel(intrinsics=np.diag([1.0, 1.0, 1.0]), pose=pose, image_size=(4, 4))
 
 
 class TestReferencePoints:
