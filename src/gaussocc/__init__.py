@@ -15,6 +15,7 @@ from .core import (
     CovarianceDecomposition,
     GaussianPrimitive,
     GaussianSet,
+    GridSpec,
     build_covariance,
     mahalanobis_sq,
     quat_to_rotation,
@@ -42,7 +43,6 @@ from .fit import (
     random_init,
 )
 from .grid import (
-    GridSpec,
     VoxelGrid,
     kitti360_grid_spec,
     load_grid,

@@ -1,4 +1,5 @@
-"""Gaussian primitive data model and the covariance algebra built on it.
+"""Gaussian primitive data model, the covariance algebra built on it, and
+the voxel-grid geometry the Gaussians are evaluated on.
 
 A primitive is an anisotropic 3D Gaussian: a mean position, per-axis
 scales, a unit quaternion orientation, a nonnegative opacity weight and
@@ -20,6 +21,11 @@ array of points by :func:`_points` (with :func:`_finite_points` where a
 point must be finite) and every axis-aligned box, a grid's extent or the
 audit's scene box, by :func:`_box`.
 
+:class:`GridSpec` is the one voxel-grid type: corners, resolution and
+class count. It owns the voxel-center formula ``min_corner + (index +
+0.5) * voxel_size`` and the point-to-voxel lookup; every center the
+package uses, evaluated or listed, comes from it.
+
 All types are immutable after construction (arrays are copied and marked
 read-only) and every operation here is a pure function, so values can be
 shared freely across threads.
@@ -27,6 +33,7 @@ shared freely across threads.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from typing import Iterable
@@ -322,6 +329,101 @@ def covariance_matrices(gs: GaussianSet) -> np.ndarray:
     rot = rotation_matrices(gs.rotations)
     s2 = gs.scales**2
     return np.einsum("pab,pb,pcb->pac", rot, s2, rot)
+
+
+@dataclass(frozen=True)
+class GridSpec:
+    """Geometry and class count of a voxel grid (labels not included).
+
+    The voxels are laid out x-major, ``flat = (ix * Y + iy) * Z + iz``.
+    Passed to a :class:`gaussocc.field.FieldEvaluator` method, a spec
+    stands for its voxel centers, and the field lists its pairs from voxel
+    index ranges without building the centers."""
+
+    min_corner: np.ndarray
+    max_corner: np.ndarray
+    resolution: np.ndarray
+    num_classes_total: int
+
+    def __post_init__(self):
+        lo, hi = _box((self.min_corner, self.max_corner))
+        res = np.asarray(self.resolution, dtype=object)
+        if res.shape != (3,):
+            raise ValueError(f"resolution must be a 3-vector, got shape {res.shape}")
+        res = [_count(n, "resolution") for n in res]
+        if math.prod(res) > np.iinfo(np.int64).max:
+            raise ValueError(f"resolution {res} has more voxels than an int64 can count")
+        _count(self.num_classes_total, "num_classes_total", 2)
+        for name, arr in (("min_corner", lo), ("max_corner", hi), ("resolution", np.array(res, dtype=np.int64))):
+            object.__setattr__(self, name, _frozen(arr))
+
+    @property
+    def voxel_size(self) -> np.ndarray:
+        return (self.max_corner - self.min_corner) / self.resolution
+
+    @property
+    def num_voxels(self) -> int:
+        return int(np.prod(self.resolution))
+
+    def _coordinate(self, a: int, index) -> np.ndarray:
+        """Center coordinates along axis ``a`` of the voxel indices ``index``:
+        ``min_corner + (index + 0.5) * voxel_size``, the one center formula."""
+        return self.min_corner[a] + (index + 0.5) * self.voxel_size[a]
+
+    def axes(self) -> list[np.ndarray]:
+        """The center coordinates along each axis."""
+        return [self._coordinate(a, np.arange(self.resolution[a])) for a in range(3)]
+
+    def take(self, flat: np.ndarray) -> np.ndarray:
+        """(N, 3) centers of the voxels with the given flat indices."""
+        idx = np.unravel_index(flat, tuple(int(n) for n in self.resolution))
+        return np.stack([self._coordinate(a, i) for a, i in enumerate(idx)], axis=-1)
+
+    def all_centers(self) -> np.ndarray:
+        """All voxel centers, (X*Y*Z, 3), in flat-layout order, stacked in
+        one allocation from the broadcast :meth:`axes`. Nothing in the
+        package calls this: rasterization tests the shapes on the axes,
+        and voxelization lists its pairs from voxel index ranges."""
+        axes = np.ix_(*self.axes())
+        return np.stack(np.broadcast_arrays(*axes), axis=-1).reshape(-1, 3)
+
+    def voxel_index(self, coords) -> np.ndarray:
+        """Flat voxel index of points given one coordinate array per axis.
+
+        ``coords`` yields the x, y and z float64 arrays, all of one shape.
+        Each is overwritten, before the next is drawn, with the coordinate
+        in voxels clipped into [0, n - 1], whose integer part is the axis's
+        voxel index. A point outside the grid, far and non-finite ones
+        included, gets ``num_voxels``.
+        """
+        size = self.voxel_size
+        flat = inside = None
+        for a, rel in enumerate(coords):
+            n = self.resolution[a]
+            with np.errstate(over="ignore", invalid="ignore"):
+                np.subtract(rel, self.min_corner[a], out=rel)
+                np.divide(rel, size[a], out=rel)
+            # floor(r) lies in [0, n) exactly when r does. Clipped into
+            # [0, n - 1] (fmax/fmin send NaN to 0), r casts to its floor.
+            ok = rel >= 0
+            ok &= rel < n
+            np.fmin(np.fmax(rel, 0, out=rel), n - 1, out=rel)
+            if flat is None:
+                flat, inside = rel.astype(np.int64), ok
+            else:
+                flat *= n
+                np.add(flat, rel, out=flat, dtype=np.int64, casting="unsafe")
+                inside &= ok
+        flat[~inside] = self.num_voxels
+        return flat
+
+    def describes_same_grid(self, other: "GridSpec") -> bool:
+        return (
+            np.array_equal(self.resolution, other.resolution)
+            and np.allclose(self.min_corner, other.min_corner)
+            and np.allclose(self.max_corner, other.max_corner)
+            and self.num_classes_total == other.num_classes_total
+        )
 
 
 def seeded_stream(seed: int, lane: int) -> np.random.Generator:

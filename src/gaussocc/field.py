@@ -30,13 +30,15 @@ the candidate pairs, chosen by the kind of query points:
   :class:`FieldEvaluator` methods on an array): a cell join
   (:class:`_CellIndex`) lists the pairs inside each Gaussian's cutoff
   bounding box, or every pair is listed when there is no cutoff;
-* the voxel centers of a grid (:class:`VoxelCenters`, which ``voxelize``,
-  ``voxelize_legacy``, ``gaussocc eval`` and the fit's evaluations pass):
+* the voxel centers of a grid, given as its
+  :class:`~gaussocc.core.GridSpec` (as ``voxelize``, ``voxelize_legacy``,
+  ``gaussocc eval`` and the fit's evaluations pass it):
   :class:`_VoxelLattice` lists, from voxel index ranges, the voxels whose
   centers lie in the cutoff ellipsoid, bounded in closed form per x-row
   and per (x, y) column, and yields each pair's offset ``x - m`` from the
   per-row, per-column and per-Gaussian differences it has already taken,
-  without building the centers.
+  without building the centers. The spec's center formula is the one
+  :meth:`~gaussocc.core.GridSpec.take` and ``voxel_center`` use.
 
 Both bound the ellipsoid from outside with a padded cutoff (without one,
 every pair is a candidate), and the pairs beyond the cutoff are then
@@ -75,11 +77,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .core import GaussianPrimitive, GaussianSet, _count, _finite_points, mahalanobis_sq, rotation_matrices
+from .core import GaussianPrimitive, GaussianSet, GridSpec, _count, _finite_points, mahalanobis_sq, rotation_matrices
 
 # Below this density the mixture posterior is treated as undefined and the
 # expectation falls back to the uniform class distribution.
@@ -329,34 +331,6 @@ class _CellIndex:
         return _Pairs(np.take(inside[order], _runs(start, count)), pair_ends[self.column_bounds])
 
 
-class VoxelCenters(NamedTuple):
-    """The centers ``min_corner + (index + 0.5) * voxel_size`` of a grid
-    with ``resolution`` voxels per axis, in the flat x-major order
-    ``(ix * Y + iy) * Z + iz``. Evaluated at these points, the field lists
-    its pairs from voxel index ranges (:class:`_VoxelLattice`)."""
-
-    min_corner: np.ndarray
-    voxel_size: np.ndarray
-    resolution: np.ndarray
-
-    @property
-    def num_voxels(self) -> int:
-        return int(np.prod(self.resolution))
-
-    def _coordinate(self, a: int, index) -> np.ndarray:
-        """Center coordinates along axis ``a`` of the voxel indices ``index``."""
-        return self.min_corner[a] + (index + 0.5) * self.voxel_size[a]
-
-    def axes(self) -> list[np.ndarray]:
-        """The center coordinates along each axis."""
-        return [self._coordinate(a, np.arange(self.resolution[a])) for a in range(3)]
-
-    def take(self, flat: np.ndarray) -> np.ndarray:
-        """(N, 3) centers of the voxels with the given flat indices."""
-        idx = np.unravel_index(flat, tuple(int(n) for n in self.resolution))
-        return np.stack([self._coordinate(a, i) for a, i in enumerate(idx)], axis=-1)
-
-
 class _VoxelLattice:
     """The candidate pairs between the Gaussians and the voxel centers of a
     grid, listed straight from voxel index ranges, one span of whole x-rows
@@ -396,10 +370,10 @@ class _VoxelLattice:
     P 640,000 pairs.
     """
 
-    def __init__(self, means, rot, scales, cutoff: float, centers: VoxelCenters):
-        self.axes = centers.axes()
-        self.centers = centers
-        self.shape = tuple(int(n) for n in centers.resolution)
+    def __init__(self, means, rot, scales, cutoff: float, spec: GridSpec):
+        self.axes = spec.axes()
+        self.spec = spec
+        self.shape = tuple(int(n) for n in spec.resolution)
         self.means = means
         self.reach = cutoff * (1.0 + _BOX_PAD) ** 2
         p = means.shape[0]
@@ -440,8 +414,8 @@ class _VoxelLattice:
         """First and last voxel index along axis ``a`` whose center lies within
         ``half`` of ``mid``, clipped to the grid (first > last when there is
         none); NaN spans the axis."""
-        size, n = self.centers.voxel_size[a], self.shape[a]
-        t = (mid - self.centers.min_corner[a]) / size - 0.5
+        size, n = self.spec.voxel_size[a], self.shape[a]
+        t = (mid - self.spec.min_corner[a]) / size - 0.5
         h = half / size
         first = np.fmin(np.fmax(np.ceil(t - h), 0.0), n)
         last = np.fmax(np.fmin(np.floor(t + h), n - 1.0), -1.0)
@@ -638,15 +612,17 @@ class FieldEvaluator:
 
     Precomputes the rotations, log mixture weights and softmaxed semantics
     once, and checks that every cutoff box is finite. All methods take an
-    (N, 3) array of query points or the :class:`VoxelCenters` of a grid
-    and are pure; an array that is not (N, 3) or holds a non-finite
-    coordinate raises ValueError. Arbitrary points are evaluated in
-    contiguous ranges of at most ``chunk`` points (an integer >= 1) and
-    about :data:`_SPAN_PAIRS` candidate pairs, counted per point before the
-    pairs are listed (one point may exceed it alone), through the cell
-    join, which is built on first use, or every pair. Voxel centers are
-    evaluated one span of whole x-rows at a time, from the pairs of
-    :class:`_VoxelLattice`. Both cut their ranges with :func:`_ranges`.
+    (N, 3) array of query points or a :class:`~gaussocc.core.GridSpec`,
+    which stands for its voxel centers, and are pure; an array that is not
+    (N, 3) or holds a non-finite coordinate raises ValueError, and
+    :meth:`_fill` is the one place that tells the two kinds apart.
+    Arbitrary points are evaluated in contiguous ranges of at most
+    ``chunk`` points (an integer >= 1) and about :data:`_SPAN_PAIRS`
+    candidate pairs, counted per point before the pairs are listed (one
+    point may exceed it alone), through the cell join, which is built on
+    first use, or every pair. Voxel centers are evaluated one span of whole
+    x-rows at a time, from the pairs of :class:`_VoxelLattice`. Both cut
+    their ranges with :func:`_ranges`.
     """
 
     def __init__(self, gs: GaussianSet, opts: EvalOptions | None = None, chunk: int = _DEFAULT_CHUNK):
@@ -674,34 +650,6 @@ class FieldEvaluator:
         the primitive-level distance."""
         return _squared_norms(_scaled_local(diff, pairs, self._rot, self._scales), overwrite=True)
 
-    def _chunks(self, points) -> Iterator[tuple[slice, _Pairs, np.ndarray]]:
-        """Yield (rows, live pairs, their d2) per chunk of query points;
-        pair point indices count from the chunk's first row. Voxel centers
-        take the :func:`_ranges` of the lattice's per-x-row bounds and its
-        span pairs, other points the :func:`_ranges` of their candidate
-        counts and :meth:`_point_pairs`, and every chunk then takes the same
-        d2 and cutoff test. The generators hold no reference to a chunk's
-        offsets or candidates once yielded, so each is freed as soon as it
-        is used, and a chunk's live pairs go before the next chunk's are
-        listed."""
-        if isinstance(points, VoxelCenters):
-            row = int(points.resolution[1] * points.resolution[2])
-            lattice = _VoxelLattice(self._means, self._rot, self._scales, self._cutoff, points)
-            spans = _ranges(np.cumsum(lattice.row_bound), max(1, _SPAN_VOXELS // row), _SPAN_PAIRS)
-            chunks = ((slice(x.start * row, x.stop * row), *lattice.span_pairs(x.start, x.stop)) for x in spans)
-        else:
-            # Cumulative candidate counts; without a cutoff every point has P.
-            ranges = _ranges(np.cumsum(self._index.counts(points)) if np.isfinite(self._cutoff)
-                             else len(self.gs) * np.arange(1, points.shape[0] + 1), self._step, _SPAN_PAIRS)
-            chunks = ((rows, *self._point_pairs(points[rows])) for rows in ranges)
-        for rows, offsets, candidates in chunks:
-            d2 = self._d2(offsets, candidates)
-            del offsets
-            pairs, d2 = candidates.within(d2, self._cutoff)
-            del candidates
-            yield rows, pairs, d2
-            del pairs, d2
-
     def _point_pairs(self, points: np.ndarray) -> tuple[np.ndarray, _Pairs]:
         """The (M, 3) offsets ``x - m`` and candidate pairs of a chunk of
         points: the cell join's, or every pair without a cutoff."""
@@ -710,14 +658,32 @@ class FieldEvaluator:
 
     def _fill(self, points, row_shape: tuple, rows_of, dtype=np.float64) -> np.ndarray:
         """(N, *row_shape) array of ``rows_of(pairs, d2, n)`` over the chunks
-        of ``points``: the one chunk loop of the public methods."""
-        if isinstance(points, VoxelCenters):
-            n = points.num_voxels
+        of ``points``, pair point indices counting from the chunk's first
+        row: the one chunk loop of the public methods. A grid spec takes
+        the :func:`_ranges` of its lattice's per-x-row bounds and the span
+        pairs, other points the :func:`_ranges` of their candidate counts
+        and :meth:`_point_pairs`, and every chunk then takes the same d2 and
+        cutoff test. The generators hold no reference to a chunk's offsets
+        or candidates once yielded, so each is freed as soon as it is used,
+        and a chunk's live pairs go before the next chunk's are listed."""
+        if isinstance(points, GridSpec):
+            n, row = points.num_voxels, int(points.resolution[1] * points.resolution[2])
+            lattice = _VoxelLattice(self._means, self._rot, self._scales, self._cutoff, points)
+            spans = _ranges(np.cumsum(lattice.row_bound), max(1, _SPAN_VOXELS // row), _SPAN_PAIRS)
+            chunks = ((slice(x.start * row, x.stop * row), *lattice.span_pairs(x.start, x.stop)) for x in spans)
         else:
             points = _finite_points(points)
             n = points.shape[0]
+            # Cumulative candidate counts; without a cutoff every point has P.
+            ranges = _ranges(np.cumsum(self._index.counts(points)) if np.isfinite(self._cutoff)
+                             else len(self.gs) * np.arange(1, n + 1), self._step, _SPAN_PAIRS)
+            chunks = ((rows, *self._point_pairs(points[rows])) for rows in ranges)
         out = np.empty((n,) + row_shape, dtype=dtype)
-        for rows, pairs, d2 in self._chunks(points):
+        for rows, offsets, candidates in chunks:
+            d2 = self._d2(offsets, candidates)
+            del offsets
+            pairs, d2 = candidates.within(d2, self._cutoff)
+            del candidates
             out[rows] = rows_of(pairs, d2, rows.stop - rows.start)
             del pairs, d2
         return out

@@ -171,7 +171,12 @@ class FitConfig:
 
     @classmethod
     def from_file(cls, path) -> "FitConfig":
-        return cls.from_dict(read_key_values(path))
+        """The config of a key=value file; every error names the file."""
+        raw = read_key_values(path)
+        try:
+            return cls.from_dict(raw)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
     def to_dict(self) -> dict[str, object]:
         out: dict[str, object] = {}
@@ -471,9 +476,7 @@ def _loss_and_grad(
     point = pairs.point
     alpha_i = np.exp(-0.5 * d2)
     loss_terms = np.empty(n)
-    grad_logits = np.zeros((p, ch))
     grad_log_a = np.zeros(p)
-    grad_a_direct = np.zeros(p)  # additive path only
 
     if model == "probabilistic":
         li_raw = log1mexp(0.5 * d2)
@@ -619,7 +622,7 @@ class _SamplePools:
     the centers of the drawn voxels only."""
 
     def __init__(self, gt: VoxelGrid):
-        self.centers = gt.spec.centers()
+        self.spec = gt.spec
         flat = gt.labels_flat
         self.labels = flat.astype(np.int64)
         self.occupied = np.flatnonzero(flat != 0)
@@ -634,7 +637,7 @@ class _SamplePools:
         if batch - n_occ:
             picks.append(self.empty[rng.integers(0, self.empty.size, size=batch - n_occ)])
         idx = np.concatenate(picks)
-        return self.centers.take(idx), self.labels[idx]
+        return self.spec.take(idx), self.labels[idx]
 
 
 _PARAM_GROUPS = (

@@ -1,8 +1,9 @@
-"""Axis-aligned labeled voxel grids: data model, voxelization and file I/O.
+"""Axis-aligned labeled voxel grids: labels, voxelization and file I/O.
 
-Label 0 is always the empty class. The flat layout is x-major:
-``flat = (ix * Y + iy) * Z + iz``, which is exactly the C-order raveling
-of the (X, Y, Z) label array.
+A grid's geometry is a :class:`gaussocc.core.GridSpec`, re-exported here;
+:class:`VoxelGrid` adds one label per voxel. Label 0 is always the empty
+class. The flat layout is x-major: ``flat = (ix * Y + iy) * Z + iz``,
+which is exactly the C-order raveling of the (X, Y, Z) label array.
 
 The on-disk format is ``OGRID v1``: one ASCII header line
 
@@ -15,98 +16,17 @@ variant). Reads auto-detect the variant.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GaussianSet, _box, _count, _frozen, _points
-from .field import EvalOptions, FieldEvaluator, VoxelCenters
+from .core import GaussianSet, GridSpec, _count, _points
+from .field import EvalOptions, FieldEvaluator
 
 _FLOAT_FMT = "%.17g"
 # Labels per bincount when counting classes: bincount copies its input to
 # int64, so counting in blocks bounds that copy.
 _COUNT_BLOCK = 1 << 17
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """Geometry and class count of a voxel grid (labels not included)."""
-
-    min_corner: np.ndarray
-    max_corner: np.ndarray
-    resolution: np.ndarray
-    num_classes_total: int
-
-    def __post_init__(self):
-        lo, hi = _box((self.min_corner, self.max_corner))
-        res = np.asarray(self.resolution, dtype=object)
-        if res.shape != (3,):
-            raise ValueError(f"resolution must be a 3-vector, got shape {res.shape}")
-        res = [_count(n, "resolution") for n in res]
-        if math.prod(res) > np.iinfo(np.int64).max:
-            raise ValueError(f"resolution {res} has more voxels than an int64 can count")
-        _count(self.num_classes_total, "num_classes_total", 2)
-        for name, arr in (("min_corner", lo), ("max_corner", hi), ("resolution", np.array(res, dtype=np.int64))):
-            object.__setattr__(self, name, _frozen(arr))
-
-    @property
-    def voxel_size(self) -> np.ndarray:
-        return (self.max_corner - self.min_corner) / self.resolution
-
-    @property
-    def num_voxels(self) -> int:
-        return int(np.prod(self.resolution))
-
-    def centers(self) -> VoxelCenters:
-        """The voxel centers, as the field evaluates them from index ranges."""
-        return VoxelCenters(self.min_corner, self.voxel_size, self.resolution)
-
-    def all_centers(self) -> np.ndarray:
-        """All voxel centers, (X*Y*Z, 3), in flat-layout order, stacked in
-        one allocation from the broadcast axes of :meth:`centers`. Nothing
-        in the package calls this: rasterization tests the shapes on the
-        axes, and voxelization lists its pairs from voxel index ranges."""
-        axes = np.ix_(*self.centers().axes())
-        return np.stack(np.broadcast_arrays(*axes), axis=-1).reshape(-1, 3)
-
-    def voxel_index(self, coords) -> np.ndarray:
-        """Flat voxel index of points given one coordinate array per axis.
-
-        ``coords`` yields the x, y and z float64 arrays, all of one shape.
-        Each is overwritten, before the next is drawn, with the coordinate
-        in voxels clipped into [0, n - 1], whose integer part is the axis's
-        voxel index. A point outside the grid, far and non-finite ones
-        included, gets ``num_voxels``.
-        """
-        size = self.voxel_size
-        flat = inside = None
-        for a, rel in enumerate(coords):
-            n = self.resolution[a]
-            with np.errstate(over="ignore", invalid="ignore"):
-                np.subtract(rel, self.min_corner[a], out=rel)
-                np.divide(rel, size[a], out=rel)
-            # floor(r) lies in [0, n) exactly when r does. Clipped into
-            # [0, n - 1] (fmax/fmin send NaN to 0), r casts to its floor.
-            ok = rel >= 0
-            ok &= rel < n
-            np.fmin(np.fmax(rel, 0, out=rel), n - 1, out=rel)
-            if flat is None:
-                flat, inside = rel.astype(np.int64), ok
-            else:
-                flat *= n
-                np.add(flat, rel, out=flat, dtype=np.int64, casting="unsafe")
-                inside &= ok
-        flat[~inside] = self.num_voxels
-        return flat
-
-    def describes_same_grid(self, other: "GridSpec") -> bool:
-        return (
-            np.array_equal(self.resolution, other.resolution)
-            and np.allclose(self.min_corner, other.min_corner)
-            and np.allclose(self.max_corner, other.max_corner)
-            and self.num_classes_total == other.num_classes_total
-        )
 
 
 @dataclass(frozen=True)
@@ -147,7 +67,7 @@ class VoxelGrid:
 
     def occupied_centers(self) -> np.ndarray:
         """Centers of all non-empty voxels, (V, 3), flat-layout order."""
-        return self.spec.centers().take(np.flatnonzero(self.labels_flat))
+        return self.spec.take(np.flatnonzero(self.labels_flat))
 
     def occupied_labels(self) -> np.ndarray:
         flat = self.labels_flat
@@ -194,12 +114,11 @@ def _label_counts(k: int, *flats: np.ndarray) -> np.ndarray:
 
 
 def voxel_center(spec: GridSpec, ix: int, iy: int, iz: int) -> np.ndarray:
-    """Center of voxel (ix, iy, iz), by the formula of ``spec.centers()``."""
+    """Center of voxel (ix, iy, iz), by the spec's center formula."""
     idx = np.array([_count(i, "voxel index", 0) for i in (ix, iy, iz)])
     if np.any(idx >= spec.resolution):
         raise IndexError(f"voxel index {(ix, iy, iz)} outside resolution {tuple(spec.resolution)}")
-    centers = spec.centers()
-    return np.array([centers._coordinate(a, idx[a]) for a in range(3)])
+    return np.array([spec._coordinate(a, idx[a]) for a in range(3)])
 
 
 def voxelize(
@@ -255,7 +174,7 @@ def _voxelize_model(gs: GaussianSet, spec: GridSpec, model: str | None = None,
     extra, layout, method = _MODELS[model]
     if gs.num_classes != semantic + extra:
         raise ValueError(f"{model} set needs {semantic + extra} channels ({layout}), got {gs.num_classes}")
-    labels = getattr(FieldEvaluator(gs, opts), method)(spec.centers())
+    labels = getattr(FieldEvaluator(gs, opts), method)(spec)
     labels.setflags(write=False)
     return VoxelGrid(spec=spec, labels=labels)
 

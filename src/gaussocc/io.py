@@ -14,6 +14,7 @@ The camera file has three fixed sections: ``fx fy cx cy``, then
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from typing import Mapping
 
 import numpy as np
@@ -34,6 +35,17 @@ def format_number(value) -> str:
 # -- GSOCC v1 ----------------------------------------------------------------
 
 
+@contextmanager
+def _text(path, encoding: str):
+    """``path`` opened to read as ``encoding`` text; a byte that does not
+    decode raises a ValueError that names the file."""
+    with open(path, "r", encoding=encoding) as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+
+
 def save_gaussian_set(path, gs: GaussianSet) -> None:
     p, c = len(gs), gs.num_classes
     with open(path, "w", encoding="ascii") as fh:
@@ -43,7 +55,7 @@ def save_gaussian_set(path, gs: GaussianSet) -> None:
 
 
 def load_gaussian_set(path) -> GaussianSet:
-    with open(path, "r", encoding="ascii") as fh:
+    with _text(path, "ascii") as fh:
         header = fh.readline().split()
         if len(header) != 4 or header[0] != "GSOCC" or header[1] != "1":
             raise ValueError(f"{path}: not a GSOCC v1 file")
@@ -82,7 +94,7 @@ def save_camera(path, cam: CameraModel) -> None:
 
 
 def load_camera(path) -> CameraModel:
-    with open(path, "r", encoding="ascii") as fh:
+    with _text(path, "ascii") as fh:
         tokens = [line.split() for line in fh if line.strip()]
     if len(tokens) != 6:
         raise ValueError(f"{path}: camera file needs 6 lines, found {len(tokens)}")
@@ -111,7 +123,7 @@ def load_camera(path) -> CameraModel:
 def read_key_values(path) -> dict[str, str]:
     """Parse a flat config file; '#' starts a comment, blank lines ignored."""
     out: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with _text(path, "utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:

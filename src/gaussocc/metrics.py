@@ -132,7 +132,7 @@ def mean_nearest_dist(gs: GaussianSet, gt: VoxelGrid) -> float:
     occupied = gt.occupied_mask
     if not occupied.any():
         raise ValueError("ground truth has no occupied voxels; distance undefined")
-    return float(np.mean(_nearest_occupied_l1(gs.means, occupied, gt.spec.centers().axes())))
+    return float(np.mean(_nearest_occupied_l1(gs.means, occupied, gt.spec.axes())))
 
 
 @np.errstate(over="ignore")  # a distance beyond the float range is inf, as in the brute-force sum

@@ -171,7 +171,7 @@ def rasterize(shapes: Sequence[Shape], spec: GridSpec) -> VoxelGrid:
     for shape in shapes:
         if not 0 < shape.label < spec.num_classes_total:
             raise ValueError(f"shape label {shape.label} outside grid classes")
-    x, y, z = np.ix_(*spec.centers().axes())
+    x, y, z = np.ix_(*spec.axes())
     labels = np.zeros(spec.resolution, dtype=np.uint16)
     for shape in shapes:
         np.copyto(labels, shape.label, where=shape.contains(x, y, z))

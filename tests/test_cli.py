@@ -261,7 +261,7 @@ class TestFit:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert run("fit", "--gt", scene_file, "--config", cfg_path, "--out", tmp_path / "x.gsocc") == 1
-        assert f"error: {key} must be" in capsys.readouterr().err
+        assert f"error: {cfg_path}: {key} must be" in capsys.readouterr().err
         assert not (tmp_path / "x.gsocc").exists()
 
 

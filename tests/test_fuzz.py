@@ -167,6 +167,8 @@ def test_unmutated_file_loads(files, kind):
         ("short.cam", b"20 20 8\n16 12\n1 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n",
          r"short\.cam: intrinsics line needs 4 numbers, got 3"),
         ("inf.ogrid", b"OGRID 1 2 1 1 3 0 0 0 inf 1 1\n0 1\n", r"inf\.ogrid: bad OGRID header: max_corner must be finite"),
+        ("byte.cam", b"20 20 8 6\n16 12\n1 0 0 0\n0 1 0 0\n0 0 1 \xff\n0 0 0 1\n",
+         r"byte\.cam: 'ascii' codec can't decode byte 0xff"),
     ],
 )
 def test_out_of_range_values_are_named(tmp_path, name, content, message):
@@ -187,8 +189,12 @@ def test_out_of_range_values_are_named(tmp_path, name, content, message):
         ("header.gsocc", b"GSOCC 1 x 4\n", r"header\.gsocc: bad GSOCC header: invalid literal for int\(\)"),
         ("word.gsocc", b"GSOCC 1 1 1\n0 0 0 1 1 1 1 0 0 0 1 zz\n",
          r"word\.gsocc: bad GSOCC row: could not convert string 'zz'"),
-        ("iterations.cfg", b"iterations = 10.5\n", r"^iterations: invalid literal for int\(\)"),
-        ("word.cfg", b"seed = abc\n", r"^seed: invalid literal for int\(\)"),
+        ("byte.gsocc", b"GSOCC 1 1 1\n0 0 0 1 1 1 \xff 0 0 0 1 0\n", r"byte\.gsocc: 'ascii' codec can't decode byte 0xff"),
+        ("iterations.cfg", b"iterations = 10.5\n", r"iterations\.cfg: iterations: invalid literal for int\(\)"),
+        ("word.cfg", b"seed = abc\n", r"word\.cfg: seed: invalid literal for int\(\)"),
+        ("key.cfg", b"foo = 1\n", r"key\.cfg: unknown fit config key 'foo'"),
+        ("negative.cfg", b"learning_rate = -1\n", r"negative\.cfg: learning_rate must be > 0 and lr_min >= 0"),
+        ("byte.cfg", b"seed = 1\xff\n", r"byte\.cfg: 'utf-8' codec can't decode byte 0xff"),
         ("rate.cfg", b"learning_rate = nan\n", "learning_rate must be finite"),
         ("decay.cfg", b"weight_decay = nan\n", "weight_decay must be finite"),
         ("cutoff.cfg", b"cutoff_mahalanobis_sq = nan\n", "cutoff_mahalanobis_sq must be > 0"),

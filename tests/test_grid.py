@@ -75,7 +75,7 @@ class TestVoxelCenter:
         flat = np.random.default_rng(7).integers(0, spec.num_voxels, size=500)
         flat[:2] = [0, spec.num_voxels - 1]
         want = spec.all_centers()[flat]
-        assert spec.centers().take(flat).tobytes() == want.tobytes()
+        assert spec.take(flat).tobytes() == want.tobytes()
         got = [voxel_center(spec, *np.unravel_index(f, tuple(spec.resolution))) for f in flat[:50].tolist()]
         assert np.array(got).tobytes() == want[:50].tobytes()
 
@@ -84,7 +84,7 @@ class TestVoxelCenter:
         spec = GridSpec(min_corner=np.array([-1.3, 0.2, -7.0]), max_corner=np.array([2.9, 1.7, 3.1]),
                         resolution=np.array([7, 5, 3]), num_classes_total=2)
         # The x-rows start:stop of all_centers.
-        ax, ay, az = spec.centers().axes()
+        ax, ay, az = spec.axes()
         want = np.stack(np.meshgrid(ax[start:stop], ay, az, indexing="ij"), axis=-1).reshape(-1, 3)
         got = spec.all_centers()[start * 5 * 3 : stop * 5 * 3]
         assert got.shape == want.shape and got.tobytes() == want.tobytes()

@@ -336,7 +336,7 @@ def nearest_l1_oracle(gt, points):
 
 
 def nearest_l1(gt, points):
-    return metrics._nearest_occupied_l1(points, gt.occupied_mask, gt.spec.centers().axes())
+    return metrics._nearest_occupied_l1(points, gt.occupied_mask, gt.spec.axes())
 
 
 def set_at(means):
@@ -363,7 +363,7 @@ def nearest_cases(draw):
     labels = (rng.random(tuple(res)) < draw(st.sampled_from([0.0, 0.02, 0.2, 1.0]))).astype(np.uint16)
     labels[tuple(rng.integers(0, res))] = 1
     n = 40
-    centers = spec.centers().axes()
+    centers = spec.axes()
     vs = spec.voxel_size
     cols = []
     for a in range(3):

@@ -78,3 +78,24 @@ def test_compare_reads_only_the_two_files(tmp_path):
         done = subprocess.run([sys.executable, str(_TOOL), "--compare", *map(str, pair)], cwd=tmp_path, env=env,
                               capture_output=True, text=True, timeout=60)
         assert (done.returncode, done.stdout.splitlines()[-1:]) == (code, [last]), done.stderr
+
+
+def test_exact_entries_keep_their_bits_under_a_dgemm_kernel_without_fma(tool, tmp_path):
+    # OpenBLAS picks its dgemm kernel per CPU at run time; Nehalem's has no
+    # FMA, so float outputs may move by rounding. The order-free entries
+    # (labels, voxelizations, synth scenes, picks, slices) must not.
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    env["PYTHONPATH"] = str(_TOOL.parents[1] / "src")
+    runs = []
+    for leg in ({}, {"OPENBLAS_CORETYPE": "Nehalem"}):
+        out = tmp_path / f"run{len(runs)}.json"
+        done = subprocess.run([sys.executable, str(_TOOL), "--size", "small", "--out", str(out)], env={**env, **leg},
+                              capture_output=True, text=True, timeout=600)
+        assert done.returncode == 0, done.stderr
+        runs.append(json.loads(out.read_text())["entries"])
+    default, nehalem = runs
+    assert default.keys() == nehalem.keys()
+    changed = sorted(name for name in default if default[name] != nehalem[name])
+    assert [name for name in changed if tool.exact(name)] == []
+    if not changed:
+        pytest.skip("the OPENBLAS_CORETYPE=Nehalem leg changed no float entry, so it did not reach another dgemm kernel")

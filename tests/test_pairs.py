@@ -532,7 +532,7 @@ def lattice_spans(lattice: _VoxelLattice, spec: GridSpec, budget=1 << 17, voxel_
 
 def lattice_candidates(gs: GaussianSet, spec: GridSpec, cutoff=CUTOFF, budget=1 << 17, voxel_budget=1 << 17) -> list:
     """Per span: (first flat voxel, pair offsets ``x - m``, candidate pairs)."""
-    lattice = _VoxelLattice(gs.means, rotation_matrices(gs.rotations), gs.scales, cutoff, spec.centers())
+    lattice = _VoxelLattice(gs.means, rotation_matrices(gs.rotations), gs.scales, cutoff, spec)
     row = int(spec.resolution[1] * spec.resolution[2])
     return [(start * row, *lattice.span_pairs(start, stop))
             for start, stop in lattice_spans(lattice, spec, budget, voxel_budget)]
@@ -650,7 +650,7 @@ class TestVoxelLattice:
         ev = FieldEvaluator(gs)
         centers = spec.all_centers()
         for method in (ev.alpha, ev.semantics, ev.compose, ev.legacy):
-            np.testing.assert_array_equal(method(spec.centers()), method(centers))
+            np.testing.assert_array_equal(method(spec), method(centers))
         want = np.argmax(ev.compose(centers), axis=1)
         assert np.count_nonzero(want) > 20
         np.testing.assert_array_equal(voxelize(gs, spec).labels_flat, want)
@@ -667,7 +667,7 @@ class TestVoxelLattice:
         gs = lattice_set(rng, spec)
         ev = FieldEvaluator(gs, EvalOptions(cutoff_mahalanobis_sq=None))
         centers = spec.all_centers()
-        np.testing.assert_array_equal(ev.compose(spec.centers()), ev.compose(centers))
+        np.testing.assert_array_equal(ev.compose(spec), ev.compose(centers))
         np.testing.assert_array_equal(voxelize(gs, spec, EvalOptions(cutoff_mahalanobis_sq=None)).labels_flat,
                                       np.argmax(ev.compose(centers), axis=1))
 
@@ -696,7 +696,7 @@ class TestVoxelLattice:
         centers = spec.all_centers()
         for method in (ev.alpha, ev.semantics, ev.compose, ev.legacy, ev.compose_labels, ev.legacy_labels):
             listed.clear()
-            np.testing.assert_array_equal(method(spec.centers()), method(centers))
+            np.testing.assert_array_equal(method(spec), method(centers))
             assert len(listed) == spans
             assert [start for start, _ in listed] == [0] + [stop for _, stop in listed[:-1]]
             assert listed[-1][1] == 12
@@ -714,14 +714,14 @@ class TestVoxelLattice:
         scales[1, 0] = scales[2, 2] = 1e200
         rotations[1:3] = [1.0, 0.0, 0.0, 0.0]
         gs = dataclasses.replace(base, scales=scales, rotations=rotations)
-        lattice = _VoxelLattice(gs.means, rotation_matrices(gs.rotations), gs.scales, np.inf, spec.centers())
+        lattice = _VoxelLattice(gs.means, rotation_matrices(gs.rotations), gs.scales, np.inf, spec)
         assert np.isnan(lattice.var_y[:3]).all() and np.isnan(lattice.slope_zx[[0, 2]]).all()
         assert np.isinf(lattice.var_z[[0, 2]]).all()
         assert check_lattice(gs, spec, np.inf) == (len(gs) * spec.num_voxels,) * 2
         ev = FieldEvaluator(gs, EvalOptions(cutoff_mahalanobis_sq=None))
         centers = spec.all_centers()
         for method in (ev.alpha, ev.semantics, ev.compose, ev.legacy, ev.compose_labels, ev.legacy_labels):
-            np.testing.assert_array_equal(method(spec.centers()), method(centers))
+            np.testing.assert_array_equal(method(spec), method(centers))
 
     def test_no_cutoff_voxelize_never_builds_the_centers(self, monkeypatch):
         rng = np.random.default_rng(345)
@@ -737,7 +737,7 @@ class TestVoxelLattice:
             raise AssertionError("the centers of a grid were built")
 
         monkeypatch.setattr(GridSpec, "all_centers", build)
-        monkeypatch.setattr(field.VoxelCenters, "take", build)
+        monkeypatch.setattr(GridSpec, "take", build)
         np.testing.assert_array_equal(voxelize(gs, spec, opts).labels_flat, want)
         np.testing.assert_array_equal(voxelize_legacy(additive, spec, opts).labels_flat, want_legacy)
 
@@ -753,7 +753,7 @@ class TestVoxelLattice:
                          scales=rng.uniform(0.5, 2.0, (p, 3)) * vs, rotations=rng.normal(size=(p, 4)),
                          opacities=rng.uniform(0.5, 1.0, p), logits=rng.normal(0.0, 2.0, (p, 3)))
         rot = rotation_matrices(gs.rotations)
-        lattice = _VoxelLattice(gs.means, rot, gs.scales, CUTOFF, spec.centers())
+        lattice = _VoxelLattice(gs.means, rot, gs.scales, CUTOFF, spec)
         assert lattice_spans(lattice, spec) == [(0, 36)]
         rows = max(1, voxel_budget // 140)
         assert lattice_spans(lattice, spec, voxel_budget=voxel_budget) == [(x, min(x + rows, 36))
@@ -765,7 +765,7 @@ class TestVoxelLattice:
         dense = ev.compose(centers)
         want = np.argmax(dense, axis=1)
         assert np.count_nonzero(want) > 20
-        np.testing.assert_array_equal(ev.compose(spec.centers()), dense)
+        np.testing.assert_array_equal(ev.compose(spec), dense)
         np.testing.assert_array_equal(voxelize(gs, spec).labels_flat, want)
 
     @settings(max_examples=60, deadline=None)
@@ -796,7 +796,7 @@ class TestVoxelLattice:
         ev = FieldEvaluator(gs, EvalOptions(cutoff_mahalanobis_sq=cutoff))
         want = np.argmax(ev.compose(spec.all_centers()), axis=1)
         with mock.patch.object(field, "_SPAN_PAIRS", budget), mock.patch.object(field, "_SPAN_VOXELS", voxel_budget):
-            np.testing.assert_array_equal(ev.compose_labels(spec.centers()), want)
+            np.testing.assert_array_equal(ev.compose_labels(spec), want)
 
 
 def unit_grid(n: int) -> GridSpec:

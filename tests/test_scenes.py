@@ -97,7 +97,7 @@ def whole_grid_rasterize(shapes, spec: GridSpec) -> np.ndarray:
     """The flat labels of the shapes over all voxel centers at once, the
     centers built by meshgrid and stack from the grid's axes and tested
     point by point with :func:`contains_points`."""
-    ax, ay, az = spec.centers().axes()
+    ax, ay, az = spec.axes()
     centers = np.stack(np.meshgrid(ax, ay, az, indexing="ij"), axis=-1).reshape(-1, 3)
     labels = np.zeros(spec.num_voxels, dtype=np.uint16)
     for shape in shapes:

@@ -29,9 +29,15 @@ output is bit-identical. The matrix:
 
 Gradients also keep their raw values, so ``--compare`` prints, for each
 gradient that differs, its largest difference relative to its largest
-entry. ``--compare`` exits with 1 when any entry differs; it reads only the
-two files, so it needs no ``PYTHONPATH``. The hashes depend on the BLAS
-that numpy uses: compare only files written on one machine.
+entry. ``--compare`` exits with 1 when any entry differs, and then counts
+the exact and the float entries that differ apart; it reads only the two
+files, so it needs no ``PYTHONPATH``.
+
+An entry is exact when its output is order-free (:func:`exact`): labels,
+voxelizations, synth scenes, farthest-point picks and slice images. Their
+bits must not depend on the machine. The float entries depend on the BLAS
+kernel and the SIMD loops that numpy picks at run time: compare those only
+between files written on one machine.
 """
 
 from __future__ import annotations
@@ -59,6 +65,11 @@ SIZES = {
     "full": dict(gaussians=256, points=2000, seeds=3, batches=3, iterations=30, mc_samples=20_000,
                  fps=(2048, 6400), image=(1600, 900), large=(1024, 4000)),
 }
+
+
+def exact(name: str) -> bool:
+    """Whether entry ``name`` is order-free, so that any machine gives its bits."""
+    return name.endswith("labels") or name.startswith(("voxelize", "synth/", "fps/", "cli/slice/"))
 
 
 def _sha256(a) -> str:
@@ -146,7 +157,7 @@ def output_hashes(size: str = "full") -> dict:
                                               size=(cfg["points"], 3))
     for key, cutoff in CUTOFFS.items():
         ev = FieldEvaluator(sets["probabilistic"], EvalOptions(cutoff_mahalanobis_sq=cutoff))
-        for where, at in (("points", points), ("centers", small.centers())):
+        for where, at in (("points", points), ("centers", small)):
             for method in FIELD_METHODS:
                 entries[f"field/{key}/{where}/{method}"] = _sha256(getattr(ev, method)(at))
 
@@ -162,14 +173,13 @@ def output_hashes(size: str = "full") -> dict:
     entries["utilization_report"] = json.dumps(
         {k: v.hex() if isinstance(v, float) else v for k, v in dataclasses.asdict(report).items()}, sort_keys=True)
 
-    centers = gt.spec.centers()
     for model in MODELS:
         pv = ParamVector.encode(sets[model])
         for key, cutoff in CUTOFFS.items():
             opts = EvalOptions(cutoff_mahalanobis_sq=cutoff)
             for batch in range(cfg["batches"]):
                 idx = np.random.default_rng(10 + batch).integers(0, gt.spec.num_voxels, size=1024)
-                pts, tag = centers.take(idx), f"{model}/{key}/{batch}"
+                pts, tag = gt.spec.take(idx), f"{model}/{key}/{batch}"
                 entries[f"loss/{tag}"] = fit_loss(pv, gt, pts, model, opts).hex()
                 grad = fit_grad(pv, gt, pts, model, opts)
                 entries[f"grad/{tag}"] = _sha256(grad)
@@ -287,7 +297,12 @@ def main(argv=None) -> int:
         with open(path) as fh:
             files.append(json.load(fh))
     lines = compare(*files)
-    differing = [line for line in lines if not line.startswith("note:")]
+    differing = [line.split(":", 1)[0] for line in lines if not line.startswith("note:")]
+    if differing:
+        names = files[0]["entries"].keys() | files[1]["entries"].keys()
+        lines.append("; ".join(f"{kind}: {sum(exact(n) == is_exact for n in differing)} of "
+                               f"{sum(exact(n) == is_exact for n in names)} entries differ"
+                               for kind, is_exact in (("exact", True), ("float", False))))
     print("\n".join(lines + [f"{len(differing)} of {len(files[0]['entries'])} entries differ"]))
     return 1 if differing else 0
 
